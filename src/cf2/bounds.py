@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .cf import CF
-from .doubling import double_cf, halve_cf
+from .doubling import _double_periodic, double_cf, halve_cf
 from .equiv import ClassKey, class_key, key_of_cf
 from .surd import QuadraticSurd, double_surd, expand_surd
 
@@ -111,14 +111,20 @@ def _words(alphabet: Iterable[int], max_len: int) -> Iterator[tuple[int, ...]]:
 def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[CF]:
     """Check the B<=2 characterization over all digit-{1,2} periodic words.
 
-    Returns the violating inputs (expected empty).  Doubling runs through
-    the streaming machine, so this also exercises the window algorithm.
+    Returns the violating inputs (expected empty).  Each input runs through
+    the streaming machine until its window anchor enters the period; the
+    continuation from there (and so B(2x), the maximum of its period) is
+    shared by every input reaching the same (period word, machine state).
     """
+    if period_max < 1 or preperiod_max < 0:
+        raise ValueError("need period_max >= 1 and preperiod_max >= 0")
+    tails: dict = {}
     bad: list[CF] = []
     for word in _words((1, 2), period_max):
         for pre in itertools.chain([()], _words((1, 2), preperiod_max)):
             cf = CF(0, pre, word)
-            lhs = max(double_cf(cf).period) <= 2  # B(x) <= 2 holds by construction
+            _, (_, period) = _double_periodic(cf, tails)
+            lhs = max(period) <= 2  # B(x) <= 2 holds by construction
             rhs = classify_b2(cf) is not None
             if lhs != rhs:
                 bad.append(cf)

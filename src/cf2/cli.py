@@ -36,6 +36,13 @@ def _parse_surd_arg(text: str):
         raise SystemExit(USAGE_ERROR) from None
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _print_cf(cf: CF, digit_limit: int | None):
     if digit_limit is None:
         print(cf)
@@ -95,12 +102,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    try:
-        seed = family_member(args.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    result = build_chain(seed, args.K)
+    result = build_chain(family_member(args.m), args.K)
     print(f"beta = {result.beta}")
     for k, key in enumerate(result.checks):
         print(f"2^{k} beta: class key {key}, period max {max(key)}")
@@ -173,14 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="continued fraction of a quadratic surd")
     p.add_argument("surd", help="literal like '(3 + sqrt(17))/2'")
-    p.add_argument("--digits", type=int, default=None, help="print only the first N digits")
+    p.add_argument("--digits", type=_positive_int, default=None,
+                   help="print only the first N digits")
     p.set_defaults(fn=_cmd_expand)
 
     for name, fn, blurb in (("double", double_cf, "2x"), ("halve", halve_cf, "x/2"),
                             ("halve1", halve_plus1_cf, "(x+1)/2")):
         p = sub.add_parser(name, help=f"continued fraction of {blurb}")
         p.add_argument("cf", help="literal like '[0; 2, (1, 1, 3)]'")
-        p.add_argument("--digits", type=int, default=None)
+        p.add_argument("--digits", type=_positive_int, default=None)
         p.set_defaults(fn=lambda args, _f=fn: _unary_cf(args, _f))
 
     p = sub.add_parser("trio", help="2x, x/2 and (x+1)/2 with window cases")
@@ -234,7 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # domain errors, e.g. halving a negative value
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

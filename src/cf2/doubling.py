@@ -65,7 +65,8 @@ class DoublingState:
             self.cleaned.append(d)
             return
         if d == 0:
-            assert not self.pending, "adjacent raw zeros"
+            if self.pending:
+                raise ValueError("adjacent raw zeros: body digits must be positive")
             self.pending = True
         elif self.pending:
             self.cleaned[-1] += d
@@ -152,11 +153,6 @@ def production_bounds_check(n: int, m: int) -> bool:
     return (n + 2) // 3 - 1 <= m <= 3 * n - 1
 
 
-def produced_final_count(digits: Sequence[int]) -> int:
-    """m such that b_0..b_m are final after feeding the given digits."""
-    return len(feed_digits(digits).cleaned) - 2
-
-
 def production_counts(digits: Sequence[int]) -> dict[int, int]:
     """counts[n] = the m reached with the digit budget a_0..a_n, in one pass.
 
@@ -183,27 +179,55 @@ def production_counts(digits: Sequence[int]) -> dict[int, int]:
     return counts
 
 
+_State = tuple[int, bool, bool, int]  # (period offset, decremented, pending, cleaned[-1])
+_Tail = tuple[tuple[int, ...], tuple[int, ...]]  # (preperiod, period) of 2x after the head
+
+
+def _double_periodic(cf: CF, tails: dict[tuple[tuple[int, ...], _State], _Tail] | None = None
+                     ) -> tuple[tuple[int, ...], _Tail]:
+    """Digits of 2x for eventually periodic x, as (frozen head, (tail preperiod, period)).
+
+    The head is every digit frozen when the window anchor first enters the
+    period of x.  From there the output is a function of the period word and
+    the snapshot (period offset, decremented, pending, last cleaned digit):
+    the earlier digits are frozen and a_cur is period[offset] - decremented.
+    Given `tails`, the continuation is looked up under that key, and stored
+    there after a miss, so inputs sharing a period entry run the cycle
+    detection once.  The period returned need not be canonical.
+    """
+    npre, plen = len(cf.pre), len(cf.period)
+    machine = DoublingState(cf.digits())
+    snapshots: dict[_State, int] = {}
+    while True:
+        machine.step()
+        if machine.anchor <= npre or len(machine.cleaned) < 2:
+            continue
+        state = ((machine.anchor - npre - 1) % plen, machine.decremented,
+                 machine.pending, machine.cleaned[-1])
+        first = snapshots.get(state)
+        if first is not None:
+            break
+        if not snapshots:  # period entry
+            head = tuple(machine.cleaned[:-1])
+            key = (cf.period, state)
+            if tails is not None and key in tails:
+                return head, tails[key]
+        snapshots[state] = len(machine.cleaned)
+    d = machine.cleaned
+    if not len(d) > first >= 2:
+        raise RuntimeError("doubling cycle closed without a period digit")
+    tail = (tuple(d[len(head):first - 1]), tuple(d[first - 1:-1]))
+    if tails is not None:
+        tails[key] = tail
+    return head, tail
+
+
 def double_cf(cf: CF) -> CF:
     """Exact continued fraction of 2x for finite or eventually periodic x."""
     if cf.is_finite:
         return cf_of_rational(2 * eval_finite(cf))
-    npre, plen = len(cf.pre), len(cf.period)
-    machine = DoublingState(cf.digits())
-    snapshots: dict[tuple[int, bool, bool, int], int] = {}
-    while True:
-        machine.step()
-        if machine.anchor > npre and len(machine.cleaned) >= 2:
-            key = ((machine.anchor - npre - 1) % plen, machine.decremented,
-                   machine.pending, machine.cleaned[-1])
-            first = snapshots.get(key)
-            if first is not None:
-                break
-            snapshots[key] = len(machine.cleaned)
-    d = machine.cleaned
-    L2 = len(d)
-    L1 = first
-    assert L2 > L1 >= 2
-    return CF(d[0], tuple(d[1:L1 - 1]), tuple(d[L1 - 1:L2 - 1]))
+    head, (tail_pre, period) = _double_periodic(cf)
+    return CF(head[0], head[1:] + tail_pre, period)
 
 
 def halve_cf(cf: CF) -> CF:
@@ -259,7 +283,8 @@ def _traced_cases(feed: Iterator[int], offset: int, n_max: int) -> dict[int, Win
             machine.step()
     except ExhaustedStream:
         pass
-    assert machine.cases is not None
+    if machine.cases is None:
+        raise RuntimeError("the machine did not record window cases")
     return {i + offset: c for i, c in machine.cases.items() if 1 <= i + offset <= n_max}
 
 

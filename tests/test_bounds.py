@@ -18,6 +18,7 @@ from cf2.bounds import (
     verify_b2_exhaustive,
 )
 from cf2.cf import CF, parse_cf
+from cf2.doubling import _double_periodic, double_cf
 from cf2.surd import QuadraticSurd, double_surd, surd_of_periodic_cf
 
 
@@ -87,6 +88,45 @@ def test_check_b2_characterization_fixtures():
 
 def test_b2_characterization_small_exhaustive():
     assert verify_b2_exhaustive(6, 3) == []
+
+
+def test_b2_exhaustive_rejects_empty_ranges():
+    for period_max, preperiod_max in ((0, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            verify_b2_exhaustive(period_max, preperiod_max)
+
+
+def _b2_inputs(period_max, preperiod_max):
+    for n in range(1, period_max + 1):
+        for word in itertools.product((1, 2), repeat=n):
+            for m in range(preperiod_max + 1):
+                for pre in itertools.product((1, 2), repeat=m):
+                    yield CF(0, pre, word)
+
+
+def _check_shared_tails(inputs):
+    """Doubling through one shared continuation memo agrees with per-input double_cf."""
+    tails = {}
+    count = 0
+    for cf in inputs:
+        head, (tail_pre, period) = _double_periodic(cf, tails)
+        reference = double_cf(cf)
+        assert max(period) == max(reference.period), cf
+        assert CF(head[0], head[1:] + tail_pre, period) == reference, cf
+        count += 1
+    assert len(tails) < count  # some inputs were answered from the memo
+
+
+def test_b2_memo_matches_brute_force():
+    _check_shared_tails(_b2_inputs(8, 4))
+    brute = [cf for cf in _b2_inputs(8, 4)
+             if (max(double_cf(cf).period) <= 2) != (classify_b2(cf) is not None)]
+    assert verify_b2_exhaustive(8, 4) == brute
+
+
+def test_doubling_memo_random_inputs():
+    rng = random.Random(11)
+    _check_shared_tails(random_periodic_cf(rng) for _ in range(500))
 
 
 def test_b2_shape21_junction_walk():

@@ -131,6 +131,24 @@ def test_bad_flag_values_exit_2(capsys):
     assert code == 2 and "threshold" in err
 
 
+def test_domain_errors_exit_2(capsys):
+    for argv in (("halve", "[-1; (2)]"), ("halve1", "[-1; (2)]"), ("trio", "[-1; (2)]"),
+                 ("search", "--C", "0"), ("verify-b2", "--period-max", "0"),
+                 ("verify-b2", "--preperiod-max", "-1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_digits_below_one_exit_2(capsys):
+    for argv in (("double", "[0; (1)]"), ("halve", "[(3; 1, 1)]"),
+                 ("expand", "(3 + sqrt(17))/2")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, *argv, "--digits", "0")
+        assert exc.value.code == 2
+        assert "--digits" in capsys.readouterr().err
+
+
 def test_print_parse_round_trip_random():
     rng = random.Random(99)
     for _ in range(500):

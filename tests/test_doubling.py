@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cf2
 from conftest import random_surd
 from cf2.cf import CF, cf_of_rational, eval_finite, parse_cf
 from cf2.doubling import (
@@ -49,6 +54,27 @@ def test_stream_rejects_finite_and_bad_digits():
         list(double_stream(iter([1, 2, 2, 2])))
     with pytest.raises(ValueError):
         list(itertools.islice(double_stream(iter([1, 2, 0, 2])), 4))
+
+
+def test_results_hold_without_asserts():
+    """`python -O` strips assert statements; no result may depend on one."""
+    script = "\n".join([
+        "import sys",
+        "from cf2 import double_cf, halve_cf, halve_plus1_cf, parse_cf, verify_b2_exhaustive",
+        "print(sys.flags.optimize)",
+        "print(verify_b2_exhaustive(6, 3))",
+        "print(double_cf(parse_cf('[0; 2, (1, 1, 3)]')))",
+        "print(halve_cf(parse_cf('[(3; 1, 1)]')))",
+        "print(halve_plus1_cf(parse_cf('[(3; 1, 1)]')))",
+    ])
+    src = str(Path(cf2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "1", "[]", "[0; (1, 3, 1)]", "[(1; 1, 3)]", "[2; (3, 1, 1)]"]
 
 
 def test_double_cf_worked_examples():
