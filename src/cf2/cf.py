@@ -28,8 +28,30 @@ def primitive_word(word: Digits) -> Digits:
 
 
 def least_rotation(word: Digits) -> Digits:
-    """Lexicographically least rotation of `word`."""
-    return min(word[i:] + word[:i] for i in range(len(word)))
+    """Lexicographically least rotation of `word`, in O(len(word)).
+
+    Two-pointer minimum-rotation scan: i and j are candidate starts and k
+    the length of their common run.  At the first mismatch the larger side
+    loses, and with it every start inside its run, so it jumps past the run.
+    """
+    n = len(word)
+    ww = word + word
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = ww[i + k], ww[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        k = 0
+    return ww[i:i + n]
 
 
 @dataclass(frozen=True)

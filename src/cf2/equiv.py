@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .cf import CF, least_rotation
 from .surd import (
@@ -102,7 +102,12 @@ def self_similar_check(s: QuadraticSurd) -> bool:
     return class_key(halve_surd(s)) == key and class_key(halve_plus1_surd(s)) == key
 
 
-def class_contains_self_similar(s: QuadraticSurd) -> bool:
+def _primitive_discriminant(a: int, b: int, c: int) -> int:
+    g = gcd(gcd(a, b), c)
+    return (b * b - 4 * a * c) // (g * g)
+
+
+def class_contains_self_similar(s: QuadraticSurd, key: ClassKey | None = None) -> bool:
     """True iff the class of s has some member equivalent to both its halvings.
 
     Member-independent test: of the three images 2s, s/2, (s+1)/2, at least
@@ -110,11 +115,30 @@ def class_contains_self_similar(s: QuadraticSurd) -> bool:
     distinct window case, and a preperiod can steer the doubling case to
     any of the three, so two in-class images means some member keeps both
     halvings in the class.
+
+    `key` is class_key(s), when the caller already has it.  Equivalent
+    surds have primitive minimal polynomials of one discriminant, so an
+    image whose polynomial has another discriminant is never built or
+    expanded, and neither is any image once the count cannot reach two.
+    The least rotation is taken only of a period as long as the key.
     """
-    key = class_key(s)
-    count = sum(class_key(img) == key for img in
-                (double_surd(s), halve_surd(s), halve_plus1_surd(s)))
-    return count >= 2
+    if key is None:
+        key = class_key(s)
+    A, B, C = s.minimal_polynomial()
+    disc = B * B - 4 * A * C
+    images = [image for image, poly in (
+        (double_surd, (A, 2 * B, 4 * C)),
+        (halve_surd, (4 * A, 2 * B, C)),
+        (halve_plus1_surd, (4 * A, 2 * B - 4 * A, A - B + C)),
+    ) if _primitive_discriminant(*poly) == disc]
+    spare = len(images) - 2  # candidates that may still fall outside the class
+    for image in images:
+        if spare < 0:
+            return False
+        period = expand_surd(image(s)).period
+        if len(period) != len(key) or least_rotation(period) != key:
+            spare -= 1
+    return spare >= 0
 
 
 def two_of_three(beta: QuadraticSurd, target: ClassKey) -> set[Move]:
@@ -168,7 +192,8 @@ def build_chain(alpha: QuadraticSurd, K: int) -> ChainResult:
     for _ in range(K + 1):
         checks.append(class_key(cur))
         cur = double_surd(cur)
-    assert all(c == target for c in checks)
+    if any(c != target for c in checks):
+        raise RuntimeError("a chain member left the class of alpha")
     return ChainResult(beta, K, tuple(checks))
 
 
@@ -194,26 +219,13 @@ class ScanHit:
     key: ClassKey
 
 
-def _spf_sieve(limit: int) -> list[int]:
-    spf = list(range(limit + 1))
-    for i in range(2, isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
-
-
-def _divisors_leq(n: int, bound: int, spf: list[int]) -> list[int]:
-    divs = [1]
-    while n > 1:
-        p = spf[n]
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        divs = [d * p ** e for d in divs for e in range(k + 1)]
-    return sorted(d for d in divs if d <= bound)
+def _divisor_table(d_hi: int, q_max: int) -> list[list[int]]:
+    """table[m] lists the divisors q <= q_max of m, ascending, for 0 < m <= d_hi."""
+    table: list[list[int]] = [[] for _ in range(d_hi + 1)]
+    for q in range(1, q_max + 1):
+        for m in range(q, d_hi + 1, q):
+            table[m].append(q)
+    return table
 
 
 def _cycle_of(P: int, Q: int, D: int, r: int) -> tuple[list[int], list[tuple[int, int]]]:
@@ -233,7 +245,7 @@ def _cycle_of(P: int, Q: int, D: int, r: int) -> tuple[list[int], list[tuple[int
 
 def _scan_range(args) -> list[ScanHit]:
     d_lo, d_hi, q_max = args
-    spf = _spf_sieve(max(d_hi, 4))
+    divisors = _divisor_table(d_hi, q_max)
     seen_keys: set[ClassKey] = set()
     hits: list[ScanHit] = []
     for D in range(d_lo, d_hi + 1):
@@ -243,15 +255,11 @@ def _scan_range(args) -> list[ScanHit]:
         seen_states: set[tuple[int, int]] = set()
         local: list[ScanHit] = []
         for P in range(1, r + 1):
-            M = D - P * P
-            for Q in _divisors_leq(M, q_max, spf):
-                if (P, Q) in seen_states:
-                    continue
-                # reduced: value > 1 and conjugate in (-1, 0)
-                qp = Q - P
-                if qp > 0 and D < qp * qp:  # value < 1
-                    continue
-                if D > (P + Q) * (P + Q):  # conjugate < -1
+            # reduced (value > 1, conjugate in (-1, 0)) iff r - P < Q <= r + P
+            for Q in divisors[D - P * P]:
+                if Q > r + P:
+                    break
+                if Q <= r - P or (P, Q) in seen_states:
                     continue
                 digits, states = _cycle_of(P, Q, D, r)
                 seen_states.update(states)
@@ -259,8 +267,7 @@ def _scan_range(args) -> list[ScanHit]:
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                s = QuadraticSurd(P, D, Q)
-                if class_contains_self_similar(s):
+                if class_contains_self_similar(QuadraticSurd(P, D, Q), key):
                     local.append(ScanHit(D, Q, P, len(key), max(key), key))
         hits.extend(sorted(local, key=lambda h: (h.Q, h.P)))
     return hits

@@ -101,7 +101,8 @@ def interval_bounds(word, C: int) -> tuple[Fraction, Fraction]:
     lo, hi = _tails(C)
     pn, qn, px, qx = _endpoints(word, lo, hi)
     a, b = Fraction(pn, qn), Fraction(px, qx)
-    assert a < b
+    if a >= b:
+        raise RuntimeError(f"empty cylinder interval for prefix {word}")
     return a, b
 
 
@@ -355,7 +356,8 @@ def witness_q(s: QuadraticSurd, threshold: Fraction = Fraction(1, 15),
             if frac.cmp(Fraction(1, 2)) > 0:
                 frac = linear_fractional(frac, -1, 1, 0, 1)  # 1 - frac
             product = linear_fractional(frac, q, 0, 0, 1 << v)
-            assert product.cmp(threshold) < 0, "product is not below the threshold"
+            if product.cmp(threshold) >= 0:
+                raise RuntimeError("product is not below the threshold")
             value = _rational_upper_bound(product, threshold)
             return DyadicWitness(q, value, k, n)
         beta = double_surd(beta)

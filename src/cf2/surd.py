@@ -166,10 +166,6 @@ def recip_surd(s: QuadraticSurd) -> QuadraticSurd:
     return linear_fractional(s, 0, 1, 1, 0)
 
 
-def add_int_surd(s: QuadraticSurd, n: int) -> QuadraticSurd:
-    return linear_fractional(s, 1, n, 0, 1)
-
-
 def mul_pow2(s: QuadraticSurd, k: int) -> QuadraticSurd:
     """2**k * s (k may be negative for halving)."""
     for _ in range(k):

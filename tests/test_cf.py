@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cf2.cf import (
     CF,
@@ -11,6 +11,7 @@ from cf2.cf import (
     convergents,
     eval_finite,
     fold_word,
+    least_rotation,
     parse_cf,
     reciprocal,
 )
@@ -131,3 +132,18 @@ def test_fold_word_matches_convergents():
     digits = (2, 1, 4, 1, 8)
     conv = convergents(iter(digits), 4)
     assert fold_word(digits) == (conv[4].p, conv[4].q, conv[3].p, conv[3].q)
+
+
+_small_words = st.lists(st.integers(1, 3), min_size=1, max_size=10).map(tuple)
+
+
+@given(st.one_of(
+    st.lists(st.integers(1, 3), min_size=1, max_size=40).map(tuple),
+    st.lists(st.integers(1, 9), min_size=1, max_size=40).map(tuple),
+    st.builds(lambda w, n: w * n, _small_words, st.integers(2, 4)),
+))
+@example((1, 2, 1, 2))
+@example((2, 1, 1, 2, 1, 1))
+@example((5,))
+def test_least_rotation_matches_every_rotation(word):
+    assert least_rotation(word) == min(word[i:] + word[:i] for i in range(len(word)))

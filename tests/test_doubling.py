@@ -60,12 +60,17 @@ def test_results_hold_without_asserts():
     """`python -O` strips assert statements; no result may depend on one."""
     script = "\n".join([
         "import sys",
-        "from cf2 import double_cf, halve_cf, halve_plus1_cf, parse_cf, verify_b2_exhaustive",
+        "from cf2 import (double_cf, family_chain, halve_cf, halve_plus1_cf, interval_bounds,",
+        "                 parse_cf, parse_surd, verify_b2_exhaustive, witness_q)",
         "print(sys.flags.optimize)",
         "print(verify_b2_exhaustive(6, 3))",
         "print(double_cf(parse_cf('[0; 2, (1, 1, 3)]')))",
         "print(halve_cf(parse_cf('[(3; 1, 1)]')))",
         "print(halve_plus1_cf(parse_cf('[(3; 1, 1)]')))",
+        "print(family_chain(3, 4))",
+        "w = witness_q(parse_surd('(3 + sqrt(17))/2'))",
+        "print(w.q, w.value)",
+        "print(*interval_bounds((1, 2), 3))",
     ])
     src = str(Path(cf2.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -74,7 +79,8 @@ def test_results_hold_without_asserts():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "1", "[]", "[0; (1, 3, 1)]", "[(1; 1, 3)]", "[2; (3, 1, 1)]"]
+        "1", "[]", "[0; (1, 3, 1)]", "[(1; 1, 3)]", "[2; (3, 1, 1)]",
+        "(23 + sqrt(17))/32", "16 1/64", "206/297 67/91"]
 
 
 def test_double_cf_worked_examples():

@@ -1,11 +1,14 @@
 import random
+from math import isqrt
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_surd
 from cf2.cf import CF
 from cf2.equiv import (
     Move,
+    ScanHit,
     build_chain,
     class_contains_self_similar,
     class_key,
@@ -21,6 +24,7 @@ from cf2.surd import (
     QuadraticSurd,
     double_surd,
     expand_surd,
+    halve_plus1_surd,
     halve_surd,
     linear_fractional,
     mul_pow2,
@@ -230,3 +234,78 @@ def test_class_contains_self_similar_is_member_independent():
     assert class_key(member) == (1, 1, 3)
     assert not self_similar_check(member)
     assert class_contains_self_similar(member)
+
+
+def _old_membership_rule(s):
+    """At least two of class_key(2s), class_key(s/2), class_key((s+1)/2) equal class_key(s)."""
+    key = class_key(s)
+    return sum(class_key(img) == key for img in
+               (double_surd(s), halve_surd(s), halve_plus1_surd(s))) >= 2
+
+
+def _brute_force_classes(d_max, q_max):
+    """(D, Q, P, key) of the first reduced state of each class, in scan order.
+
+    Divisors are found by trial, and every reduced state is expanded on
+    its own; D runs upward, P within D, Q within P.  Reduced means
+    (P + sqrt(D))/Q > 1 and (P - sqrt(D))/Q in (-1, 0), compared by squares.
+    """
+    seen = set()
+    for D in range(2, d_max + 1):
+        if isqrt(D) ** 2 == D:
+            continue
+        local = []
+        for P in range(1, isqrt(D) + 1):
+            M = D - P * P
+            for Q in range(1, q_max + 1):
+                if M % Q or not (Q <= P or (Q - P) ** 2 < D) or (P + Q) ** 2 < D:
+                    continue
+                s = QuadraticSurd(P, D, Q)
+                key = class_key(s)
+                if key not in seen:
+                    seen.add(key)
+                    local.append((D, Q, P, key))
+        yield from sorted(local, key=lambda c: (c[1], c[2]))
+
+
+def test_class_contains_self_similar_matches_old_rule_on_scanned_classes():
+    classes = list(_brute_force_classes(300, 40))
+    assert len(classes) > 300
+    found = 0
+    for D, Q, P, key in classes:
+        s = QuadraticSurd(P, D, Q)
+        expected = _old_membership_rule(s)
+        found += expected
+        assert class_contains_self_similar(s) == expected, (D, Q, P)
+        assert class_contains_self_similar(s, key) == expected, (D, Q, P)
+    assert found > 10
+
+
+@st.composite
+def _positive_surds(draw):
+    """Random positive surds, half of them members of self-similar classes."""
+    if draw(st.booleans()):
+        m = draw(st.sampled_from((3, 5, 7, 9)))
+        pre = tuple(draw(st.lists(st.integers(1, 9), max_size=5)))
+        word = expand_surd(family_member(m)).period
+        return surd_of_periodic_cf(CF(draw(st.integers(0, 3)), pre, word))
+    D = draw(st.integers(2, 10**5).filter(lambda d: isqrt(d) ** 2 != d))
+    s = QuadraticSurd(draw(st.integers(-500, 500)), D,
+                      draw(st.integers(-50, 50).filter(bool)))
+    return s if s.cmp(0) > 0 else QuadraticSurd(s.P, s.D, -s.Q)
+
+
+@given(_positive_surds())
+def test_class_contains_self_similar_matches_old_rule(s):
+    expected = _old_membership_rule(s)
+    assert class_contains_self_similar(s) == expected
+    assert class_contains_self_similar(s, class_key(s)) == expected
+
+
+@pytest.mark.parametrize("d_max, q_max", [(2000, 50), (2000, 6)])
+def test_scan_matches_brute_force(d_max, q_max):
+    expected = [ScanHit(D, Q, P, len(key), max(key), key)
+                for D, Q, P, key in _brute_force_classes(d_max, q_max)
+                if _old_membership_rule(QuadraticSurd(P, D, Q))]
+    assert len(expected) > 50
+    assert scan_self_similar(d_max, q_max) == expected
