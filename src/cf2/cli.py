@@ -238,7 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader of stdout went away, e.g. `| head -1`
+        # Python flushes stdout again at exit; send that flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return VERIFY_ERROR
     except ValueError as exc:  # domain errors, e.g. halving a negative value
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

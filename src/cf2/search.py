@@ -6,6 +6,12 @@ rational endpoints.  Doubling both endpoints k times and comparing their
 canonical expansions forces digits of 2^k x for every x in the cylinder;
 a forced digit above C excludes the whole prefix.  An empty frontier proves
 that some 2^k x always carries a digit above C.
+
+The prefix tree is walked depth first.  A child's cylinder lies inside its
+parent's, so the digits of 2^k x the parent found certain are certain for
+the child too: each child resumes the parent's Euclid scan at every k
+instead of expanding both doubled endpoints from digit 0 (Gosper's carried
+homographic state, HAKMEM item 101).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .cf import fold_word
+from .cf import cf_of_rational, fold_word
 from .surd import QuadraticSurd, double_surd, linear_fractional
 
 DEFAULT_K_CAP = 256
@@ -75,22 +81,42 @@ class SearchReport:
             (other.C, other.terminated, other.max_depth_reached, other.K, other.depths)
 
 
-def _tails(C: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Values of the closing words [C; 1, C, 1, C+1] and [1; C, 1, C+1] as p/q."""
-    p, q, _, _ = fold_word((C, 1, C, 1, C + 1))
-    p2, q2, _, _ = fold_word((1, C, 1, C + 1))
-    return (p, q), (p2, q2)
+@dataclass(frozen=True)
+class _Tables:
+    """Integer matrices shared by every prefix of one search, indexed by prefix parity.
+
+    A 2x2 matrix is the tuple (m11, m12, m21, m22).  `pair[parity]` is T,
+    whose columns are the closing tails of the lower and the upper endpoint
+    of a prefix with len(word) % 2 == parity; `adjugate[parity]` and
+    `det[parity]` invert it; `child[parity][d]` is [[d, 1], [1, 0]] . T for
+    a child of that parity whose last digit is d.
+    """
+    pair: tuple[tuple[int, int, int, int], ...]
+    adjugate: tuple[tuple[int, int, int, int], ...]
+    det: tuple[int, ...]
+    child: tuple[tuple[tuple[int, int, int, int] | None, ...], ...]
 
 
-def _endpoints(word: tuple[int, ...], low_tail: tuple[int, int],
-               high_tail: tuple[int, int]) -> tuple[int, int, int, int]:
-    """(p_min, q_min, p_max, q_max) for the cylinder of [0; word, ...digits <= C]."""
-    p1, q1, p0, q0 = fold_word((0,) + word)
-    if len(word) % 2 == 0:
-        (tn, td), (un, ud) = low_tail, high_tail
-    else:
-        (tn, td), (un, ud) = high_tail, low_tail
-    return p1 * tn + p0 * td, q1 * tn + q0 * td, p1 * un + p0 * ud, q1 * un + q0 * ud
+def _tables(C: int) -> _Tables:
+    # [C; 1, C, 1, C+1] closes the lower endpoint of an even-length prefix and
+    # [1; C, 1, C+1] its upper one; an odd length swaps them
+    tn, td, _, _ = fold_word((C, 1, C, 1, C + 1))
+    un, ud, _, _ = fold_word((1, C, 1, C + 1))
+    pair = ((tn, un, td, ud), (un, tn, ud, td))
+    adjugate = tuple((t22, -t12, -t21, t11) for t11, t12, t21, t22 in pair)
+    det = tuple(t11 * t22 - t12 * t21 for t11, t12, t21, t22 in pair)
+    child = tuple((None,) + tuple((d * t11 + t21, d * t12 + t22, t11, t12)
+                                  for d in range(1, C + 1))
+                  for t11, t12, t21, t22 in pair)
+    return _Tables(pair, adjugate, det, child)
+
+
+def _endpoints(fold: tuple[int, int, int, int],
+               pair: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """(p_min, q_min, p_max, q_max): the prefix matrix of `fold` times the tail matrix `pair`."""
+    p1, q1, p0, q0 = fold
+    t11, t12, t21, t22 = pair
+    return p1 * t11 + p0 * t21, q1 * t11 + q0 * t21, p1 * t12 + p0 * t22, q1 * t12 + q0 * t22
 
 
 def interval_bounds(word, C: int) -> tuple[Fraction, Fraction]:
@@ -98,8 +124,7 @@ def interval_bounds(word, C: int) -> tuple[Fraction, Fraction]:
     word = tuple(word)
     if not word or any(d < 1 or d > C for d in word):
         raise ValueError("prefix digits must lie in [1, C]")
-    lo, hi = _tails(C)
-    pn, qn, px, qx = _endpoints(word, lo, hi)
+    pn, qn, px, qx = _endpoints(fold_word((0,) + word), _tables(C).pair[len(word) % 2])
     a, b = Fraction(pn, qn), Fraction(px, qx)
     if a >= b:
         raise RuntimeError(f"empty cylinder interval for prefix {word}")
@@ -108,14 +133,7 @@ def interval_bounds(word, C: int) -> tuple[Fraction, Fraction]:
 
 def rational_digits(x: Fraction) -> list[int]:
     """Canonical expansion digits of a rational (a0 first)."""
-    p, q = x.numerator, x.denominator
-    out = []
-    while True:
-        a, r = divmod(p, q)
-        out.append(a)
-        if r == 0:
-            return out
-        p, q = q, r
+    return list(cf_of_rational(x).digits())
 
 
 def common_prefix_info(x: Fraction, y: Fraction) -> tuple[list[int], int | None]:
@@ -147,124 +165,157 @@ def common_prefix_info(x: Fraction, y: Fraction) -> tuple[list[int], int | None]
     return shared, next_min
 
 
-def _scan_pair(pa: int, qa: int, pb: int, qb: int, C: int):
-    """Exclusion evidence from one doubled endpoint pair.
-
-    Returns None when the integer parts differ (stop the k loop for this
-    prefix), True when no evidence was found at this k, or a witness tuple
-    (position, bound, kind).
-    """
-    i = 0
-    off_pos = -1
-    off_val = 0
-    prev = 0
-    while True:
-        a, ra = divmod(pa, qa)
-        b, rb = divmod(pb, qb)
-        if a != b:
-            if i == 0:
-                return None
-            if ra == 0 or rb == 0:
-                usable_last, nm_pos, nm_val = i - 2, i - 1, prev
-            else:
-                usable_last, nm_pos, nm_val = i - 1, i, min(a, b)
-            break
-        if i >= 1 and a > C and off_pos < 0:
-            off_pos, off_val = i, a
-        if ra == 0 or rb == 0:
-            usable_last, nm_pos, nm_val = i - 1, i, a
-            break
-        pa, qa, pb, qb = qa, ra, qb, rb
-        prev = a
-        i += 1
-    if 1 <= off_pos <= usable_last:
-        return off_pos, off_val, WitnessKind.SHARED_DIGIT
-    if nm_pos >= 1 and nm_val > C:
-        return nm_pos, nm_val, WitnessKind.NEXT_DIGIT_MIN
-    return True
-
-
-def try_exclude(word, C: int, k_cap: int = DEFAULT_K_CAP) -> ExclusionWitness | None:
+def try_exclude(word, C: int, k_cap: int = DEFAULT_K_CAP, *, fold=None, tables=None,
+                inherited=(), states: list | None = None) -> ExclusionWitness | None:
     """Search k = 1, 2, ... for a digit of 2^k x forced above C on the cylinder.
 
-    Endpoints are doubled with exact rational arithmetic; the loop stops at
-    the first k where the endpoint integer parts disagree.
+    The endpoint pair at k is diag(2^k, 1) . M . T, with M the matrix of
+    [0; word] and T the tail matrix.  Euclid runs on both endpoints at once
+    and reads the verdict of `common_prefix_info`:
+    - a shared digit above C at position i >= 1 excludes; it is a
+      next-digit floor rather than a shared digit when an endpoint
+      terminates at it, or one digit later where the digits differ;
+    - at the first differing position i >= 1, the smaller of the two
+      digits excludes when it is above C and neither endpoint ends there;
+    - differing integer parts stop the k loop.
+
+    `run` passes the convergents `fold` = fold_word((0,) + word), the
+    `_tables(C)` of the search and the parent's states, one per k: a step j
+    and R = A^-1 . diag(2^k, 1) . M_parent, with A the matrix of the first
+    j digits of 2^k x that the whole parent cylinder shares (past digit 0,
+    all at most C).
+    A child with last digit d resumes Euclid at step j on the pair
+    R . [[d, 1], [1, 0]] . T.  When `states` is a list and no witness is
+    found, this prefix's states are appended to it: the pair S at the step
+    j where the scan stopped gives R = S . adj(T) / det(T), and the division
+    is exact because S = A^-1 . diag(2^k, 1) . M . T.
     """
     word = tuple(word)
-    lo, hi = _tails(C)
-    pn, qn, px, qx = _endpoints(word, lo, hi)
+    if tables is None:
+        tables = _tables(C)
+    if fold is None:
+        fold = fold_word((0,) + word)
+    parity = len(word) % 2
+    pn, qn, px, qx = _endpoints(fold, tables.pair[parity])
+    if inherited:
+        w11, w12, w21, w22 = tables.child[parity][word[-1]]
+    found = []
+    resumable = len(inherited)
     for k in range(1, k_cap + 1):
-        pn, qn = (pn, qn // 2) if qn % 2 == 0 else (2 * pn, qn)
-        px, qx = (px, qx // 2) if qx % 2 == 0 else (2 * px, qx)
-        verdict = _scan_pair(pn, qn, px, qx, C)
-        if verdict is None:
-            return None
-        if verdict is not True:
-            pos, bound, kind = verdict
-            return ExclusionWitness(word, k, pos, bound, kind)
+        if k <= resumable:
+            i, r11, r12, r21, r22 = inherited[k - 1]
+            pa, qa = r11 * w11 + r12 * w21, r21 * w11 + r22 * w21
+            pb, qb = r11 * w12 + r12 * w22, r21 * w12 + r22 * w22
+        else:
+            i, pa, qa, pb, qb = 0, pn << k, qn, px << k, qx
+        while True:
+            a, ra = divmod(pa, qa)
+            b, rb = divmod(pb, qb)
+            if a != b:
+                break
+            if a > C and i:
+                if ra and rb:
+                    a1, ra1 = divmod(qa, ra)
+                    b1, rb1 = divmod(qb, rb)
+                    if a1 == b1 or (ra1 and rb1):
+                        return ExclusionWitness(word, k, i, a, WitnessKind.SHARED_DIGIT)
+                return ExclusionWitness(word, k, i, a, WitnessKind.NEXT_DIGIT_MIN)
+            if not (ra and rb):
+                break
+            pa, qa, pb, qb = qa, ra, qb, rb
+            i += 1
+        if a != b:
+            if i == 0:
+                break
+            if ra and rb and a > C and b > C:
+                return ExclusionWitness(word, k, i, min(a, b), WitnessKind.NEXT_DIGIT_MIN)
+        # Digits 0..i-1 are shared without terminating, and those past digit 0
+        # are at most C, so they hold on every cylinder inside this one.
+        found.append((i, pa, qa, pb, qb))
+    if states is not None:
+        a11, a12, a21, a22 = tables.adjugate[parity]
+        det = tables.det[parity]
+        states.extend((j, (pa * a11 + pb * a21) // det, (pa * a12 + pb * a22) // det,
+                       (qa * a11 + qb * a21) // det, (qa * a12 + qb * a22) // det)
+                      for j, pa, qa, pb, qb in found)
     return None
 
 
-def _exclude_batch(args):
-    C, k_cap, words = args
-    return [try_exclude(w, C, k_cap) for w in words]
+def _walk(args):
+    """Depth-first exclusion of one depth-2 root and its descendants.
+
+    Children are visited in increasing digit order, so each depth meets its
+    prefixes in the lexicographic order of a breadth-first search.  Only
+    the states of the prefixes on the current path and their pending
+    siblings are alive: O(depth * k) of them.  Returns one entry per depth
+    from 2 on, [frontier, excluded, witnesses] (witnesses only when
+    collected), the largest witness k, and whether max_depth cut off a
+    surviving prefix.
+    """
+    root, C, k_cap, max_depth, collect, tables = args
+    levels: list[list] = []
+    K = 0
+    cut = False
+    stack = [(root, fold_word((0,) + root), ())]
+    while stack:
+        word, fold, inherited = stack.pop()
+        if max_depth is not None and len(word) > max_depth:
+            cut = True
+            continue
+        if len(word) - 2 == len(levels):
+            levels.append([0, 0, []])
+        level = levels[len(word) - 2]
+        level[0] += 1
+        states: list = []
+        wit = try_exclude(word, C, k_cap, fold=fold, tables=tables, inherited=inherited,
+                          states=states)
+        if wit is None:
+            p1, q1, p0, q0 = fold
+            stack.extend((word + (d,), (d * p1 + p0, d * q1 + q0, p1, q1), states)
+                         for d in range(C, 0, -1))
+        else:
+            level[1] += 1
+            if wit.k > K:
+                K = wit.k
+            if collect:
+                level[2].append(wit)
+    return levels, K, cut
 
 
 def run(C: int, max_depth: int | None = None, k_cap: int = DEFAULT_K_CAP,
         jobs: int = 1, collect_witnesses: bool = False):
-    """Breadth-first prefix exclusion for the bound C.
+    """Prefix exclusion for the bound C, walked depth first from the C^2 depth-2 roots.
 
     Returns a SearchReport (and the witness list when requested).  The
-    report is identical for any worker count: the frontier is processed in
-    lexicographic order and the merge is order-preserving.
+    report and the witness order are those of a breadth-first search in
+    lexicographic order, for any worker count: each root's subtree is one
+    task, and the per-depth results are merged in root order.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
     start = time.monotonic()
-    words: list[tuple[int, ...]] = [(d1, d2) for d1 in range(1, C + 1)
-                                    for d2 in range(1, C + 1)]
-    depth = 2
-    K = 0
-    depths: list[DepthStats] = []
-    witnesses: list[ExclusionWitness] = []
-    terminated = False
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        while words:
-            if max_depth is not None and depth > max_depth:
-                break
-            if pool is None:
-                results = [try_exclude(w, C, k_cap) for w in words]
-            else:
-                chunk = max(1, len(words) // (jobs * 4))
-                batches = [(C, k_cap, words[i:i + chunk])
-                           for i in range(0, len(words), chunk)]
-                results = []
-                for part in pool.map(_exclude_batch, batches):
-                    results.extend(part)
-            survivors: list[tuple[int, ...]] = []
-            excluded = 0
-            for w, wit in zip(words, results):
-                if wit is None:
-                    survivors.extend(w + (d,) for d in range(1, C + 1))
-                else:
-                    excluded += 1
-                    if wit.k > K:
-                        K = wit.k
-                    if collect_witnesses:
-                        witnesses.append(wit)
-            depths.append(DepthStats(depth, len(words), excluded))
-            words = survivors
-            depth += 1
-        else:
-            terminated = True
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    report = SearchReport(C, terminated, depth - 1, K, depths,
-                          time.monotonic() - start)
+    tables = _tables(C)
+    tasks = [((d1, d2), C, k_cap, max_depth, collect_witnesses, tables)
+             for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_walk, tasks))
+    else:
+        parts = list(map(_walk, tasks))
+    levels: list[list] = []
+    for part, _, _ in parts:
+        for n, (frontier, excluded, found) in enumerate(part):
+            if n == len(levels):
+                levels.append([0, 0, []])
+            levels[n][0] += frontier
+            levels[n][1] += excluded
+            levels[n][2] += found
+    depths = [DepthStats(n + 2, frontier, excluded)
+              for n, (frontier, excluded, _) in enumerate(levels)]
+    report = SearchReport(C, not any(cut for _, _, cut in parts), len(depths) + 1,
+                          max(K for _, K, _ in parts), depths, time.monotonic() - start)
     if collect_witnesses:
-        return report, witnesses
+        return report, [wit for _, _, found in levels for wit in found]
     return report
 
 

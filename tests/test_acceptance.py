@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-The two deep searches (digit bounds 9 and 10) are opt-in: `pytest -m slow`.
+The deepest search (digit bound 11) is opt-in: `pytest -m slow`.
 """
 
 import itertools
@@ -50,16 +50,29 @@ def test_criterion_1_table_regression():
             f"K={tuple(ks)}, {elapsed:.1f}s")
 
 
-@pytest.mark.slow
-def test_criterion_1_slow_c9_c10():
+def test_criterion_1_c9_c10():
     start = time.monotonic()
     k9 = run(9)
     k10 = run(10)
     elapsed = time.monotonic() - start
-    _report("criterion 1 (opt-in): C=9, 10 give K=37, 37",
+    _report("criterion 1: C=9, 10 give K=37, 37",
             k9.terminated and k10.terminated and (k9.K, k10.K) == (37, 37)
             and elapsed < 600,
             f"K=({k9.K}, {k10.K}), {elapsed:.1f}s")
+
+
+@pytest.mark.slow
+def test_criterion_1_slow_c11():
+    start = time.monotonic()
+    serial = run(11)
+    parallel = run(11, jobs=2)
+    elapsed = time.monotonic() - start
+    prefixes = sum(d.frontier for d in serial.depths)
+    _report("criterion 1 (opt-in): C=11 gives K=41 at depth 25 after 796,103 prefixes",
+            serial.terminated and serial.K == 41 and serial.max_depth_reached == 25
+            and prefixes == 796_103 and serial.same_result(parallel) and elapsed < 600,
+            f"K={serial.K}, depth {serial.max_depth_reached}, {prefixes} prefixes, "
+            f"{elapsed:.1f}s")
 
 
 def test_criterion_2_worked_examples():

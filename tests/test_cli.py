@@ -1,7 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cf2
 
 from conftest import random_periodic_cf, random_surd
 from cf2.cf import parse_cf
@@ -70,6 +76,27 @@ def test_search_depth_cap_exit_code(capsys):
                            "--jobs", "1", "--json")
     assert code == 1
     assert not json.loads(out)["terminated"]
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # dump is far larger than a pipe buffer, so the writer is still writing
+    src = str(Path(cf2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen(
+            [sys.executable, "-m", "cf2.cli", "search", "--C", "8", "--witnesses",
+             "--jobs", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            assert proc.stdout.readline().startswith(b"w=")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+    assert code == 1
+    assert err == b""
 
 
 def test_chain(capsys):

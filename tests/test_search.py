@@ -1,12 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_surd
-from cf2.cf import CF, eval_finite
+from cf2.cf import CF, eval_finite, fold_word
 from cf2.search import (
+    DEFAULT_K_CAP,
+    DepthStats,
+    ExclusionWitness,
     SearchCapExceeded,
+    SearchReport,
+    WitnessKind,
+    _tables,
     common_prefix_info,
     interval_bounds,
     rational_digits,
@@ -173,6 +180,104 @@ def test_witness_soundness_via_surd_oracle():
             s = mul_pow2(surd_of_periodic_cf(cf), wit.k)
             digits = expand_surd(s).digit_prefix(wit.position + 1)
             assert digits[wit.position] > C, (wit, cf)
+
+
+# -- slow oracles for the depth-first search ---------------------------------
+
+
+def _fraction_exclude(word, C, k_cap=DEFAULT_K_CAP):
+    """try_exclude from Fractions: common_prefix_info on 2^k times the interval bounds."""
+    lo, hi = interval_bounds(word, C)
+    for k in range(1, k_cap + 1):
+        x, y = lo * 2 ** k, hi * 2 ** k
+        if math.floor(x) != math.floor(y):
+            return None
+        shared, next_min = common_prefix_info(x, y)
+        for pos, digit in enumerate(shared):
+            if pos >= 1 and digit > C:
+                return ExclusionWitness(word, k, pos, digit, WitnessKind.SHARED_DIGIT)
+        if len(shared) >= 1 and next_min is not None and next_min > C:
+            return ExclusionWitness(word, k, len(shared), next_min,
+                                    WitnessKind.NEXT_DIGIT_MIN)
+    return None
+
+
+def _bfs_run(C, max_depth=None, exclude=try_exclude):
+    """Breadth-first search in lexicographic order, one standalone call per prefix."""
+    words = [(d1, d2) for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
+    depth, K, depths, witnesses = 2, 0, [], []
+    terminated = True
+    while words:
+        if max_depth is not None and depth > max_depth:
+            terminated = False
+            break
+        results = [exclude(w, C) for w in words]
+        found = [wit for wit in results if wit is not None]
+        K = max([K] + [wit.k for wit in found])
+        witnesses += found
+        depths.append(DepthStats(depth, len(words), len(found)))
+        words = [w + (d,) for w, wit in zip(words, results) if wit is None
+                 for d in range(1, C + 1)]
+        depth += 1
+    return SearchReport(C, terminated, depth - 1, K, depths), witnesses
+
+
+def test_try_exclude_matches_fraction_oracle():
+    visited = 0
+    for C in range(1, 7):
+        def both(word, C):
+            expected = _fraction_exclude(word, C)
+            assert try_exclude(word, C) == expected, word
+            return expected
+        report, _ = _bfs_run(C, exclude=both)
+        visited += sum(d.frontier for d in report.depths)
+    assert visited == 2159
+
+
+@pytest.mark.parametrize("C", range(1, 7))
+@pytest.mark.parametrize("max_depth", [None, 2, 4])
+def test_depth_first_run_matches_breadth_first_oracle(C, max_depth):
+    expected, expected_witnesses = _bfs_run(C, max_depth)
+    for jobs in (1, 2):
+        report, witnesses = run(C, max_depth=max_depth, jobs=jobs, collect_witnesses=True)
+        assert report.same_result(expected), (jobs, report, expected)
+        assert witnesses == expected_witnesses, jobs
+
+
+def _euclid_state(word, C, k, j):
+    """The endpoint pair of 2^k times the cylinder of `word` after j shared Euclid steps."""
+    p1, q1, p0, q0 = fold_word((0,) + word)
+    t11, t12, t21, t22 = _tables(C).pair[len(word) % 2]
+    pa, qa = (p1 * t11 + p0 * t21) << k, q1 * t11 + q0 * t21
+    pb, qb = (p1 * t12 + p0 * t22) << k, q1 * t12 + q0 * t22
+    for step in range(j):
+        a, ra = divmod(pa, qa)
+        b, rb = divmod(pb, qb)
+        assert a == b and ra and rb and (step == 0 or a <= C), (word, k, step)
+        pa, qa, pb, qb = qa, ra, qb, rb
+    return pa, qa, pb, qb
+
+
+def test_resume_states_divide_exactly():
+    # every state run hands to a child is A^-1 diag(2^k, 1) M exactly: times T
+    # it gives back the endpoint pair after its j certain digits
+    checked = 0
+    for C in range(1, 8):
+        tables = _tables(C)
+        stack = [((d1, d2), ()) for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
+        while stack:
+            word, inherited = stack.pop()
+            states = []
+            if try_exclude(word, C, tables=tables, inherited=inherited, states=states):
+                continue
+            checked += len(states)
+            t11, t12, t21, t22 = tables.pair[len(word) % 2]
+            for k, (j, r11, r12, r21, r22) in enumerate(states, 1):
+                assert _euclid_state(word, C, k, j) == (
+                    r11 * t11 + r12 * t21, r21 * t11 + r22 * t21,
+                    r11 * t12 + r12 * t22, r21 * t12 + r22 * t22), (word, k)
+            stack.extend((word + (d,), states) for d in range(1, C + 1))
+    assert checked > 1000
 
 
 def test_witness_q_on_known_surd():
