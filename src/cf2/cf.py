@@ -8,6 +8,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 Digits = tuple[int, ...]
+_INT = frozenset({int})
 
 
 class CFParseError(ValueError):
@@ -18,13 +19,33 @@ class CFParseError(ValueError):
         self.pos = pos
 
 
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def primitive_word(word: Digits) -> Digits:
-    """Shortest word whose repetition equals `word`."""
+    """Shortest word whose repetition equals `word`.
+
+    The lengths p dividing n = len(word) for which `word` is p-periodic are
+    the multiples of the primitive length that divide n, so it is reached by
+    dividing n by each prime l while the word stays periodic at the quotient.
+    """
     n = len(word)
-    for p in range(1, n + 1):
-        if n % p == 0 and word == word[:p] * (n // p):
-            return word[:p]
-    return word
+    p = n
+    for l in _prime_factors(n):
+        while p % l == 0 and word[:p // l] * (n * l // p) == word:
+            p //= l
+    return word[:p]
 
 
 def least_rotation(word: Digits) -> Digits:
@@ -72,16 +93,24 @@ class CF:
         a0 = self.a0
         pre = tuple(self.pre)
         period = tuple(self.period)
-        for d in pre + period:
-            if not isinstance(d, int) or d < 1:
-                raise ValueError(f"body digit must be a positive integer, got {d!r}")
+        body = pre + period
+        if body and not (set(map(type, body)) <= _INT and min(body) >= 1):
+            for d in body:  # name the first offender; int subclasses pass as before
+                if not isinstance(d, int) or d < 1:
+                    raise ValueError(f"body digit must be a positive integer, got {d!r}")
         if not isinstance(a0, int):
             raise ValueError(f"integer part must be an int, got {a0!r}")
         if period:
             period = primitive_word(period)
-            while pre and pre[-1] == period[-1]:
-                pre = pre[:-1]
-                period = (period[-1],) + period[:-1]
+            # Absorb the preperiod digits that continue the period backwards.
+            n, m = len(pre), len(period)
+            k = 0
+            while k < n and pre[n - 1 - k] == period[-1 - k % m]:
+                k += 1
+            if k:
+                pre = pre[:n - k]
+                k %= m
+                period = period[m - k:] + period[:m - k]
         else:
             # Fold a trailing 1 so rationals have a unique representation.
             if len(pre) >= 2 and pre[-1] == 1:

@@ -8,6 +8,7 @@ import itertools
 import os
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from .bounds import falsify_b_bound, verify_b2_exhaustive
 from .cf import CF, format_fraction, parse_cf
@@ -43,18 +44,25 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _print_prefix(digits: Iterator[int], limit: int, more: bool):
+    shown = list(itertools.islice(digits, limit))
+    print(f"{shown[0]}; " + ", ".join(map(str, shown[1:])) + (", ..." if more else ""))
+
+
 def _print_cf(cf: CF, digit_limit: int | None):
     if digit_limit is None:
         print(cf)
     else:
-        shown = list(itertools.islice(cf.digits(), digit_limit))
-        tail = ", ..." if not cf.is_finite or len(cf.pre) + 1 > digit_limit else ""
-        print(f"{shown[0]}; " + ", ".join(map(str, shown[1:])) + tail)
+        _print_prefix(cf.digits(), digit_limit,
+                      not cf.is_finite or len(cf.pre) + 1 > digit_limit)
 
 
 def _cmd_expand(args) -> int:
     s = _parse_surd_arg(args.surd)
-    _print_cf(expand_surd(s), args.digits)
+    if args.digits is None:
+        print(expand_surd(s))
+    else:  # streamed: the full period has about sqrt(D) digits
+        _print_prefix(s.digits(), args.digits, True)
     return 0
 
 

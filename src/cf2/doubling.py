@@ -187,36 +187,73 @@ def _double_periodic(cf: CF, tails: dict[tuple[tuple[int, ...], _State], _Tail] 
                      ) -> tuple[tuple[int, ...], _Tail]:
     """Digits of 2x for eventually periodic x, as (frozen head, (tail preperiod, period)).
 
-    The head is every digit frozen when the window anchor first enters the
+    The DoublingState machine as one flat loop over the digit list.  The
+    head is every digit frozen when the window anchor first enters the
     period of x.  From there the output is a function of the period word and
     the snapshot (period offset, decremented, pending, last cleaned digit):
-    the earlier digits are frozen and a_cur is period[offset] - decremented.
-    Given `tails`, the continuation is looked up under that key, and stored
-    there after a miss, so inputs sharing a period entry run the cycle
-    detection once.  The period returned need not be canonical.
+    the earlier digits are frozen and the window head is
+    period[offset] - decremented.  Snapshots are taken at period entry and
+    then once per lap, at the first step whose anchor reaches the next lap
+    boundary; the next snapshot is a function of the last one, so a repeat
+    closes a cycle of the output.  Given `tails`, the continuation is looked
+    up under the entry key, and stored there after a miss, so inputs sharing
+    a period entry run the cycle detection once.  The period returned need
+    not be primitive nor the tail preperiod minimal.
+
+    Every step ends on a nonzero raw digit (2b or 1), so no zero is pending
+    between steps: a raw zero at the start of a step (head 0 or 1) is merged
+    at once, and `pending` is False in every snapshot.
     """
-    npre, plen = len(cf.pre), len(cf.period)
-    machine = DoublingState(cf.digits())
-    snapshots: dict[_State, int] = {}
+    period = cf.period
+    plen = len(period)
+    base = 1 + len(cf.pre)  # index of the first period digit
+    boundary = base  # the next snapshot is due once anchor >= boundary
+    digits = [cf.a0, *cf.pre]
+    while len(digits) < boundary + 3:
+        digits += period
+    cleaned = [2 * cf.a0]
+    anchor, head_digit, decremented = 1, digits[1], False
+    laps: dict[_State, int] = {}
     while True:
-        machine.step()
-        if machine.anchor <= npre or len(machine.cleaned) < 2:
+        # Here anchor <= boundary, and a step reads at most digits[anchor + 2].
+        if head_digit & 1:
+            if head_digit == 1:  # raw 0, 1, 1: the zero merges the first 1
+                cleaned[-1] += 1
+            else:
+                cleaned.append(head_digit >> 1)
+                cleaned.append(1)
+            cleaned.append(1)
+            anchor += 1
+            head_digit = digits[anchor] - 1
+            decremented = True
+        else:
+            if head_digit:
+                cleaned.append(head_digit >> 1)
+                cleaned.append(2 * digits[anchor + 1])
+            else:  # raw 0, 2b: the zero merges 2b
+                cleaned[-1] += 2 * digits[anchor + 1]
+            anchor += 2
+            head_digit = digits[anchor]
+            decremented = False
+        if anchor < boundary:
             continue
-        state = ((machine.anchor - npre - 1) % plen, machine.decremented,
-                 machine.pending, machine.cleaned[-1])
-        first = snapshots.get(state)
+        offset = (anchor - base) % plen
+        state = (offset, decremented, False, cleaned[-1])
+        first = laps.get(state)
         if first is not None:
             break
-        if not snapshots:  # period entry
-            head = tuple(machine.cleaned[:-1])
-            key = (cf.period, state)
+        if not laps:  # period entry
+            head = tuple(cleaned[:-1])
+            key = (period, state)
             if tails is not None and key in tails:
                 return head, tails[key]
-        snapshots[state] = len(machine.cleaned)
-    d = machine.cleaned
-    if not len(d) > first >= 2:
+        laps[state] = len(cleaned)
+        boundary = anchor - offset + plen
+        while len(digits) < boundary + 3:
+            digits += period
+    if not len(cleaned) > first > len(head):
         raise RuntimeError("doubling cycle closed without a period digit")
-    tail = (tuple(d[len(head):first - 1]), tuple(d[first - 1:-1]))
+    tail = (tuple(cleaned[len(head):first - 1]), tuple(cleaned[first - 1:-1]))
     if tails is not None:
         tails[key] = tail
     return head, tail

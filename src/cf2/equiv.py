@@ -15,6 +15,7 @@ from math import gcd, isqrt
 from .cf import CF, least_rotation
 from .surd import (
     QuadraticSurd,
+    _cycle,
     double_surd,
     expand_surd,
     halve_plus1_surd,
@@ -228,21 +229,6 @@ def _divisor_table(d_hi: int, q_max: int) -> list[list[int]]:
     return table
 
 
-def _cycle_of(P: int, Q: int, D: int, r: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Digit cycle and states of a purely periodic start state."""
-    digits: list[int] = []
-    states: list[tuple[int, int]] = []
-    P0, Q0 = P, Q
-    while True:
-        states.append((P, Q))
-        a = (P + r) // Q
-        digits.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        if (P, Q) == (P0, Q0):
-            return digits, states
-
-
 def _scan_range(args) -> list[ScanHit]:
     d_lo, d_hi, q_max = args
     divisors = _divisor_table(d_hi, q_max)
@@ -261,7 +247,8 @@ def _scan_range(args) -> list[ScanHit]:
                     break
                 if Q <= r - P or (P, Q) in seen_states:
                     continue
-                digits, states = _cycle_of(P, Q, D, r)
+                states: list[tuple[int, int]] = []
+                digits = _cycle(P, Q, D, r, states)
                 seen_states.update(states)
                 key = least_rotation(tuple(digits))
                 if key in seen_keys:

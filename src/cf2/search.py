@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .cf import cf_of_rational, fold_word
-from .surd import QuadraticSurd, double_surd, linear_fractional
+from .surd import QuadraticSurd, _is_reduced, _quotients, double_surd, linear_fractional
 
 DEFAULT_K_CAP = 256
 
@@ -348,26 +348,21 @@ def _find_large_digit(s: QuadraticSurd, need: int, digit_cap: int):
     Returns None when the expansion provably cycles below `need`, or when
     digit_cap digits were scanned without a conclusion.
     """
-    P, D, Q = s.P, s.D, s.Q
-    r = isqrt(D)
-    seen: set[tuple[int, int]] = set()
+    r = isqrt(s.D)
+    cycle_start = None  # the first reduced (P, Q); the walk cycles when it comes back
     qm1, qm2 = 0, 0
-    n = 0
-    while n <= digit_cap:
-        key = (P, Q)
-        if key in seen:
+    for n, (P, Q, a) in zip(range(digit_cap + 1), _quotients(s.P, s.D, s.Q, r)):
+        if cycle_start is None:
+            if _is_reduced(P, Q, r):
+                cycle_start = (P, Q)
+        elif cycle_start == (P, Q):
             return None
-        seen.add(key)
-        a = (P + r) // Q if Q > 0 else -((P + r) // (-Q)) - 1
         if n >= 1 and a >= need:
             return n, a, qm1
-        P = a * Q - P
-        Q = (D - P * P) // Q
         if n == 0:
             qm1, qm2 = 1, 0  # q_0, q_{-1}
         else:
             qm1, qm2 = a * qm1 + qm2, qm1
-        n += 1
     return None
 
 

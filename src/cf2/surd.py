@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import Iterator
 
 from .cf import CF, fold_word
 
@@ -114,6 +115,11 @@ class QuadraticSurd:
     def floor(self) -> int:
         return _floor_pdq(self.P, self.D, self.Q)
 
+    def digits(self) -> Iterator[int]:
+        """Yield the continued-fraction digits, a0 first, endlessly."""
+        for _, _, a in _quotients(self.P, self.D, self.Q, isqrt(self.D)):
+            yield a
+
     def __float__(self) -> float:
         return (self.P + self.D ** 0.5) / self.Q
 
@@ -178,41 +184,73 @@ def mul_pow2(s: QuadraticSurd, k: int) -> QuadraticSurd:
 # -- expansion -------------------------------------------------------------
 
 
-def _expansion_raw(P: int, D: int, Q: int) -> tuple[list[int], int, list[tuple[int, int]]]:
-    """Digits until the (P, Q) state repeats; returns (digits, cycle_start, states)."""
-    r = isqrt(D)
-    digits: list[int] = []
-    states: list[tuple[int, int]] = []
-    seen: dict[tuple[int, int], int] = {}
+def _quotients(P: int, D: int, Q: int, r: int) -> Iterator[tuple[int, int, int]]:
+    """Endless (P, Q, a): each complete quotient (P + sqrt(D))/Q and its floor a."""
     while True:
-        key = (P, Q)
-        hit = seen.get(key)
-        if hit is not None:
-            return digits, hit, states
-        seen[key] = len(digits)
-        states.append(key)
-        a = (P + r) // Q if Q > 0 else -((P + r) // (-Q)) - 1
-        digits.append(a)
+        a = _floor_pdq(P, D, Q, r)
+        yield P, Q, a
         P = a * Q - P
         Q = (D - P * P) // Q
 
 
-def expand_surd(s: QuadraticSurd) -> CF:
-    """Eventually periodic continued fraction of the surd (exact)."""
-    digits, j, _ = _expansion_raw(s.P, s.D, s.Q)
+def _is_reduced(P: int, Q: int, r: int) -> bool:
+    """(P + sqrt(D))/Q > 1 with conjugate in (-1, 0), for r = isqrt(D); Q > 0 follows."""
+    return 0 < P <= r and r - P < Q <= r + P
+
+
+def _cycle(P: int, Q: int, D: int, r: int,
+           states: list[tuple[int, int]] | None = None) -> list[int]:
+    """Digit cycle of the reduced state (P, Q), appending each state to `states` if given."""
+    digits: list[int] = []
+    P0, Q0 = P, Q
+    while True:
+        if states is not None:
+            states.append((P, Q))
+        a = (P + r) // Q
+        digits.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if P == P0 and Q == Q0:
+            return digits
+
+
+def _expansion_raw(P: int, D: int, Q: int, states: list[tuple[int, int]] | None = None
+                   ) -> tuple[list[int], int]:
+    """Digits up to the end of the first cycle, and the index where the cycle starts.
+
+    By Galois' theorem a complete quotient is purely periodic exactly when it
+    is reduced, so the cycle starts at the first reduced state.  The visited
+    (P, Q) states are appended to `states` if given.
+    """
+    r = isqrt(D)
+    digits: list[int] = []
+    for P, Q, a in _quotients(P, D, Q, r):
+        if _is_reduced(P, Q, r):
+            break
+        if states is not None:
+            states.append((P, Q))
+        digits.append(a)
+    j = len(digits)
+    digits += _cycle(P, Q, D, r, states)
+    return digits, j
+
+
+def _cf_of_raw(digits: list[int], j: int) -> CF:
     if j == 0:
         return CF(digits[0], (), tuple(digits[1:]) + (digits[0],))
     return CF(digits[0], tuple(digits[1:j]), tuple(digits[j:]))
 
 
+def expand_surd(s: QuadraticSurd) -> CF:
+    """Eventually periodic continued fraction of the surd (exact)."""
+    return _cf_of_raw(*_expansion_raw(s.P, s.D, s.Q))
+
+
 def expand_surd_states(s: QuadraticSurd) -> tuple[CF, list[tuple[int, int]], int]:
-    """expand_surd plus the visited (R, S) states and the cycle start index."""
-    digits, j, states = _expansion_raw(s.P, s.D, s.Q)
-    if j == 0:
-        cf = CF(digits[0], (), tuple(digits[1:]) + (digits[0],))
-    else:
-        cf = CF(digits[0], tuple(digits[1:j]), tuple(digits[j:]))
-    return cf, states, j
+    """expand_surd plus the visited (P, Q) states and the cycle start index."""
+    states: list[tuple[int, int]] = []
+    digits, j = _expansion_raw(s.P, s.D, s.Q, states)
+    return _cf_of_raw(digits, j), states, j
 
 
 def surd_of_periodic_cf(cf: CF) -> QuadraticSurd:

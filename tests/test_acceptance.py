@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-The deepest search (digit bound 11) is opt-in: `pytest -m slow`.
+The deepest searches (digit bounds 11 and 12) are opt-in: `pytest -m slow`.
 """
 
 import itertools
@@ -62,16 +62,21 @@ def test_criterion_1_c9_c10():
 
 
 @pytest.mark.slow
-def test_criterion_1_slow_c11():
+@pytest.mark.parametrize("C, K, depth, prefixes", [
+    (11, 41, 25, 796_103),
+    (12, 47, 28, 3_200_928),
+])
+def test_criterion_1_slow(C, K, depth, prefixes):
     start = time.monotonic()
-    serial = run(11)
-    parallel = run(11, jobs=2)
+    serial = run(C)
+    parallel = run(C, jobs=2)
     elapsed = time.monotonic() - start
-    prefixes = sum(d.frontier for d in serial.depths)
-    _report("criterion 1 (opt-in): C=11 gives K=41 at depth 25 after 796,103 prefixes",
-            serial.terminated and serial.K == 41 and serial.max_depth_reached == 25
-            and prefixes == 796_103 and serial.same_result(parallel) and elapsed < 600,
-            f"K={serial.K}, depth {serial.max_depth_reached}, {prefixes} prefixes, "
+    visited = sum(d.frontier for d in serial.depths)
+    _report(f"criterion 1 (opt-in): C={C} gives K={K} at depth {depth} "
+            f"after {prefixes:,} prefixes",
+            serial.terminated and serial.K == K and serial.max_depth_reached == depth
+            and visited == prefixes and serial.same_result(parallel) and elapsed < 600,
+            f"K={serial.K}, depth {serial.max_depth_reached}, {visited} prefixes, "
             f"{elapsed:.1f}s")
 
 

@@ -13,6 +13,7 @@ from cf2.cf import (
     fold_word,
     least_rotation,
     parse_cf,
+    primitive_word,
     reciprocal,
 )
 
@@ -58,6 +59,14 @@ def test_rejects_bad_digits():
         CF(1, (0,))
     with pytest.raises(ValueError):
         CF(1, (), (2, -1))
+    with pytest.raises(ValueError, match=r"^body digit must be a positive integer, got 0$"):
+        CF(1, (2, 0), (-1,))
+    with pytest.raises(ValueError, match=r"^body digit must be a positive integer, got '3'$"):
+        CF(1, (2,), (1, "3", 0))
+    with pytest.raises(ValueError, match=r"^body digit must be a positive integer, got 1.5$"):
+        CF(1, (1.5,))
+    with pytest.raises(ValueError, match=r"^integer part must be an int, got 1.0$"):
+        CF(1.0, (2,))
 
 
 def test_convergents_fibonacci():
@@ -147,3 +156,14 @@ _small_words = st.lists(st.integers(1, 3), min_size=1, max_size=10).map(tuple)
 @example((5,))
 def test_least_rotation_matches_every_rotation(word):
     assert least_rotation(word) == min(word[i:] + word[:i] for i in range(len(word)))
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=12).map(tuple), st.integers(1, 6))
+@example((1, 2, 1, 2), 3)
+@example((1, 1), 6)
+@example((1, 2, 1, 1, 2, 1), 5)
+def test_primitive_word_matches_brute_force(word, reps):
+    w = word * reps
+    n = len(w)
+    brute = next(w[:p] for p in range(1, n + 1) if n % p == 0 and w[:p] * (n // p) == w)
+    assert primitive_word(w) == brute

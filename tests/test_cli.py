@@ -12,7 +12,7 @@ import cf2
 from conftest import random_periodic_cf, random_surd
 from cf2.cf import parse_cf
 from cf2.cli import main
-from cf2.surd import parse_surd
+from cf2.surd import expand_surd, parse_surd
 
 
 def run_cli(capsys, *argv):
@@ -190,3 +190,23 @@ def test_expand_digit_preview(capsys):
     code, out, _ = run_cli(capsys, "expand", "(3 + sqrt(17))/2", "--digits", "5")
     assert code == 0
     assert out.strip() == "3; 1, 1, 3, 1, ..."
+    rng = random.Random(7)
+    for _ in range(100):
+        s = random_surd(rng, d_max=10**4)
+        a0, *body = expand_surd(s).digit_prefix(12)
+        code, out, _ = run_cli(capsys, "expand", str(s), "--digits", "12")
+        assert code == 0
+        assert out == f"{a0}; {', '.join(map(str, body))}, ...\n", s
+
+
+def test_expand_digits_streams_without_the_period():
+    # the period of sqrt(10^30 + 57) has about 10^15 digits
+    src = str(Path(cf2.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "cf2.cli", "expand",
+         "(0 + sqrt(1000000000000000000000000000057))/1", "--digits", "5"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1000000000000000; 35087719298245, 1, 1, 1, ...\n"

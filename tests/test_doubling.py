@@ -6,13 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import cf2
 from conftest import random_surd
-from cf2.cf import CF, cf_of_rational, eval_finite, parse_cf
+from cf2.cf import CF, add_int, cf_of_rational, eval_finite, parse_cf, reciprocal
 from cf2.doubling import (
     DoublingState,
     WindowCase,
+    _double_periodic,
     production_counts,
     classify_windows,
     double_cf,
@@ -230,3 +232,56 @@ def test_merge_heavy_inputs_match_oracle():
             assert double_cf(cf) == expand_surd(double_surd(s)), cf
             assert halve_cf(cf) == expand_surd(halve_surd(s)), cf
             assert halve_plus1_cf(cf) == expand_surd(halve_plus1_surd(s)), cf
+
+
+def _stepwise_double(cf: CF):
+    """2x and the memo entry key from DoublingState, snapshotting after every step."""
+    npre, plen = len(cf.pre), len(cf.period)
+    machine = DoublingState(cf.digits())
+    snapshots = {}
+    while True:
+        machine.step()
+        if machine.anchor <= npre:
+            continue
+        state = ((machine.anchor - npre - 1) % plen, machine.decremented,
+                 machine.pending, machine.cleaned[-1])
+        first = snapshots.get(state)
+        if first is not None:
+            break
+        if not snapshots:
+            key = (cf.period, state)
+        snapshots[state] = len(machine.cleaned)
+    d = machine.cleaned
+    return CF(d[0], tuple(d[1:first - 1]), tuple(d[first - 1:-1])), key
+
+
+_digit = st.one_of(st.integers(1, 4), st.integers(1, 15).map(lambda d: 2 * d))
+
+
+@st.composite
+def _periodic_cfs(draw):
+    plen = draw(st.one_of(st.sampled_from((1, 2)), st.integers(1, 9)))
+    period = tuple(draw(st.lists(_digit, min_size=plen, max_size=plen)))
+    pre = tuple(draw(st.lists(_digit, max_size=5)))
+    return CF(draw(st.integers(-3, 5)), pre, period)
+
+
+@given(_periodic_cfs())
+@example(CF(0, (1,), (2,)))
+@example(CF(0, (4,), (2,)))
+@example(CF(3, (2, 1), (1, 2)))
+@example(CF(-3, (), (1,)))
+def test_flat_doubling_matches_stepwise_machine_and_surds(cf):
+    """The flat kernel against the per-step machine loop and exact surd arithmetic."""
+    doubled, key = _stepwise_double(cf)
+    tails = {}
+    head, (tail_pre, period) = _double_periodic(cf, tails)
+    assert list(tails) == [key]
+    assert CF(head[0], head[1:] + tail_pre, period) == doubled
+    s = surd_of_periodic_cf(cf)
+    assert double_cf(cf) == doubled == expand_surd(double_surd(s))
+    if cf.a0 >= 0:
+        half, _ = _stepwise_double(reciprocal(cf))
+        assert halve_cf(cf) == reciprocal(half) == expand_surd(halve_surd(s))
+        half1, _ = _stepwise_double(reciprocal(add_int(cf, 1)))
+        assert halve_plus1_cf(cf) == reciprocal(half1) == expand_surd(halve_plus1_surd(s))

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import random_surd
 from cf2.cf import CF, eval_finite, fold_word
@@ -13,6 +14,7 @@ from cf2.search import (
     SearchCapExceeded,
     SearchReport,
     WitnessKind,
+    _find_large_digit,
     _tables,
     common_prefix_info,
     interval_bounds,
@@ -315,3 +317,33 @@ def test_witness_q_cap():
     with pytest.raises(SearchCapExceeded):
         witness_q(QuadraticSurd(3, 17, 2), threshold=Fraction(1, 10**6), k_cap=2,
                   digit_cap=50)
+
+
+def _large_digit_by_seen_set(s, need, digit_cap):
+    """_find_large_digit detecting the cycle by a set of every visited (P, Q) state."""
+    P, D, Q = s.P, s.D, s.Q
+    r = math.isqrt(D)
+    seen = set()
+    qm1, qm2 = 0, 0
+    for n in range(digit_cap + 1):
+        if (P, Q) in seen:
+            return None
+        seen.add((P, Q))
+        a = (P + r) // Q if Q > 0 else -((P + r) // (-Q)) - 1
+        if n >= 1 and a >= need:
+            return n, a, qm1
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        qm1, qm2 = (1, 0) if n == 0 else (a * qm1 + qm2, qm1)
+    return None
+
+
+@given(st.integers(2, 10**5).filter(lambda d: math.isqrt(d) ** 2 != d),
+       st.integers(-300, 300), st.integers(-40, 40).filter(bool),
+       st.integers(2, 40), st.sampled_from((0, 3, 2000)))
+@example(2, 0, 1, 3, 2000)
+@example(3, 0, 1, 3, 2000)
+@example(17, 3, 2, 15, 2000)
+def test_find_large_digit_matches_seen_set(D, P, Q, need, digit_cap):
+    s = QuadraticSurd(P, D, Q)
+    assert _find_large_digit(s, need, digit_cap) == _large_digit_by_seen_set(s, need, digit_cap)

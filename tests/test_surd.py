@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import random_surd
 from cf2.cf import CF, parse_cf
@@ -191,3 +193,45 @@ def test_negative_surd_expansion():
     cf = expand_surd(neg)
     assert cf.a0 == -2
     assert surd_of_periodic_cf(cf) == neg
+
+
+def _dict_expansion(P, D, Q):
+    """Digits, cycle start and states, finding the cycle by hashing every (P, Q) state."""
+    r = isqrt(D)
+    digits, states, seen = [], [], {}
+    while (P, Q) not in seen:
+        seen[P, Q] = len(digits)
+        states.append((P, Q))
+        a = (P + r) // Q if Q > 0 else -((P + r) // (-Q)) - 1
+        digits.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    return digits, seen[P, Q], states
+
+
+@st.composite
+def _surds(draw):
+    """Surds of either sign of Q, a third of them reduced (starting inside their cycle)."""
+    if draw(st.integers(0, 2)) == 0:
+        word = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=8)))
+        return surd_of_periodic_cf(CF(word[-1], (), word))
+    D = draw(st.integers(2, 10**5).filter(lambda d: isqrt(d) ** 2 != d))
+    return QuadraticSurd(draw(st.integers(-600, 600)), D,
+                         draw(st.integers(-60, 60).filter(bool)))
+
+
+@given(_surds())
+@example(QuadraticSurd(0, 2, 1))   # cycle state (1, 1) has P = isqrt(D)
+@example(QuadraticSurd(0, 3, 1))   # cycle state (1, 2) has P = isqrt(D) and Q = P + isqrt(D)
+@example(QuadraticSurd(1, 21, 5))  # reduced from the start, with Q = P + isqrt(D)
+@example(QuadraticSurd(3, 17, 2))
+@example(QuadraticSurd(0, 2, -1))
+@example(QuadraticSurd(-7, 13, -3))
+def test_expansion_matches_dict_cycle_detection(s):
+    digits, start, states = _dict_expansion(s.P, s.D, s.Q)
+    cf, got_states, got_start = expand_surd_states(s)
+    assert (got_start, got_states) == (start, states)
+    assert cf == expand_surd(s)
+    assert cf.digit_prefix(len(digits)) == digits
+    assert list(itertools.islice(s.digits(), len(digits))) == digits
+    assert (start == 0) == is_purely_periodic(s)
