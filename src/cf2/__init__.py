@@ -1,72 +1,21 @@
-"""Exact continued-fraction arithmetic around multiplication and division by 2."""
+"""Exact continued-fraction arithmetic around multiplication and division by 2.
 
-from .bounds import (
-    B2Shape,
-    BMStats,
-    b_value,
-    check_b2_characterization,
-    classify_b2,
-    falsify_b_bound,
-    golden_doubling_check,
-    lagrange_bounds,
-    stats,
-    verify_b2_exhaustive,
-)
-from .cf import (
-    CF,
-    CFParseError,
-    Convergent,
-    cf_of_rational,
-    convergents,
-    eval_finite,
-    parse_cf,
-)
-from .doubling import (
-    DoublingState,
-    WindowCase,
-    classify_windows,
-    double_cf,
-    double_stream,
-    halve_cf,
-    halve_plus1_cf,
-    production_bounds_check,
-    trio,
-)
-from .equiv import (
-    ChainResult,
-    Move,
-    build_chain,
-    class_contains_self_similar,
-    class_key,
-    family_chain,
-    family_member,
-    m_equiv_certificate,
-    scaled_equiv_certificate,
-    scan_self_similar,
-    self_similar_check,
-    two_of_three,
-)
-from .search import (
-    ExclusionWitness,
-    SearchReport,
-    common_prefix_info,
-    interval_bounds,
-    run,
-    try_exclude,
-    witness_q,
-)
+The package namespace holds what `perfbench/` and the `python -O` test call
+through `cf2.`; everything else is imported from its own module.
+"""
+
+from .bounds import falsify_b_bound, verify_b2_exhaustive
+from .cf import parse_cf
+from .doubling import double_cf, double_stream, halve_cf, halve_plus1_cf
+from .equiv import class_key, family_chain, scan_self_similar
+from .search import interval_bounds, run, witness_q
 from .surd import (
     QuadraticSurd,
-    SurdParseError,
-    algebraic_integer_shape_check,
     double_surd,
     expand_surd,
     halve_plus1_surd,
     halve_surd,
-    is_purely_periodic,
-    linear_fractional,
     parse_surd,
-    surd_of_periodic_cf,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 from .cf import CF
 from .doubling import _double_periodic, double_cf, halve_cf
 from .equiv import ClassKey, class_key, key_of_cf
+from .pool import chunks, pmap
 from .surd import QuadraticSurd, double_surd, expand_surd
 
 KEY_311: ClassKey = (1, 1, 3)
@@ -155,7 +156,7 @@ def _exit_b_from_311(beta: CF, k_start: int) -> tuple[int, int]:
         if key_of_cf(cur) != KEY_311:
             return k, _b_of(cur)
         cur = double_cf(cur)
-    raise AssertionError("never left the (3,1,1) class")
+    raise RuntimeError("never left the (3,1,1) class")
 
 
 def _falsify_words(args) -> tuple[list[CF], list[WhitelistHit]]:
@@ -193,7 +194,7 @@ def _falsify_words(args) -> tuple[list[CF], list[WhitelistHit]]:
 
 
 def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2,
-                    jobs: int = 1) -> FalsifyResult:
+                    jobs: int | None = 1) -> FalsifyResult:
     """Bounded exhaustive search for counterexamples to the doubling B-bounds.
 
     C = 2: looks for x with B(x/2) <= 2 and B(2x) <= 2 among eventually
@@ -210,14 +211,7 @@ def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2,
     pres = list(itertools.chain([()], _words(alphabet, preperiod_len_max)))
     words = [w for w in _words(alphabet, period_len_max)
              if C == 2 or max(w) == C]
-    if jobs <= 1 or len(words) < 256:
-        parts = [_falsify_words((C, words, pres))]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        chunk = max(64, len(words) // (jobs * 8))
-        batches = [(C, words[i:i + chunk], pres) for i in range(0, len(words), chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_falsify_words, batches))
+    parts = pmap(_falsify_words, [(C, chunk, pres) for chunk in chunks(words, jobs)], jobs)
     counterexamples: list[CF] = []
     whitelisted: list[WhitelistHit] = []
     seen: set[CF] = set()

@@ -11,12 +11,16 @@ Digits = tuple[int, ...]
 _INT = frozenset({int})
 
 
-class CFParseError(ValueError):
-    """Malformed continued-fraction literal; `pos` is the offending index."""
+class LiteralParseError(ValueError):
+    """Malformed literal; `pos` is the offending index."""
 
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
+
+
+class CFParseError(LiteralParseError):
+    """Malformed continued-fraction literal."""
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -255,9 +259,12 @@ def add_int(cf: CF, n: int) -> CF:
 
 
 class _Scanner:
-    def __init__(self, text: str):
+    """Tokenizer of the literal grammars; it raises `error`, a LiteralParseError subclass."""
+
+    def __init__(self, text: str, error: type[LiteralParseError]):
         self.text = text
         self.pos = 0
+        self.error = error
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -267,11 +274,11 @@ class _Scanner:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expect(self, ch: str):
+    def expect(self, token: str):
         self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise CFParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
+        if not self.text.startswith(token, self.pos):
+            raise self.error(f"expected {token!r}", self.pos)
+        self.pos += len(token)
 
     def integer(self) -> int:
         self.skip_ws()
@@ -280,14 +287,14 @@ class _Scanner:
             self.pos += 1
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
-            raise CFParseError("expected an integer", start)
+        if not self.text[start:self.pos].lstrip("+-"):
+            raise self.error("expected an integer", start)
         return int(self.text[start:self.pos])
 
     def end(self):
         self.skip_ws()
         if self.pos != len(self.text):
-            raise CFParseError("trailing input", self.pos)
+            raise self.error("trailing input", self.pos)
 
 
 def _int_list(sc: _Scanner) -> list[int]:
@@ -300,7 +307,7 @@ def _int_list(sc: _Scanner) -> list[int]:
 
 def parse_cf(text: str) -> CF:
     """Parse the bracket grammar; raises CFParseError with a position."""
-    sc = _Scanner(text)
+    sc = _Scanner(text, CFParseError)
     sc.expect("[")
     if sc.peek() == "(":
         sc.expect("(")

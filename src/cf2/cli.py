@@ -89,8 +89,7 @@ def _cmd_trio(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    jobs = args.jobs or os.cpu_count() or 1
-    out = run(args.C, max_depth=args.max_depth, k_cap=args.k_cap, jobs=jobs,
+    out = run(args.C, max_depth=args.max_depth, k_cap=args.k_cap, jobs=args.jobs,
               collect_witnesses=args.witnesses)
     if args.witnesses:
         report, witnesses = out
@@ -118,8 +117,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    jobs = args.jobs or os.cpu_count() or 1
-    hits = scan_self_similar(args.d_max, args.q_max, d_min=args.d_min, jobs=jobs)
+    hits = scan_self_similar(args.d_max, args.q_max, d_min=args.d_min, jobs=args.jobs)
     if args.csv:
         writer = csv.writer(sys.stdout)
         writer.writerow(["D", "Q", "P", "period_len", "period_max", "class_key"])
@@ -145,8 +143,7 @@ def _cmd_verify_b2(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    jobs = args.jobs or os.cpu_count() or 1
-    result = falsify_b_bound(args.C, args.period_max, args.preperiod_max, jobs=jobs)
+    result = falsify_b_bound(args.C, args.period_max, args.preperiod_max, jobs=args.jobs)
     for hit in result.whitelisted:
         print(f"whitelisted: {hit.cf} leaves the class at k={hit.k_exit} with B={hit.b_exit}")
     if result.counterexamples:

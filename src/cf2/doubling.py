@@ -37,7 +37,6 @@ class DoublingState:
         self._src = iter(digits)
         self.pending = False
         self.cleaned: list[int] = []
-        self.consumed = 0
         self.anchor = 0
         self.decremented = False
         self.dead = False
@@ -55,7 +54,6 @@ class DoublingState:
         except StopIteration:
             self.dead = True
             raise ExhaustedStream from None
-        self.consumed += 1
         return d
 
     def _emit(self, d: int):
@@ -138,9 +136,9 @@ def double_stream(src: Iterable[int]) -> Iterator[int]:
             emitted += 1
 
 
-def feed_digits(digits: Sequence[int], record_cases: bool = False) -> DoublingState:
+def feed_digits(digits: Sequence[int]) -> DoublingState:
     """Run the machine over a finite digit list until it stalls."""
-    machine = DoublingState(iter(digits), record_cases=record_cases)
+    machine = DoublingState(iter(digits))
     while True:
         try:
             machine.step()

@@ -8,11 +8,13 @@ another.  The class key is the lexicographically least rotation.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .cf import CF, least_rotation
+from .pool import chunks, pmap
 from .surd import (
     QuadraticSurd,
     _cycle,
@@ -184,9 +186,9 @@ def build_chain(alpha: QuadraticSurd, K: int) -> ChainResult:
         half_ok = class_key(half) == target
         plus_ok = class_key(plus) == target
         if not (half_ok or plus_ok):
-            raise AssertionError("no equivalent halving; self-similarity violated")
+            raise RuntimeError("no equivalent halving; self-similarity violated")
         if half_ok and plus_ok and step > 0:
-            raise AssertionError("both halvings equivalent below the top of the chain")
+            raise RuntimeError("both halvings equivalent below the top of the chain")
         beta = half if half_ok else plus
     checks = []
     cur = beta
@@ -230,11 +232,11 @@ def _divisor_table(d_hi: int, q_max: int) -> list[list[int]]:
 
 
 def _scan_range(args) -> list[ScanHit]:
-    d_lo, d_hi, q_max = args
-    divisors = _divisor_table(d_hi, q_max)
+    ds, q_max = args
+    divisors = _divisor_table(ds.stop - 1, q_max)
     seen_keys: set[ClassKey] = set()
     hits: list[ScanHit] = []
-    for D in range(d_lo, d_hi + 1):
+    for D in ds:
         r = isqrt(D)
         if r * r == D:
             continue
@@ -260,7 +262,8 @@ def _scan_range(args) -> list[ScanHit]:
     return hits
 
 
-def scan_self_similar(d_max: int, q_max: int, d_min: int = 2, jobs: int = 1) -> list[ScanHit]:
+def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
+                      jobs: int | None = 1) -> list[ScanHit]:
     """All self-similar classes with a reduced representative (P + sqrt(D))/Q in range.
 
     Enumerates purely periodic states for each nonsquare D in [d_min, d_max]
@@ -269,21 +272,10 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2, jobs: int = 1) -> 
     deduplicated by class key and sorted by (D, Q, P); chunked workers
     merge in range order, so the result is independent of the job count.
     """
-    d_min = max(2, d_min)
-    if jobs <= 1 or d_max - d_min < 64:
-        raw = _scan_range((d_min, d_max, q_max))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        step = max(64, (d_max - d_min + 1) // (jobs * 4))
-        ranges = [(lo, min(lo + step - 1, d_max), q_max)
-                  for lo in range(d_min, d_max + 1, step)]
-        raw = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_scan_range, ranges):
-                raw.extend(part)
+    tasks = [(ds, q_max) for ds in chunks(range(max(2, d_min), d_max + 1), jobs)]
     seen: set[ClassKey] = set()
     hits = []
-    for h in raw:
+    for h in itertools.chain.from_iterable(pmap(_scan_range, tasks, jobs)):
         if h.key not in seen:
             seen.add(h.key)
             hits.append(h)

@@ -1,0 +1,38 @@
+"""Order-preserving map over worker processes, shared by the parallel enumerations."""
+
+from __future__ import annotations
+
+import os
+
+
+def workers(jobs: int | None, tasks: int) -> int:
+    """Processes for `tasks` tasks: `jobs` (None: one per core), clamped to the cores and tasks.
+
+    A fork-based pool starts all its processes at the first submit, so no
+    value may exceed what the machine and the work can use.
+    """
+    cores = os.cpu_count() or 1
+    return max(1, min(jobs or cores, cores, tasks))
+
+
+def pmap(fn, tasks: list, jobs: int | None) -> list:
+    """[fn(t) for t in tasks], in task order; one worker runs in the calling process."""
+    n = workers(jobs, len(tasks))
+    if n == 1:
+        return list(map(fn, tasks))
+    import concurrent.futures  # here, not at the top: loading multiprocessing costs time and RSS
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def chunks(items, jobs: int | None) -> list:
+    """`items` (a list or a range) cut into consecutive slices, about four per worker.
+
+    Slices hold at least 64 items, so an input of at most 64 items stays
+    one task, and so does any input when there is one worker.
+    """
+    n = workers(jobs, len(items))
+    if n == 1:
+        return [items]
+    size = max(64, len(items) // (4 * n))
+    return [items[i:i + size] for i in range(0, len(items), size)]

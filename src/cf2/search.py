@@ -19,12 +19,12 @@ from __future__ import annotations
 import enum
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
 from .cf import cf_of_rational, fold_word
+from .pool import pmap
 from .surd import QuadraticSurd, _is_reduced, _quotients, double_surd, linear_fractional
 
 DEFAULT_K_CAP = 256
@@ -131,11 +131,6 @@ def interval_bounds(word, C: int) -> tuple[Fraction, Fraction]:
     return a, b
 
 
-def rational_digits(x: Fraction) -> list[int]:
-    """Canonical expansion digits of a rational (a0 first)."""
-    return list(cf_of_rational(x).digits())
-
-
 def common_prefix_info(x: Fraction, y: Fraction) -> tuple[list[int], int | None]:
     """Digits certainly shared by everything strictly between x and y.
 
@@ -146,7 +141,7 @@ def common_prefix_info(x: Fraction, y: Fraction) -> tuple[list[int], int | None]
     """
     if x == y:
         raise ValueError("endpoints must differ")
-    dx, dy = rational_digits(x), rational_digits(y)
+    dx, dy = list(cf_of_rational(x).digits()), list(cf_of_rational(y).digits())
     L = 0
     for a, b in zip(dx, dy):
         if a != b:
@@ -283,7 +278,7 @@ def _walk(args):
 
 
 def run(C: int, max_depth: int | None = None, k_cap: int = DEFAULT_K_CAP,
-        jobs: int = 1, collect_witnesses: bool = False):
+        jobs: int | None = 1, collect_witnesses: bool = False):
     """Prefix exclusion for the bound C, walked depth first from the C^2 depth-2 roots.
 
     Returns a SearchReport (and the witness list when requested).  The
@@ -297,11 +292,7 @@ def run(C: int, max_depth: int | None = None, k_cap: int = DEFAULT_K_CAP,
     tables = _tables(C)
     tasks = [((d1, d2), C, k_cap, max_depth, collect_witnesses, tables)
              for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_walk, tasks))
-    else:
-        parts = list(map(_walk, tasks))
+    parts = pmap(_walk, tasks, jobs)
     levels: list[list] = []
     for part, _, _ in parts:
         for n, (frontier, excluded, found) in enumerate(part):
@@ -376,7 +367,7 @@ def _rational_upper_bound(s: QuadraticSurd, below: Fraction) -> Fraction:
         ub = Fraction(num, Q * scale)
         if ub < below:
             return ub
-    raise AssertionError("upper bound refinement failed")
+    raise RuntimeError("upper bound refinement failed")
 
 
 def witness_q(s: QuadraticSurd, threshold: Fraction = Fraction(1, 15),

@@ -13,13 +13,11 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator
 
-from .cf import CF, fold_word
+from .cf import CF, LiteralParseError, _Scanner, fold_word
 
 
-class SurdParseError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
+class SurdParseError(LiteralParseError):
+    """Malformed surd literal."""
 
 
 def sign_with_sqrt(a: int, b: int, d: int) -> int:
@@ -246,13 +244,6 @@ def expand_surd(s: QuadraticSurd) -> CF:
     return _cf_of_raw(*_expansion_raw(s.P, s.D, s.Q))
 
 
-def expand_surd_states(s: QuadraticSurd) -> tuple[CF, list[tuple[int, int]], int]:
-    """expand_surd plus the visited (P, Q) states and the cycle start index."""
-    states: list[tuple[int, int]] = []
-    digits, j = _expansion_raw(s.P, s.D, s.Q, states)
-    return _cf_of_raw(digits, j), states, j
-
-
 def surd_of_periodic_cf(cf: CF) -> QuadraticSurd:
     """Exact quadratic value of an eventually periodic continued fraction."""
     if cf.is_finite:
@@ -303,46 +294,18 @@ def algebraic_integer_shape_check(s: QuadraticSurd) -> bool:
 
 def parse_surd(text: str) -> QuadraticSurd:
     """Parse '(P + sqrt(D))/Q'; raises SurdParseError with a position."""
-    i = 0
-    n = len(text)
-
-    def skip():
-        nonlocal i
-        while i < n and text[i].isspace():
-            i += 1
-
-    def expect(tok: str):
-        nonlocal i
-        skip()
-        if not text.startswith(tok, i):
-            raise SurdParseError(f"expected {tok!r}", i)
-        i += len(tok)
-
-    def integer() -> int:
-        nonlocal i
-        skip()
-        start = i
-        if i < n and text[i] in "+-":
-            i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-        if not text[start:i].lstrip("+-"):
-            raise SurdParseError("expected an integer", start)
-        return int(text[start:i])
-
-    expect("(")
-    p = integer()
-    expect("+")
-    expect("sqrt")
-    expect("(")
-    d = integer()
-    expect(")")
-    expect(")")
-    expect("/")
-    q = integer()
-    skip()
-    if i != n:
-        raise SurdParseError("trailing input", i)
+    sc = _Scanner(text, SurdParseError)
+    sc.expect("(")
+    p = sc.integer()
+    sc.expect("+")
+    sc.expect("sqrt")
+    sc.expect("(")
+    d = sc.integer()
+    sc.expect(")")
+    sc.expect(")")
+    sc.expect("/")
+    q = sc.integer()
+    sc.end()
     try:
         return QuadraticSurd(p, d, q)
     except ValueError as exc:

@@ -167,8 +167,11 @@ def test_falsify_rejects_other_bounds():
 
 def test_falsify_deterministic_across_workers():
     serial = falsify_b_bound(3, 6, jobs=1)
-    parallel = falsify_b_bound(3, 6, jobs=3)
-    assert serial == parallel
+    short = falsify_b_bound(3, 3, jobs=1)  # 25 words, fewer than one chunk
+    assert short.whitelisted
+    for jobs in (2, 3, None):
+        assert falsify_b_bound(3, 6, jobs=jobs) == serial, jobs
+        assert falsify_b_bound(3, 3, jobs=jobs) == short, jobs
 
 
 @pytest.mark.slow

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -16,6 +18,7 @@ from cf2.cf import (
     primitive_word,
     reciprocal,
 )
+from cf2.surd import QuadraticSurd, SurdParseError, parse_surd
 
 
 def test_euclidean_expansion_17_12():
@@ -116,12 +119,56 @@ def test_parse_noncanonical_input_normalizes():
     assert parse_cf("[3; 1, (1, 3, 1)]") == parse_cf("[(3; 1, 1)]")
 
 
+MALFORMED_LITERALS = [  # parser, text, error class, message, position
+    (parse_cf, "[1; 2, x]", CFParseError, "expected an integer", 7),
+    (parse_cf, "1; 2", CFParseError, "expected '['", 0),
+    (parse_cf, "[1; 2, oops]", CFParseError, "expected an integer", 7),
+    (parse_cf, "", CFParseError, "expected '['", 0),
+    (parse_cf, "[1; 2", CFParseError, "expected ']'", 5),
+    (parse_cf, "[1; (2, 3]", CFParseError, "expected ')'", 9),
+    (parse_cf, "[(3; 1, 1]", CFParseError, "expected ')'", 9),
+    (parse_cf, "[1] x", CFParseError, "trailing input", 4),
+    (parse_cf, "[+]", CFParseError, "expected an integer", 1),
+    (parse_cf, "[1;; 2]", CFParseError, "expected an integer", 3),
+    (parse_surd, "3 + sqrt(17)/2", SurdParseError, "expected '('", 0),
+    (parse_surd, "(3 + sqr(17))/2", SurdParseError, "expected 'sqrt'", 5),
+    (parse_surd, "(3 + sqrt(17))/2 x", SurdParseError, "trailing input", 17),
+    (parse_surd, "(3 + sqrt(16))/2", SurdParseError, "D must be a positive nonsquare, got 16", 0),
+    (parse_surd, "", SurdParseError, "expected '('", 0),
+    (parse_surd, "(3 - sqrt(17))/2", SurdParseError, "expected '+'", 3),
+    (parse_surd, "(3 + sqrt(17)/2", SurdParseError, "expected ')'", 13),
+    (parse_surd, "(+ + sqrt(17))/2", SurdParseError, "expected an integer", 1),
+    (parse_surd, "(3 + sqrt(17))/0", SurdParseError, "Q must be nonzero", 0),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(CFParseError) as err:
-        parse_cf("[1; 2, x]")
-    assert err.value.pos == 7
-    with pytest.raises(CFParseError):
-        parse_cf("1; 2")
+    for parse, text, cls, message, pos in MALFORMED_LITERALS:
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert type(err.value) is cls, text
+        assert str(err.value) == f"{message} (at position {pos})", text
+        assert err.value.pos == pos, text
+
+
+_TOKEN = re.compile(r"[+-]?\d+|sqrt|\S")
+_GAPS = st.sampled_from(["", " ", "  ", "\t", "\n "])
+
+
+@given(st.data())
+def test_whitespace_between_tokens_is_ignored(data):
+    cf = CF(data.draw(st.integers(-9, 9)),
+            tuple(data.draw(st.lists(st.integers(1, 9), max_size=4))),
+            tuple(data.draw(st.lists(st.integers(1, 9), max_size=4))))
+    s = QuadraticSurd(data.draw(st.integers(-60, 60)),
+                      data.draw(st.integers(2, 500).filter(lambda d: isqrt(d) ** 2 != d)),
+                      data.draw(st.integers(-20, 20).filter(bool)))
+    for parse, value in ((parse_cf, cf), (parse_surd, s)):
+        tokens = _TOKEN.findall(str(value))
+        assert "".join(tokens) == str(value).replace(" ", "")
+        gaps = data.draw(st.lists(_GAPS, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+        text = gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+        assert parse(text) == value, text
 
 
 def test_purely_periodic_flag():

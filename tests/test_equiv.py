@@ -225,7 +225,14 @@ def test_scan_output_is_sorted():
 
 
 def test_scan_deterministic_across_workers():
-    assert scan_self_similar(400, 30, jobs=3) == scan_self_similar(400, 30, jobs=1)
+    serial = scan_self_similar(400, 30, jobs=1)
+    short = scan_self_similar(440, 30, d_min=400, jobs=1)  # 41 D, fewer than one chunk
+    assert short
+    for jobs in (2, 3, None):
+        assert scan_self_similar(400, 30, jobs=jobs) == serial, jobs
+        assert scan_self_similar(440, 30, d_min=400, jobs=jobs) == short, jobs
+    for jobs in (1, 2, None):
+        assert scan_self_similar(399, 30, d_min=400, jobs=jobs) == [], jobs
 
 
 def test_class_contains_self_similar_is_member_independent():

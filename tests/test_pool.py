@@ -1,0 +1,70 @@
+import concurrent.futures
+import os
+
+import pytest
+from hypothesis import given, strategies as st
+
+import cf2.pool
+from cf2.bounds import falsify_b_bound
+from cf2.equiv import scan_self_similar
+from cf2.pool import chunks, pmap, workers
+from cf2.search import run
+
+
+@given(st.integers(0, 700), st.sampled_from([1, 2, 3, 8, 100, None]), st.booleans())
+def test_chunks_cover_the_input_in_order(n, jobs, as_range):
+    items = range(3, 3 + n) if as_range else list(range(3, 3 + n))
+    parts = chunks(items, jobs)
+    assert [x for part in parts for x in part] == list(items)
+    assert all(type(part) is type(items) for part in parts)
+    if workers(jobs, n) == 1:
+        assert parts == [items]
+    else:
+        assert all(len(part) >= 64 for part in parts[:-1])
+
+
+def test_workers_clamp():
+    cores = os.cpu_count() or 1
+    assert workers(None, 10**6) == cores
+    assert workers(10**6, 10**6) == cores
+    assert workers(10**6, 3) == min(3, cores)
+    assert workers(1, 10**6) == 1
+    assert workers(2, 0) == 1
+    assert pmap(abs, [-3, 2, -1], 1) == [3, 2, 1]
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: maps in process, recording (max_workers, tasks)."""
+
+    calls: list[tuple[int, int]] = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.calls.append((self.max_workers, len(tasks)))
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cores", [None, 64])
+def test_huge_jobs_is_clamped_to_cores_and_tasks(monkeypatch, cores):
+    # Never call these with a huge jobs value and a real pool: a fork-based
+    # ProcessPoolExecutor starts all max_workers processes at the first submit.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    if cores is not None:
+        monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: cores)
+    limit = os.cpu_count() or 1
+    _InlinePool.calls = []
+    assert run(3, jobs=100_000).same_result(run(3, jobs=1))
+    assert falsify_b_bound(3, 6, jobs=100_000) == falsify_b_bound(3, 6, jobs=1)
+    assert scan_self_similar(400, 30, jobs=100_000) == scan_self_similar(400, 30, jobs=1)
+    assert len(_InlinePool.calls) == (3 if limit > 1 else 0)
+    for max_workers, tasks in _InlinePool.calls:
+        assert 2 <= max_workers <= min(limit, tasks)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import random_surd
-from cf2.cf import CF, eval_finite, fold_word
+from cf2.cf import CF, cf_of_rational, eval_finite, fold_word
 from cf2.search import (
     DEFAULT_K_CAP,
     DepthStats,
@@ -18,7 +18,6 @@ from cf2.search import (
     _tables,
     common_prefix_info,
     interval_bounds,
-    rational_digits,
     run,
     try_exclude,
     two_adic_valuation,
@@ -100,7 +99,7 @@ def test_common_prefix_is_sound_for_interior_points():
             t = x + (y - x) * Fraction(rng.randint(1, 99), 100)
             if t == x or t == y:
                 continue
-            digits = rational_digits(t)
+            digits = list(cf_of_rational(t).digits())
             assert digits[:len(shared)] == shared
             if next_min is not None and len(shared) < len(digits):
                 assert digits[len(shared)] >= next_min or len(digits) == len(shared) + 1
@@ -140,8 +139,8 @@ def test_search_depth_cap_reports_partial():
 
 def test_search_deterministic_across_workers():
     serial = run(4, jobs=1)
-    parallel = run(4, jobs=3)
-    assert serial.same_result(parallel)
+    for jobs in (2, 3, None):
+        assert serial.same_result(run(4, jobs=jobs)), jobs
 
 
 def test_terminated_search_claim_against_expansion_oracle():
@@ -165,8 +164,8 @@ def test_terminated_search_claim_against_expansion_oracle():
 
 def test_parallel_run_witnesses_match_serial():
     serial = run(3, collect_witnesses=True)[1]
-    parallel = run(3, jobs=3, collect_witnesses=True)[1]
-    assert serial == parallel
+    for jobs in (2, 3, None):
+        assert run(3, jobs=jobs, collect_witnesses=True)[1] == serial, jobs
 
 
 def test_witness_soundness_via_surd_oracle():

@@ -12,8 +12,8 @@ from cf2.surd import (
     QuadraticSurd,
     algebraic_integer_shape_check,
     double_surd,
+    _expansion_raw,
     expand_surd,
-    expand_surd_states,
     halve_plus1_surd,
     halve_surd,
     is_purely_periodic,
@@ -47,7 +47,8 @@ def test_expansion_known_vectors():
 
 
 def test_expansion_state_trace():
-    _, states, start = expand_surd_states(S17)
+    states = []
+    _, start = _expansion_raw(S17.P, S17.D, S17.Q, states)
     assert states == [(3, 2), (3, 4), (1, 4)]
     assert start == 0
     # D - R^2 = S_i * S_{i-1} along the cycle
@@ -61,7 +62,8 @@ def test_cycle_state_bounds():
     rng = random.Random(11)
     for _ in range(60):
         s = random_surd(rng, d_max=10**5)
-        _, states, start = expand_surd_states(s)
+        states = []
+        _, start = _expansion_raw(s.P, s.D, s.Q, states)
         d = s.D
         r = isqrt(d)
         for P, Q in states[start:]:
@@ -229,9 +231,9 @@ def _surds(draw):
 @example(QuadraticSurd(-7, 13, -3))
 def test_expansion_matches_dict_cycle_detection(s):
     digits, start, states = _dict_expansion(s.P, s.D, s.Q)
-    cf, got_states, got_start = expand_surd_states(s)
-    assert (got_start, got_states) == (start, states)
-    assert cf == expand_surd(s)
-    assert cf.digit_prefix(len(digits)) == digits
+    got_states = []
+    assert _expansion_raw(s.P, s.D, s.Q, got_states) == (digits, start)
+    assert got_states == states
+    assert expand_surd(s).digit_prefix(len(digits)) == digits
     assert list(itertools.islice(s.digits(), len(digits))) == digits
     assert (start == 0) == is_purely_periodic(s)
