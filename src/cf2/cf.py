@@ -285,7 +285,7 @@ class _Scanner:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if not self.text[start:self.pos].lstrip("+-"):
             raise self.error("expected an integer", start)
@@ -295,6 +295,13 @@ class _Scanner:
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error("trailing input", self.pos)
+
+    def build(self, make, *args):
+        """make(*args), with its domain errors raised as `error` at position 0."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise self.error(str(exc), 0) from None
 
 
 def _int_list(sc: _Scanner) -> list[int]:
@@ -319,7 +326,7 @@ def parse_cf(text: str) -> CF:
         sc.expect(")")
         sc.expect("]")
         sc.end()
-        return CF(a0, (), tuple(rest) + (a0,))
+        return sc.build(CF, a0, (), tuple(rest) + (a0,))
     a0 = sc.integer()
     pre: list[int] = []
     period: Digits = ()
@@ -338,7 +345,7 @@ def parse_cf(text: str) -> CF:
             break
     sc.expect("]")
     sc.end()
-    return CF(a0, tuple(pre), period)
+    return sc.build(CF, a0, tuple(pre), period)
 
 
 def format_fraction(r: Fraction) -> str:

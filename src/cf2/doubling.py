@@ -1,7 +1,8 @@
-"""Streaming multiplication of a continued fraction by 2, and its halving variants.
+"""Multiplication of a continued fraction by 2, and its halving variants.
 
-The machine slides a window along the input digits.  An even window head a
-records a/2 and 2b (consuming the following digit b); an odd head records
+One finite-state transducer (`_feed`) reads the digits of x one at a time.
+Its state is the case of the window at the next digit: an even window head
+a records a/2 and 2b (consuming the following digit b); an odd head records
 (a-1)/2, 1, 1 and decrements the next digit.  Raw zeros are removed
 incrementally: a zero defers, and the following raw digit is added onto the
 last cleaned digit.  Only the final cleaned digit is provisional; every
@@ -19,90 +20,64 @@ from .cf import CF, add_int, cf_of_rational, convergents, eval_finite, reciproca
 from .surd import QuadraticSurd, expand_surd
 
 
-class ExhaustedStream(Exception):
-    """The digit source ended while the machine still needed input."""
-
-
 class WindowCase(enum.Enum):
     FRESH = 1        # window (a_n, a_{n+1}, a_{n+2}) entered as-is
     DECREMENTED = 2  # window entered as (a_n - 1, a_{n+1}, a_{n+2})
     SKIPPED = 3      # a_n consumed as the middle digit; 2*a_n was recorded
 
 
+# State of `_feed` -> case of the window at the next digit.  State 3 is SKIPPED
+# after a window head of 0: its raw 0 is pending, so 2b merges onto cleaned[-1].
+_CASES = (WindowCase.FRESH, WindowCase.DECREMENTED, WindowCase.SKIPPED, WindowCase.SKIPPED)
+
+
+def _feed(state: int, cleaned: list[int], digits: Iterable[int]) -> int:
+    """Push body digits through the x2 transducer; returns the new state.
+
+    `cleaned` (the digits of 2x so far, from 2*a0) is extended in place.
+    Every raw digit is emitted as soon as the digits read fix it, so after
+    each digit `cleaned` is what any budget of that many digits yields.
+    """
+    for d in digits:
+        if state == 2:
+            cleaned.append(2 * d)
+            state = 0
+        elif state == 3:  # raw 0, 2b: the zero merges 2b
+            cleaned[-1] += 2 * d
+            state = 0
+        else:
+            a = d - state  # the window head, decremented in state 1
+            if a & 1:
+                if a == 1:  # raw 0, 1, 1: the zero merges the first 1
+                    cleaned[-1] += 1
+                else:
+                    cleaned.append(a >> 1)
+                    cleaned.append(1)
+                cleaned.append(1)
+                state = 1
+            elif a:
+                cleaned.append(a >> 1)
+                state = 2
+            else:  # head 0: its raw 0 pends until b
+                state = 3
+    return state
+
+
 class DoublingState:
-    """Single-owner machine computing the digits of 2x from the digits of x."""
+    """The transducer for one stream: push the digits of x, read 2x from `cleaned`."""
 
-    def __init__(self, digits: Iterable[int], record_cases: bool = False,
-                 record_raw: bool = False):
-        self._src = iter(digits)
-        self.pending = False
-        self.cleaned: list[int] = []
-        self.anchor = 0
-        self.decremented = False
-        self.dead = False
-        self.a_cur: int | None = None
-        self.cases: dict[int, WindowCase] | None = {} if record_cases else None
-        self.raw: list[int] | None = [] if record_raw else None
-        a0 = self._take()
-        self._emit(2 * a0)
+    def __init__(self, a0: int):
+        self.cleaned = [2 * a0]
+        self.state = 0
 
-    def _take(self) -> int:
-        if self.dead:
-            raise ExhaustedStream
-        try:
-            d = next(self._src)
-        except StopIteration:
-            self.dead = True
-            raise ExhaustedStream from None
-        return d
+    def step(self, d: int):
+        """Push one body digit d >= 1."""
+        self.state = _feed(self.state, self.cleaned, (d,))
 
-    def _emit(self, d: int):
-        if self.raw is not None:
-            self.raw.append(d)
-        if not self.cleaned:
-            self.cleaned.append(d)
-            return
-        if d == 0:
-            if self.pending:
-                raise ValueError("adjacent raw zeros: body digits must be positive")
-            self.pending = True
-        elif self.pending:
-            self.cleaned[-1] += d
-            self.pending = False
-        else:
-            self.cleaned.append(d)
-
-    def _record(self, idx: int, case: WindowCase):
-        if self.cases is not None:
-            self.cases[idx] = case
-
-    def step(self):
-        """Process one window; consumes 1-2 digits, emits 2-3 raw digits."""
-        if self.a_cur is None:
-            self.a_cur = self._take()
-            self.anchor = 1
-            self.decremented = False
-            self._record(1, WindowCase.FRESH)
-        a = self.a_cur
-        if a % 2 == 0:
-            self._emit(a // 2)  # depends only on the head; emit before the read
-            b = self._take()
-            self._record(self.anchor + 1, WindowCase.SKIPPED)
-            self._emit(2 * b)
-            new_anchor = self.anchor + 2
-            decremented = False
-        else:
-            self._emit((a - 1) // 2)
-            self._emit(1)
-            self._emit(1)
-            new_anchor = self.anchor + 1
-            decremented = True
-        self.a_cur = None  # emissions stand even if the refill below raises
-        nxt = self._take()
-        self.a_cur = nxt - 1 if decremented else nxt
-        self.anchor = new_anchor
-        self.decremented = decremented
-        self._record(new_anchor, WindowCase.DECREMENTED if decremented else WindowCase.FRESH)
+    @property
+    def case(self) -> WindowCase:
+        """Window case at the next digit to push."""
+        return _CASES[self.state]
 
 
 def _checked_digits(src: Iterable[int]) -> Iterator[int]:
@@ -124,26 +99,25 @@ def double_stream(src: Iterable[int]) -> Iterator[int]:
     Yields each cleaned digit once it is final.  A finite source is an
     error; double rationals exactly instead.
     """
-    machine = DoublingState(_checked_digits(src))
+    digits = _checked_digits(src)
+    machine = DoublingState(next(digits))
+    cleaned = machine.cleaned
     emitted = 0
-    while True:
-        try:
-            machine.step()
-        except ExhaustedStream:
-            raise ValueError("digit source exhausted (finite inputs double exactly as rationals)") from None
-        while emitted < len(machine.cleaned) - 1:
-            yield machine.cleaned[emitted]
+    for d in digits:
+        machine.step(d)
+        while emitted < len(cleaned) - 1:
+            yield cleaned[emitted]
             emitted += 1
+    raise ValueError("digit source exhausted (finite inputs double exactly as rationals)")
 
 
 def feed_digits(digits: Sequence[int]) -> DoublingState:
-    """Run the machine over a finite digit list until it stalls."""
-    machine = DoublingState(iter(digits))
-    while True:
-        try:
-            machine.step()
-        except ExhaustedStream:
-            return machine
+    """Push every digit of a finite list (a0 first) through the machine."""
+    it = _checked_digits(digits)
+    machine = DoublingState(next(it))
+    for d in it:
+        machine.step(d)
+    return machine
 
 
 def production_bounds_check(n: int, m: int) -> bool:
@@ -152,106 +126,55 @@ def production_bounds_check(n: int, m: int) -> bool:
 
 
 def production_counts(digits: Sequence[int]) -> dict[int, int]:
-    """counts[n] = the m reached with the digit budget a_0..a_n, in one pass.
-
-    The machine is deterministic, so its state when it first asks for digit
-    n+1 equals its stall state under a budget of n+1 digits.
-    """
-    cell: list[DoublingState] = []
-    counts: dict[int, int] = {}
-
-    def src():
-        for j, d in enumerate(digits):
-            if cell:
-                counts[j - 1] = len(cell[0].cleaned) - 2
-            yield d
-
-    machine = DoublingState(src())
-    cell.append(machine)
-    try:
-        while True:
-            machine.step()
-    except ExhaustedStream:
-        pass
-    counts[len(digits) - 1] = len(machine.cleaned) - 2
+    """counts[n] = the m reached with the digit budget a_0..a_n, in one pass."""
+    it = _checked_digits(digits)
+    machine = DoublingState(next(it))
+    counts = {0: len(machine.cleaned) - 2}
+    for n, d in enumerate(it, 1):
+        machine.step(d)
+        counts[n] = len(machine.cleaned) - 2
     return counts
 
 
-_State = tuple[int, bool, bool, int]  # (period offset, decremented, pending, cleaned[-1])
+_Key = tuple[tuple[int, ...], int, int]  # (period word, state, cleaned[-1]) at period entry
 _Tail = tuple[tuple[int, ...], tuple[int, ...]]  # (preperiod, period) of 2x after the head
 
 
-def _double_periodic(cf: CF, tails: dict[tuple[tuple[int, ...], _State], _Tail] | None = None
+def _double_periodic(cf: CF, tails: dict[_Key, _Tail] | None = None
                      ) -> tuple[tuple[int, ...], _Tail]:
     """Digits of 2x for eventually periodic x, as (frozen head, (tail preperiod, period)).
 
-    The DoublingState machine as one flat loop over the digit list.  The
-    head is every digit frozen when the window anchor first enters the
-    period of x.  From there the output is a function of the period word and
-    the snapshot (period offset, decremented, pending, last cleaned digit):
-    the earlier digits are frozen and the window head is
-    period[offset] - decremented.  Snapshots are taken at period entry and
-    then once per lap, at the first step whose anchor reaches the next lap
-    boundary; the next snapshot is a function of the last one, so a repeat
-    closes a cycle of the output.  Given `tails`, the continuation is looked
-    up under the entry key, and stored there after a miss, so inputs sharing
-    a period entry run the cycle detection once.  The period returned need
-    not be primitive nor the tail preperiod minimal.
-
-    Every step ends on a nonzero raw digit (2b or 1), so no zero is pending
-    between steps: a raw zero at the start of a step (head 0 or 1) is merged
-    at once, and `pending` is False in every snapshot.
+    `_feed` runs over the preperiod of x, then over one lap of its period per
+    call.  The head is every digit frozen at period entry.  What a lap
+    appends, and what it merges onto the digit provisional at its start,
+    depend only on the state at its start; so a repeated lap-start state
+    closes a cycle of the output, and the digit provisional now ends up with
+    the merges that the one provisional at the earlier lap start received.
+    An empty preperiod borrows the first period digit (rotating the period),
+    so that the head is never empty.  Given `tails`, the continuation is
+    looked up under the entry key (period, state, provisional digit), which
+    determines it, and stored there after a miss, so inputs sharing a period
+    entry run the cycle detection once.  The period returned need not be
+    primitive nor the tail preperiod minimal.
     """
-    period = cf.period
-    plen = len(period)
-    base = 1 + len(cf.pre)  # index of the first period digit
-    boundary = base  # the next snapshot is due once anchor >= boundary
-    digits = [cf.a0, *cf.pre]
-    while len(digits) < boundary + 3:
-        digits += period
+    pre, period = cf.pre, cf.period
+    if not pre:
+        pre, period = period[:1], period[1:] + period[:1]
     cleaned = [2 * cf.a0]
-    anchor, head_digit, decremented = 1, digits[1], False
-    laps: dict[_State, int] = {}
-    while True:
-        # Here anchor <= boundary, and a step reads at most digits[anchor + 2].
-        if head_digit & 1:
-            if head_digit == 1:  # raw 0, 1, 1: the zero merges the first 1
-                cleaned[-1] += 1
-            else:
-                cleaned.append(head_digit >> 1)
-                cleaned.append(1)
-            cleaned.append(1)
-            anchor += 1
-            head_digit = digits[anchor] - 1
-            decremented = True
-        else:
-            if head_digit:
-                cleaned.append(head_digit >> 1)
-                cleaned.append(2 * digits[anchor + 1])
-            else:  # raw 0, 2b: the zero merges 2b
-                cleaned[-1] += 2 * digits[anchor + 1]
-            anchor += 2
-            head_digit = digits[anchor]
-            decremented = False
-        if anchor < boundary:
-            continue
-        offset = (anchor - base) % plen
-        state = (offset, decremented, False, cleaned[-1])
-        first = laps.get(state)
-        if first is not None:
-            break
-        if not laps:  # period entry
-            head = tuple(cleaned[:-1])
-            key = (period, state)
-            if tails is not None and key in tails:
-                return head, tails[key]
-        laps[state] = len(cleaned)
-        boundary = anchor - offset + plen
-        while len(digits) < boundary + 3:
-            digits += period
-    if not len(cleaned) > first > len(head):
+    state = _feed(0, cleaned, pre)
+    head = tuple(cleaned[:-1])
+    key = (period, state, cleaned[-1])
+    if tails is not None and key in tails:
+        return head, tails[key]
+    laps: dict[int, tuple[int, int]] = {}  # state -> (len(cleaned), cleaned[-1]) at lap start
+    while state not in laps:
+        laps[state] = len(cleaned), cleaned[-1]
+        state = _feed(state, cleaned, period)
+    start, provisional = laps[state]
+    if len(cleaned) <= start:
         raise RuntimeError("doubling cycle closed without a period digit")
-    tail = (tuple(cleaned[len(head):first - 1]), tuple(cleaned[first - 1:-1]))
+    last = cleaned[-1] + cleaned[start - 1] - provisional
+    tail = (tuple(cleaned[len(head):start]), (*cleaned[start:-1], last))
     if tails is not None:
         tails[key] = tail
     return head, tail
@@ -312,15 +235,13 @@ class TrioResult:
 
 
 def _traced_cases(feed: Iterator[int], offset: int, n_max: int) -> dict[int, WindowCase]:
-    machine = DoublingState(feed, record_cases=True)
-    try:
-        while machine.anchor + offset <= n_max + 2:
-            machine.step()
-    except ExhaustedStream:
-        pass
-    if machine.cases is None:
-        raise RuntimeError("the machine did not record window cases")
-    return {i + offset: c for i, c in machine.cases.items() if 1 <= i + offset <= n_max}
+    machine = DoublingState(next(feed))
+    cases = {}
+    for n in range(1 + offset, n_max + 1):  # digit n - offset is next
+        if n >= 1:
+            cases[n] = machine.case
+        machine.step(next(feed))
+    return cases
 
 
 def trio(s: QuadraticSurd, n_max: int = 60) -> TrioResult:

@@ -306,7 +306,4 @@ def parse_surd(text: str) -> QuadraticSurd:
     sc.expect("/")
     q = sc.integer()
     sc.end()
-    try:
-        return QuadraticSurd(p, d, q)
-    except ValueError as exc:
-        raise SurdParseError(str(exc), 0) from None
+    return sc.build(QuadraticSurd, p, d, q)

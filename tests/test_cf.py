@@ -130,6 +130,8 @@ MALFORMED_LITERALS = [  # parser, text, error class, message, position
     (parse_cf, "[1] x", CFParseError, "trailing input", 4),
     (parse_cf, "[+]", CFParseError, "expected an integer", 1),
     (parse_cf, "[1;; 2]", CFParseError, "expected an integer", 3),
+    (parse_cf, "[²]", CFParseError, "expected an integer", 1),
+    (parse_cf, "[1; 0]", CFParseError, "body digit must be a positive integer, got 0", 0),
     (parse_surd, "3 + sqrt(17)/2", SurdParseError, "expected '('", 0),
     (parse_surd, "(3 + sqr(17))/2", SurdParseError, "expected 'sqrt'", 5),
     (parse_surd, "(3 + sqrt(17))/2 x", SurdParseError, "trailing input", 17),
@@ -139,6 +141,7 @@ MALFORMED_LITERALS = [  # parser, text, error class, message, position
     (parse_surd, "(3 + sqrt(17)/2", SurdParseError, "expected ')'", 13),
     (parse_surd, "(+ + sqrt(17))/2", SurdParseError, "expected an integer", 1),
     (parse_surd, "(3 + sqrt(17))/0", SurdParseError, "Q must be nonzero", 0),
+    (parse_surd, "(3 + sqrt(1²))/2", SurdParseError, "expected ')'", 11),
 ]
 
 

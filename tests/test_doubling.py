@@ -15,6 +15,7 @@ from cf2.doubling import (
     DoublingState,
     WindowCase,
     _double_periodic,
+    _feed,
     production_counts,
     classify_windows,
     double_cf,
@@ -38,8 +39,87 @@ from cf2.surd import (
 A311 = parse_cf("[(3; 1, 1)]")
 
 
+class _Stall(Exception):
+    """The digit source ended while the window machine still needed input."""
+
+
+class _WindowMachine:
+    """Reference x2 machine, one window per step: the independent formulation of `_feed`.
+
+    It reads 1-2 digits and emits 2-3 raw digits per window, records every raw
+    digit in `raw` and the case of each window index in `cases`, and raises
+    `_Stall` when the source ends.
+    """
+
+    def __init__(self, digits):
+        self._src = iter(digits)
+        self.pending = False
+        self.cleaned = []
+        self.anchor = 0
+        self.decremented = False
+        self.a_cur = None
+        self.cases = {}
+        self.raw = []
+        self._emit(2 * self._take())
+
+    def _take(self):
+        try:
+            return next(self._src)
+        except StopIteration:
+            raise _Stall from None
+
+    def _emit(self, d):
+        self.raw.append(d)
+        if not self.cleaned:
+            self.cleaned.append(d)
+        elif d == 0:
+            if self.pending:
+                raise ValueError("adjacent raw zeros")
+            self.pending = True
+        elif self.pending:
+            self.cleaned[-1] += d
+            self.pending = False
+        else:
+            self.cleaned.append(d)
+
+    def step(self):
+        if self.a_cur is None:
+            self.a_cur = self._take()
+            self.anchor = 1
+            self.decremented = False
+            self.cases[1] = WindowCase.FRESH
+        a = self.a_cur
+        if a % 2 == 0:
+            self._emit(a // 2)  # depends only on the head; emit before the read
+            b = self._take()
+            self.cases[self.anchor + 1] = WindowCase.SKIPPED
+            self._emit(2 * b)
+            new_anchor = self.anchor + 2
+            decremented = False
+        else:
+            self._emit((a - 1) // 2)
+            self._emit(1)
+            self._emit(1)
+            new_anchor = self.anchor + 1
+            decremented = True
+        self.a_cur = None  # emissions stand even if the refill below raises
+        nxt = self._take()
+        self.a_cur = nxt - 1 if decremented else nxt
+        self.anchor = new_anchor
+        self.decremented = decremented
+        self.cases[new_anchor] = WindowCase.DECREMENTED if decremented else WindowCase.FRESH
+
+    def run(self):
+        """Step until the source stalls; returns self."""
+        try:
+            while True:
+                self.step()
+        except _Stall:
+            return self
+
+
 def test_raw_trace_of_period_311():
-    machine = DoublingState(A311.digits(), record_raw=True)
+    machine = _WindowMachine(A311.digits())
     for _ in range(5):
         machine.step()
     assert machine.raw[:11] == [6, 0, 1, 1, 0, 6, 0, 1, 1, 0, 6]
@@ -54,8 +134,39 @@ def test_stream_cleanup_and_finality():
 def test_stream_rejects_finite_and_bad_digits():
     with pytest.raises(ValueError):
         list(double_stream(iter([1, 2, 2, 2])))
-    with pytest.raises(ValueError):
-        list(itertools.islice(double_stream(iter([1, 2, 0, 2])), 4))
+
+
+def test_zero_body_digit_rejected_by_every_driver():
+    digits = [1, 2, 0, 2]
+    message = "body digit must be a positive integer, got 0"
+    with pytest.raises(ValueError, match=message):
+        list(itertools.islice(double_stream(iter(digits)), 4))
+    with pytest.raises(ValueError, match=message):
+        feed_digits(digits)
+    with pytest.raises(ValueError, match=message):
+        production_counts(digits)
+    with pytest.raises(ValueError, match=message):
+        doubled_digit_prefix(digits, 1)
+
+
+@given(st.integers(-3, 5), st.lists(st.one_of(st.integers(1, 3), st.integers(1, 40)), max_size=40))
+@example(0, [1, 2, 1, 1, 3])
+@example(2, [1, 1, 1, 1, 1, 1])
+def test_transducer_matches_window_machine(a0, body):
+    """After every digit, `_feed` holds the cleaned digits and the window case
+    that the window machine reaches on that many digits."""
+    reference = _WindowMachine([a0, *body]).run()
+    machine = DoublingState(a0)
+    counts = production_counts([a0, *body])
+    for n, d in enumerate(body, 1):
+        assert machine.case == reference.cases[n]
+        machine.step(d)
+        stalled = _WindowMachine([a0, *body[:n]]).run().cleaned
+        assert machine.cleaned == stalled
+        assert counts[n] == len(stalled) - 2
+    cleaned = [2 * a0]
+    _feed(0, cleaned, body)
+    assert cleaned == machine.cleaned == reference.cleaned
 
 
 def test_results_hold_without_asserts():
@@ -183,10 +294,11 @@ def test_classify_windows_matches_machine():
     for _ in range(50):
         cf = CF(0, (), tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 6))))
         predicted = classify_windows(cf, 25)
-        machine = DoublingState(cf.digits(), record_cases=True)
-        while machine.anchor <= 27:
-            machine.step()
-        assert predicted == [machine.cases[n] for n in range(1, 26)]
+        digits = cf.digits()
+        machine = DoublingState(next(digits))
+        for n in range(1, 26):
+            assert predicted[n - 1] == machine.case, (cf, n)
+            machine.step(next(digits))
 
 
 def test_trio_cases_never_collide():
@@ -234,10 +346,10 @@ def test_merge_heavy_inputs_match_oracle():
             assert halve_plus1_cf(cf) == expand_surd(halve_plus1_surd(s)), cf
 
 
-def _stepwise_double(cf: CF):
-    """2x and the memo entry key from DoublingState, snapshotting after every step."""
+def _stepwise_double(cf: CF) -> CF:
+    """2x from the window machine, snapshotting after every window."""
     npre, plen = len(cf.pre), len(cf.period)
-    machine = DoublingState(cf.digits())
+    machine = _WindowMachine(cf.digits())
     snapshots = {}
     while True:
         machine.step()
@@ -248,11 +360,21 @@ def _stepwise_double(cf: CF):
         first = snapshots.get(state)
         if first is not None:
             break
-        if not snapshots:
-            key = (cf.period, state)
         snapshots[state] = len(machine.cleaned)
     d = machine.cleaned
-    return CF(d[0], tuple(d[1:first - 1]), tuple(d[first - 1:-1])), key
+    return CF(d[0], tuple(d[1:first - 1]), tuple(d[first - 1:-1]))
+
+
+def _entry_key(cf: CF):
+    """The memo key: (period, state, provisional digit) once the preperiod is read.
+
+    An empty preperiod borrows the first period digit and rotates the period.
+    """
+    pre, period = cf.pre, cf.period
+    if not pre:
+        pre, period = period[:1], period[1:] + period[:1]
+    machine = feed_digits([cf.a0, *pre])
+    return period, machine.state, machine.cleaned[-1]
 
 
 _digit = st.one_of(st.integers(1, 4), st.integers(1, 15).map(lambda d: 2 * d))
@@ -272,16 +394,16 @@ def _periodic_cfs(draw):
 @example(CF(3, (2, 1), (1, 2)))
 @example(CF(-3, (), (1,)))
 def test_flat_doubling_matches_stepwise_machine_and_surds(cf):
-    """The flat kernel against the per-step machine loop and exact surd arithmetic."""
-    doubled, key = _stepwise_double(cf)
+    """The flat kernel against the window machine and exact surd arithmetic."""
+    doubled = _stepwise_double(cf)
     tails = {}
     head, (tail_pre, period) = _double_periodic(cf, tails)
-    assert list(tails) == [key]
+    assert list(tails) == [_entry_key(cf)]
     assert CF(head[0], head[1:] + tail_pre, period) == doubled
     s = surd_of_periodic_cf(cf)
     assert double_cf(cf) == doubled == expand_surd(double_surd(s))
     if cf.a0 >= 0:
-        half, _ = _stepwise_double(reciprocal(cf))
+        half = _stepwise_double(reciprocal(cf))
         assert halve_cf(cf) == reciprocal(half) == expand_surd(halve_surd(s))
-        half1, _ = _stepwise_double(reciprocal(add_int(cf, 1)))
+        half1 = _stepwise_double(reciprocal(add_int(cf, 1)))
         assert halve_plus1_cf(cf) == reciprocal(half1) == expand_surd(halve_plus1_surd(s))
