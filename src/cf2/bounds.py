@@ -124,7 +124,7 @@ def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[C
     for word in _words((1, 2), period_max):
         for pre in itertools.chain([()], _words((1, 2), preperiod_max)):
             cf = CF(0, pre, word)
-            _, (_, period) = _double_periodic(cf, tails)
+            _, (_, period) = _double_periodic(cf.a0, cf.pre, cf.period, tails)
             lhs = max(period) <= 2  # B(x) <= 2 holds by construction
             rhs = classify_b2(cf) is not None
             if lhs != rhs:

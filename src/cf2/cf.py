@@ -236,22 +236,22 @@ def fold_word(word: Iterable[int]) -> tuple[int, int, int, int]:
     return p_cur, q_cur, p_prev, q_prev
 
 
-def reciprocal(cf: CF) -> CF:
-    """1/x as a continued fraction; requires x > 0."""
-    if cf.a0 >= 1:
-        return CF(0, (cf.a0,) + cf.pre, cf.period)
-    if cf.a0 != 0:
+def _reciprocal_digits(a0: int, pre: Digits, period: Digits) -> tuple[int, Digits, Digits]:
+    """Digits of 1/x from the digits of x > 0, canonical or not."""
+    if a0 >= 1:
+        return 0, (a0,) + pre, period
+    if a0 != 0:
         raise ValueError("reciprocal defined here only for positive values")
-    if cf.pre:
-        return CF(cf.pre[0], cf.pre[1:], cf.period)
-    if cf.period:
-        w = cf.period
-        return CF(w[0], (), w[1:] + (w[0],))
+    if pre:
+        return pre[0], pre[1:], period
+    if period:
+        return period[0], (), period[1:] + period[:1]
     raise ZeroDivisionError("reciprocal of zero")
 
 
-def add_int(cf: CF, n: int) -> CF:
-    return CF(cf.a0 + n, cf.pre, cf.period)
+def reciprocal(cf: CF) -> CF:
+    """1/x as a continued fraction; requires x > 0."""
+    return CF(*_reciprocal_digits(cf.a0, cf.pre, cf.period))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ earlier digit is frozen as soon as a later one is appended.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .cf import CF, add_int, cf_of_rational, convergents, eval_finite, reciprocal
+from .cf import (CF, Digits, _reciprocal_digits, cf_of_rational, convergents, eval_finite,
+                 reciprocal)
 from .surd import QuadraticSurd, expand_surd
 
 
@@ -136,13 +136,13 @@ def production_counts(digits: Sequence[int]) -> dict[int, int]:
     return counts
 
 
-_Key = tuple[tuple[int, ...], int, int]  # (period word, state, cleaned[-1]) at period entry
-_Tail = tuple[tuple[int, ...], tuple[int, ...]]  # (preperiod, period) of 2x after the head
+_Key = tuple[Digits, int, int]  # (period word, state, cleaned[-1]) at period entry
+_Tail = tuple[Digits, Digits]  # (preperiod, period) of 2x after the head
 
 
-def _double_periodic(cf: CF, tails: dict[_Key, _Tail] | None = None
-                     ) -> tuple[tuple[int, ...], _Tail]:
-    """Digits of 2x for eventually periodic x, as (frozen head, (tail preperiod, period)).
+def _double_periodic(a0: int, pre: Digits, period: Digits,
+                     tails: dict[_Key, _Tail] | None = None) -> tuple[Digits, _Tail]:
+    """Digits of 2x for x = [a0; pre, (period)], as (frozen head, (tail preperiod, period)).
 
     `_feed` runs over the preperiod of x, then over one lap of its period per
     call.  The head is every digit frozen at period entry.  What a lap
@@ -154,13 +154,12 @@ def _double_periodic(cf: CF, tails: dict[_Key, _Tail] | None = None
     so that the head is never empty.  Given `tails`, the continuation is
     looked up under the entry key (period, state, provisional digit), which
     determines it, and stored there after a miss, so inputs sharing a period
-    entry run the cycle detection once.  The period returned need not be
-    primitive nor the tail preperiod minimal.
+    entry run the cycle detection once.  The digits of x need not be
+    canonical, and neither are the tail preperiod and period returned.
     """
-    pre, period = cf.pre, cf.period
     if not pre:
         pre, period = period[:1], period[1:] + period[:1]
-    cleaned = [2 * cf.a0]
+    cleaned = [2 * a0]
     state = _feed(0, cleaned, pre)
     head = tuple(cleaned[:-1])
     key = (period, state, cleaned[-1])
@@ -184,8 +183,14 @@ def double_cf(cf: CF) -> CF:
     """Exact continued fraction of 2x for finite or eventually periodic x."""
     if cf.is_finite:
         return cf_of_rational(2 * eval_finite(cf))
-    head, (tail_pre, period) = _double_periodic(cf)
+    head, (tail_pre, period) = _double_periodic(cf.a0, cf.pre, cf.period)
     return CF(head[0], head[1:] + tail_pre, period)
+
+
+def _halve(a0: int, pre: Digits, period: Digits) -> CF:
+    """x/2 = 1/(2 * (1/x)) for periodic x >= 0, canonicalizing only the result."""
+    head, (tail_pre, tail_period) = _double_periodic(*_reciprocal_digits(a0, pre, period))
+    return CF(*_reciprocal_digits(head[0], head[1:] + tail_pre, tail_period))
 
 
 def halve_cf(cf: CF) -> CF:
@@ -194,7 +199,7 @@ def halve_cf(cf: CF) -> CF:
         return cf_of_rational(eval_finite(cf) / 2)
     if cf.a0 < 0:
         raise ValueError("halving is defined here only for positive values")
-    return reciprocal(double_cf(reciprocal(cf)))
+    return _halve(cf.a0, cf.pre, cf.period)
 
 
 def halve_plus1_cf(cf: CF) -> CF:
@@ -203,7 +208,7 @@ def halve_plus1_cf(cf: CF) -> CF:
         return cf_of_rational((eval_finite(cf) + 1) / 2)
     if cf.a0 < 0:
         raise ValueError("halving is defined here only for positive values")
-    return reciprocal(double_cf(reciprocal(add_int(cf, 1))))
+    return _halve(cf.a0 + 1, cf.pre, cf.period)
 
 
 def classify_windows(cf: CF | Sequence[int], n_max: int) -> list[WindowCase]:
@@ -254,21 +259,10 @@ def trio(s: QuadraticSurd, n_max: int = 60) -> TrioResult:
     if s.cmp(0) <= 0:
         raise ValueError("trio requires a positive surd")
     alpha = expand_surd(s)
-
-    def digit_feed() -> Iterator[int]:
-        return alpha.digits()
-
-    runs: dict[int, WindowCase] = _traced_cases(digit_feed(), 0, n_max)
-    if alpha.a0 >= 1:
-        half_feed = itertools.chain([0], digit_feed())
-        half_off = -1
-    else:
-        body = digit_feed()
-        next(body)
-        half_feed = body
-        half_off = 1
-    plus_feed = itertools.chain([0, alpha.a0 + 1], itertools.islice(digit_feed(), 1, None))
-    half_cases = _traced_cases(half_feed, half_off, n_max)
+    runs: dict[int, WindowCase] = _traced_cases(alpha.digits(), 0, n_max)
+    half_feed = reciprocal(alpha).digits()
+    plus_feed = reciprocal(CF(alpha.a0 + 1, alpha.pre, alpha.period)).digits()
+    half_cases = _traced_cases(half_feed, -1 if alpha.a0 >= 1 else 1, n_max)
     plus_cases = _traced_cases(plus_feed, -1, n_max)
     common = sorted(set(runs) & set(half_cases) & set(plus_cases))
     cases = {n: (runs[n], half_cases[n], plus_cases[n]) for n in common}

@@ -196,12 +196,15 @@ def _is_reduced(P: int, Q: int, r: int) -> bool:
     return 0 < P <= r and r - P < Q <= r + P
 
 
+_PERIOD_BUDGET = 10**6  # most digits `_cycle` walks; a period can have about sqrt(D)
+
+
 def _cycle(P: int, Q: int, D: int, r: int,
            states: list[tuple[int, int]] | None = None) -> list[int]:
     """Digit cycle of the reduced state (P, Q), appending each state to `states` if given."""
     digits: list[int] = []
     P0, Q0 = P, Q
-    while True:
+    for _ in range(_PERIOD_BUDGET):
         if states is not None:
             states.append((P, Q))
         a = (P + r) // Q
@@ -210,6 +213,8 @@ def _cycle(P: int, Q: int, D: int, r: int,
         Q = (D - P * P) // Q
         if P == P0 and Q == Q0:
             return digits
+    raise ValueError(f"period longer than the budget of {_PERIOD_BUDGET} digits; "
+                     "use expand --digits N for a prefix")
 
 
 def _expansion_raw(P: int, D: int, Q: int, states: list[tuple[int, int]] | None = None

@@ -109,7 +109,7 @@ def _check_shared_tails(inputs):
     tails = {}
     count = 0
     for cf in inputs:
-        head, (tail_pre, period) = _double_periodic(cf, tails)
+        head, (tail_pre, period) = _double_periodic(cf.a0, cf.pre, cf.period, tails)
         reference = double_cf(cf)
         assert max(period) == max(reference.period), cf
         assert CF(head[0], head[1:] + tail_pre, period) == reference, cf

@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from cf2.cf import (
     CF,
     CFParseError,
+    _reciprocal_digits,
     cf_of_rational,
     convergents,
     eval_finite,
@@ -18,7 +19,14 @@ from cf2.cf import (
     primitive_word,
     reciprocal,
 )
-from cf2.surd import QuadraticSurd, SurdParseError, parse_surd
+from cf2.surd import (
+    QuadraticSurd,
+    SurdParseError,
+    expand_surd,
+    parse_surd,
+    recip_surd,
+    surd_of_periodic_cf,
+)
 
 
 def test_euclidean_expansion_17_12():
@@ -185,6 +193,47 @@ def test_reciprocal():
     assert reciprocal(parse_cf("[0; (3, 1, 1)]")) == parse_cf("[(3; 1, 1)]")
     assert reciprocal(CF(0, (2,))) == CF(2)
     assert eval_finite(reciprocal(CF(1, (2, 3)))) == 1 / eval_finite(CF(1, (2, 3)))
+
+
+@st.composite
+def _raw_digits(draw):
+    """(a0, pre, period) as written, not canonicalized: periods may repeat a
+    shorter word, and the preperiod may end with digits the period absorbs."""
+    word = tuple(draw(st.lists(st.integers(1, 4), max_size=4)))
+    period = word * draw(st.integers(1, 3))
+    pre = tuple(draw(st.lists(st.integers(1, 4), max_size=4)))
+    if period:
+        pre += period[len(period) - draw(st.integers(0, len(period))):]
+    return draw(st.integers(0, 6)), pre, period
+
+
+@given(_raw_digits())
+@example((0, (), (1, 2, 1, 2)))
+@example((0, (2,), (1, 2)))
+@example((0, (1, 2), (1, 2, 1, 2)))
+@example((0, (), (3,)))
+@example((3, (), (1, 1, 3)))
+@example((0, (1,), ()))
+@example((2, (3, 1), ()))
+def test_reciprocal_digits_match_surd_and_rational_oracles(raw):
+    a0, pre, period = raw
+    assume(a0 or pre or period)  # zero: see the next test
+    x = CF(a0, pre, period)
+    flipped = CF(*_reciprocal_digits(a0, pre, period))
+    if period:
+        assert flipped == expand_surd(recip_surd(surd_of_periodic_cf(x)))
+    else:
+        assert eval_finite(flipped) == 1 / eval_finite(x)
+    assert reciprocal(x) == flipped
+
+
+def test_reciprocal_digits_reject_zero_and_negative():
+    with pytest.raises(ZeroDivisionError):
+        _reciprocal_digits(0, (), ())
+    with pytest.raises(ValueError, match="positive"):
+        _reciprocal_digits(-1, (2,), (1, 3))
+    with pytest.raises(ValueError, match="positive"):
+        reciprocal(CF(-2, (), (1,)))
 
 
 def test_fold_word_matches_convergents():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cf2
+import cf2.surd
 
 from conftest import random_periodic_cf, random_surd
 from cf2.cf import parse_cf
@@ -143,6 +144,17 @@ def test_bad_literals_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "double", "[(-2; 1)]")  # grammatical but invalid digits
     assert exc.value.code == 2
+
+
+def test_expand_over_period_budget_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cf2.surd, "_PERIOD_BUDGET", 1000)
+    code, out, err = run_cli(capsys, "expand", "(0 + sqrt(1000000000000000000000000000057))/1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1000 digits" in err and "--digits" in err
+    code, out, _ = run_cli(capsys, "expand", "(0 + sqrt(1000000000000000000000000000057))/1",
+                           "--digits", "3")
+    assert (code, out) == (0, "1000000000000000; 35087719298245, 1, ...\n")
 
 
 def test_unknown_command_exit_2(capsys):

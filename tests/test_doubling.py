@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 
 import cf2
 from conftest import random_surd
-from cf2.cf import CF, add_int, cf_of_rational, eval_finite, parse_cf, reciprocal
+from cf2.cf import CF, cf_of_rational, eval_finite, parse_cf, reciprocal
 from cf2.doubling import (
     DoublingState,
     WindowCase,
@@ -316,6 +316,19 @@ def test_trio_cases_never_collide():
                                             WindowCase.SKIPPED}
 
 
+@pytest.mark.parametrize("literal, keys, first_rows", [
+    ("[(3; 1, 1)]", range(1, 7), ["FRESH DECREMENTED SKIPPED", "DECREMENTED SKIPPED FRESH"]),
+    ("[2; 3, (4, 1)]", range(1, 7), ["FRESH SKIPPED DECREMENTED", "DECREMENTED FRESH SKIPPED"]),
+    ("[0; (1, 2)]", range(2, 7), ["DECREMENTED FRESH SKIPPED", "DECREMENTED SKIPPED FRESH"]),
+])
+def test_trio_case_index_alignment(literal, keys, first_rows):
+    """Golden rows: each feed's offset puts window n of every run at the same n."""
+    cases = trio(surd_of_periodic_cf(parse_cf(literal)), n_max=6).cases
+    assert list(cases) == list(keys)
+    rows = [" ".join(c.name for c in cases[n]) for n in keys[:2]]
+    assert rows == first_rows
+
+
 def test_trio_values():
     result = trio(QuadraticSurd(3, 17, 2))
     assert str(result.double) == "[7; (8)]"
@@ -397,7 +410,7 @@ def test_flat_doubling_matches_stepwise_machine_and_surds(cf):
     """The flat kernel against the window machine and exact surd arithmetic."""
     doubled = _stepwise_double(cf)
     tails = {}
-    head, (tail_pre, period) = _double_periodic(cf, tails)
+    head, (tail_pre, period) = _double_periodic(cf.a0, cf.pre, cf.period, tails)
     assert list(tails) == [_entry_key(cf)]
     assert CF(head[0], head[1:] + tail_pre, period) == doubled
     s = surd_of_periodic_cf(cf)
@@ -405,5 +418,5 @@ def test_flat_doubling_matches_stepwise_machine_and_surds(cf):
     if cf.a0 >= 0:
         half = _stepwise_double(reciprocal(cf))
         assert halve_cf(cf) == reciprocal(half) == expand_surd(halve_surd(s))
-        half1 = _stepwise_double(reciprocal(add_int(cf, 1)))
+        half1 = _stepwise_double(reciprocal(CF(cf.a0 + 1, cf.pre, cf.period)))
         assert halve_plus1_cf(cf) == reciprocal(half1) == expand_surd(halve_plus1_surd(s))

@@ -6,6 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import example, given, strategies as st
 
+import cf2.surd
 from conftest import random_surd
 from cf2.cf import CF, parse_cf
 from cf2.surd import (
@@ -69,6 +70,17 @@ def test_cycle_state_bounds():
         for P, Q in states[start:]:
             assert 1 <= P <= r
             assert 1 <= Q <= P + r <= 2 * r
+
+
+def test_period_budget_bounds_the_cycle(monkeypatch):
+    s = QuadraticSurd(0, 94, 1)
+    digits, start = _expansion_raw(s.P, s.D, s.Q)
+    cycle = len(digits) - start  # 16 digits
+    monkeypatch.setattr(cf2.surd, "_PERIOD_BUDGET", cycle)
+    assert str(expand_surd(s)) == "[9; (1, 2, 3, 1, 1, 5, 1, 8, 1, 5, 1, 1, 3, 2, 1, 18)]"
+    monkeypatch.setattr(cf2.surd, "_PERIOD_BUDGET", cycle - 1)
+    with pytest.raises(ValueError, match=f"budget of {cycle - 1} digits.*--digits"):
+        expand_surd(s)
 
 
 def test_floor_matches_exact_comparison():
