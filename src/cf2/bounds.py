@@ -3,6 +3,17 @@
 M is the largest body digit anywhere in the expansion; B is the largest
 digit in the period, i.e. the limsup of the digit sequence.  Both are exact
 for eventually periodic input.
+
+The exhaustive checks run once per lattice class, not once per input.
+Write x = [0; pre, (word)] as M.y, with y = [(necklace)] the purely
+periodic number of the least rotation of the primitive root of `word`, and
+M the product of [[d, 1], [1, 0]] over 0, pre and the digits of the root
+before that rotation starts.  Then diag(2, 1).M = G.H with G in GL2(Z) and
+H one of [[2, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 1], [0, 2]], chosen by the
+row (q_n : q_{n-1}) of M mod 2: (0 : 1), (1 : 0) and (1 : 1) in turn.  By
+Serret's theorem 2x therefore has the tail of 2y, y/2 or (y+1)/2 in turn,
+so B(2x) depends only on (necklace, that row).  B(x/2) depends in the
+same way on the row (p_n : p_{n-1}), through diag(1, 2).M.
 """
 
 from __future__ import annotations
@@ -11,9 +22,9 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .cf import CF
+from .cf import CF, Digits, least_rotation, primitive_word
 from .doubling import _double_periodic, double_cf, halve_cf
 from .equiv import ClassKey, class_key, key_of_cf
 from .pool import chunks, pmap
@@ -109,27 +120,91 @@ def _words(alphabet: Iterable[int], max_len: int) -> Iterator[tuple[int, ...]]:
         yield from itertools.product(alphabet, repeat=length)
 
 
+_Row = tuple[int, int]
+_Mod2 = tuple[_Row, _Row]  # [[p_n, p_{n-1}], [q_n, q_{n-1}]] mod 2, by rows
+_ROWS: tuple[_Row, ...] = ((0, 1), (1, 0), (1, 1))  # the rows of GL2(F2) matrices
+
+
+def _mod2(digits: Iterable[int], m: _Mod2 = ((1, 0), (0, 1))) -> _Mod2:
+    """m times the product of [[d, 1], [1, 0]] over `digits`, mod 2."""
+    (p, p1), (q, q1) = m
+    for d in digits:
+        p, p1 = (d * p + p1) & 1, p
+        q, q1 = (d * q + q1) & 1, q
+    return (p, p1), (q, q1)
+
+
+def _row_times(row: _Row, m: _Mod2) -> _Row:
+    """row times m, mod 2."""
+    (u, v), ((a, b), (c, d)) = row, m
+    return (u & a) ^ (v & c), (u & b) ^ (v & d)
+
+
+def _necklace(word: Digits) -> tuple[Digits, _Mod2]:
+    """Least rotation of the primitive root of `word`, and the matrix mod 2 of the digits before it."""
+    root = primitive_word(word)
+    necklace = least_rotation(root)
+    start = next(i for i in range(len(root)) if root[i:] + root[:i] == necklace)
+    return necklace, _mod2(root[:start])
+
+
+def _flagged_inputs(words: Iterable[Digits], pres: list[Digits],
+                    flagged: Callable[[Digits, Digits, Digits, _Row, _Row], bool]
+                    ) -> Iterator[CF]:
+    """The inputs CF(0, pre, word) whose class `flagged` marks, in enumeration order.
+
+    The preperiods fall into at most 6 buckets, one per matrix mod 2 of
+    (0, *pre); a bucket and a word fix both rows of M mod 2.  So `flagged`
+    is asked once per (word, bucket), with the bucket's first preperiod and
+    the class rows: flagged(word, pre, necklace, (p_n, p_{n-1}), (q_n, q_{n-1})).
+    """
+    mats = [_mod2(pre, ((0, 1), (1, 0))) for pre in pres]
+    first: dict[_Mod2, Digits] = {}
+    for m, pre in zip(mats, pres):
+        first.setdefault(m, pre)
+    for word in words:
+        necklace, rot = _necklace(word)
+        image = {row: _row_times(row, rot) for row in _ROWS}
+        marked = {m for m, pre in first.items()
+                  if flagged(word, pre, necklace, image[m[0]], image[m[1]])}
+        if marked:
+            for m, pre in zip(mats, pres):
+                if m in marked:
+                    yield CF(0, pre, word)
+
+
+def _b2_violated(cf: CF, tails: dict) -> bool:
+    """Whether B(2x) <= 2 disagrees with classify_b2 (B(x) <= 2 holds by construction)."""
+    _, (_, period) = _double_periodic(cf.a0, cf.pre, cf.period, tails)
+    return (max(period) <= 2) != (classify_b2(cf) is not None)
+
+
 def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[CF]:
     """Check the B<=2 characterization over all digit-{1,2} periodic words.
 
-    Returns the violating inputs (expected empty).  Each input runs through
-    the streaming machine until its window anchor enters the period; the
-    continuation from there (and so B(2x), the maximum of its period) is
-    shared by every input reaching the same (period word, machine state).
+    Returns the violating inputs (expected empty), in enumeration order and
+    with repeats, as a check of every (preperiod, word) input would.  Both
+    sides are constant on a class (necklace, (q_n : q_{n-1}) mod 2): B(2x)
+    by the module docstring, and `classify_b2` because its junction walk
+    reads that row at a fixed position of the necklace.  So each class is
+    checked once, on its first input; only the inputs of a failing class
+    are checked one by one.  The doubling runs share their continuation
+    from period entry through `tails`.
     """
     if period_max < 1 or preperiod_max < 0:
         raise ValueError("need period_max >= 1 and preperiod_max >= 0")
     tails: dict = {}
-    bad: list[CF] = []
-    for word in _words((1, 2), period_max):
-        for pre in itertools.chain([()], _words((1, 2), preperiod_max)):
-            cf = CF(0, pre, word)
-            _, (_, period) = _double_periodic(cf.a0, cf.pre, cf.period, tails)
-            lhs = max(period) <= 2  # B(x) <= 2 holds by construction
-            rhs = classify_b2(cf) is not None
-            if lhs != rhs:
-                bad.append(cf)
-    return bad
+    violated: dict[tuple[Digits, _Row], bool] = {}
+
+    def fails(word, pre, necklace, row1, row2) -> bool:
+        key = (necklace, row2)
+        if key not in violated:
+            violated[key] = _b2_violated(CF(0, pre, word), tails)
+        return violated[key]
+
+    pres = [(), *_words((1, 2), preperiod_max)]
+    return [cf for cf in _flagged_inputs(_words((1, 2), period_max), pres, fails)
+            if _b2_violated(cf, tails)]
 
 
 @dataclass(frozen=True)
@@ -159,37 +234,58 @@ def _exit_b_from_311(beta: CF, k_start: int) -> tuple[int, int]:
     raise RuntimeError("never left the (3,1,1) class")
 
 
+def _survivors(C: int, words: Iterable[Digits], pres: list[Digits]) -> Iterator[CF]:
+    """The inputs CF(0, pre, word) with B(2x) <= C and B(x/2) <= C, in enumeration order.
+
+    Both are looked up per class (module docstring), and computed on the
+    first input of a class that misses.
+    """
+    doubled: dict[tuple[Digits, _Row], int] = {}  # (necklace, (q_n, q_{n-1}) mod 2) -> B(2x)
+    halved: dict[tuple[Digits, _Row], int] = {}   # (necklace, (p_n, p_{n-1}) mod 2) -> B(x/2)
+
+    def survives(word, pre, necklace, row1, row2) -> bool:
+        b = doubled.get((necklace, row2))
+        if b is None:
+            b = doubled[necklace, row2] = _b_of(double_cf(CF(0, pre, word)))
+        if b > C:
+            return False
+        b = halved.get((necklace, row1))
+        if b is None:
+            b = halved[necklace, row1] = _b_of(halve_cf(CF(0, pre, word)))
+        return b <= C
+
+    return _flagged_inputs(words, pres, survives)
+
+
 def _falsify_words(args) -> tuple[list[CF], list[WhitelistHit]]:
     C, words, pres = args
     counterexamples: list[CF] = []
     whitelisted: list[WhitelistHit] = []
     seen: set[CF] = set()
-    for word in words:
-        for pre in pres:
-            cf = CF(0, pre, word)
-            if cf in seen:
-                continue
-            seen.add(cf)
-            if C == 2:
-                if _b_of(double_cf(cf)) <= 2 and _b_of(halve_cf(cf)) <= 2:
-                    counterexamples.append(cf)
-                continue
-            # cf plays the role of y = 4x with B(y) = C
-            d1 = double_cf(cf)
-            if _b_of(d1) > C:
-                continue
-            if _b_of(double_cf(d1)) > C:
-                continue
-            h1 = halve_cf(cf)
-            if _b_of(h1) > C:
-                continue
-            if _b_of(halve_cf(h1)) > C:
-                continue
-            if C == 3 and key_of_cf(cf) == KEY_311:
-                k_exit, b_exit = _exit_b_from_311(cf, 2)
-                whitelisted.append(WhitelistHit(cf, k_exit, b_exit))
-            else:
+    for cf in _survivors(C, words, pres):
+        if cf in seen:
+            continue
+        seen.add(cf)
+        if C == 2:
+            if _b_of(double_cf(cf)) <= 2 and _b_of(halve_cf(cf)) <= 2:
                 counterexamples.append(cf)
+            continue
+        # cf plays the role of y = 4x with B(y) = C
+        d1 = double_cf(cf)
+        if _b_of(d1) > C:
+            continue
+        if _b_of(double_cf(d1)) > C:
+            continue
+        h1 = halve_cf(cf)
+        if _b_of(h1) > C:
+            continue
+        if _b_of(halve_cf(h1)) > C:
+            continue
+        if C == 3 and key_of_cf(cf) == KEY_311:
+            k_exit, b_exit = _exit_b_from_311(cf, 2)
+            whitelisted.append(WhitelistHit(cf, k_exit, b_exit))
+        else:
+            counterexamples.append(cf)
     return counterexamples, whitelisted
 
 
@@ -202,11 +298,16 @@ def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2,
     period maximum exactly C and tests B(2^k x) <= C for k in {0, 1, 3, 4},
     i.e. B of y/4, y/2, 2y and 4y.  For C = 3 the (3,1,1) class is
     whitelisted; each such hit is verified to reach B = 8 at the first
-    doubling that leaves the class.  Chunked workers merge in enumeration
-    order, so the result is independent of the job count.
+    doubling that leaves the class.  B of twice and of half the input are
+    taken once per class (module docstring); every test runs on the inputs
+    of the classes where both are <= C, and only there.  Chunked
+    workers merge in enumeration order, so the result is independent of
+    the job count; each worker keeps its own class memo.
     """
     if C not in (2, 3, 4):
         raise ValueError("supported bounds are C in {2, 3, 4}")
+    if period_len_max < 1 or preperiod_len_max < 0:
+        raise ValueError("need period_len_max >= 1 and preperiod_len_max >= 0")
     alphabet = range(1, (C + 1) + 1) if C == 2 else range(1, C + 1)
     pres = list(itertools.chain([()], _words(alphabet, preperiod_len_max)))
     words = [w for w in _words(alphabet, period_len_max)

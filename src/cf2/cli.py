@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=int, required=True, choices=(2, 3, 4))
     p.add_argument("--period-max", type=int, required=True)
     p.add_argument("--preperiod-max", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_falsify)
 
     p = sub.add_parser("witness", help="q with q*|q|_2*||q*alpha|| below a threshold")

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_periodic_cf
+from cf2 import bounds
 from cf2.bounds import (
     B2Shape,
+    FalsifyResult,
+    WhitelistHit,
     b_value,
     check_b2_characterization,
     classify_b2,
@@ -17,8 +21,9 @@ from cf2.bounds import (
     truncated_digit_max,
     verify_b2_exhaustive,
 )
-from cf2.cf import CF, parse_cf
-from cf2.doubling import _double_periodic, double_cf
+from cf2.cf import CF, least_rotation, parse_cf
+from cf2.doubling import _double_periodic, double_cf, halve_cf, halve_plus1_cf
+from cf2.equiv import key_of_cf
 from cf2.surd import QuadraticSurd, double_surd, surd_of_periodic_cf
 
 
@@ -124,6 +129,127 @@ def test_b2_memo_matches_brute_force():
     assert verify_b2_exhaustive(8, 4) == brute
 
 
+def _verify_reference(period_max, preperiod_max):
+    """The per-input check: every (preperiod, word) input through the shared doubling memo."""
+    tails = {}
+    bad = []
+    for cf in _b2_inputs(period_max, preperiod_max):
+        _, (_, period) = _double_periodic(cf.a0, cf.pre, cf.period, tails)
+        if (max(period) <= 2) != (bounds.classify_b2(cf) is not None):
+            bad.append(cf)
+    return bad
+
+
+def _falsify_reference(C, period_len_max, preperiod_len_max=2):
+    """The per-input falsifier: every (preperiod, word) input doubled and halved on its own."""
+    alphabet = range(1, (C + 1) + 1) if C == 2 else range(1, C + 1)
+    pres = list(itertools.chain([()], bounds._words(alphabet, preperiod_len_max)))
+    words = [w for w in bounds._words(alphabet, period_len_max) if C == 2 or max(w) == C]
+    counterexamples = []
+    whitelisted = []
+    seen = set()
+    for word in words:
+        for pre in pres:
+            cf = CF(0, pre, word)
+            if cf in seen:
+                continue
+            seen.add(cf)
+            if C == 2:
+                if max(double_cf(cf).period) <= 2 and max(halve_cf(cf).period) <= 2:
+                    counterexamples.append(cf)
+                continue
+            d1 = double_cf(cf)
+            if max(d1.period) > C:
+                continue
+            if max(double_cf(d1).period) > C:
+                continue
+            h1 = halve_cf(cf)
+            if max(h1.period) > C:
+                continue
+            if max(halve_cf(h1).period) > C:
+                continue
+            if C == 3 and key_of_cf(cf) == bounds.KEY_311:
+                k_exit, b_exit = bounds._exit_b_from_311(cf, 2)
+                whitelisted.append(WhitelistHit(cf, k_exit, b_exit))
+            else:
+                counterexamples.append(cf)
+    return FalsifyResult(counterexamples, whitelisted)
+
+
+def test_class_memo_keeps_the_inputs_a_per_input_filter_keeps():
+    for C, period_max, preperiod_max in ((3, 5, 2), (4, 4, 1)):
+        alphabet = range(1, C + 1)
+        words = list(bounds._words(alphabet, period_max))
+        pres = [(), *bounds._words(alphabet, preperiod_max)]
+        inputs = [CF(0, pre, word) for word in words for pre in pres]
+        kept = [cf for cf in inputs
+                if max(double_cf(cf).period) <= C and max(halve_cf(cf).period) <= C]
+        assert kept and len(kept) < len(inputs)
+        assert list(bounds._survivors(C, words, pres)) == kept, C
+
+
+def test_falsify_matches_per_input_reference():
+    for args in ((2, 6), (3, 6), (4, 5, 1)):
+        assert falsify_b_bound(*args) == _falsify_reference(*args), args
+
+
+@pytest.mark.slow
+def test_class_checks_match_per_input_references_full_ranges():
+    assert verify_b2_exhaustive(12, 6) == _verify_reference(12, 6) == []
+    for args in ((2, 8), (3, 8), (4, 8, 1)):
+        reference = _falsify_reference(*args)
+        for jobs in (1, 2, 3, None):
+            assert falsify_b_bound(*args, jobs=jobs) == reference, (args, jobs)
+
+
+def test_verify_expands_a_failing_class_into_its_inputs(monkeypatch):
+    # with no shape accepted, every input with B(2x) <= 2 is a violation
+    monkeypatch.setattr(bounds, "classify_b2", lambda cf: None)
+    bad = verify_b2_exhaustive(6, 3)
+    assert bad == _verify_reference(6, 3)
+    assert len(set(bad)) < len(bad)  # repeated values stay, as in the per-input order
+
+
+def test_falsify_expands_a_surviving_class_into_its_inputs(monkeypatch):
+    whitelisted = [hit.cf for hit in falsify_b_bound(3, 6).whitelisted]
+    assert len(whitelisted) == 4
+    monkeypatch.setattr(bounds, "KEY_311", ())
+    result = falsify_b_bound(3, 6)
+    assert result == _falsify_reference(3, 6)
+    assert result.counterexamples == whitelisted
+    assert result.whitelisted == []
+
+
+def _matrix(digits):
+    """[[p_n, p_{n-1}], [q_n, q_{n-1}]]: the product of [[d, 1], [1, 0]] over digits."""
+    p, p1, q, q1 = 1, 0, 0, 1
+    for d in digits:
+        p, p1 = d * p + p1, p
+        q, q1 = d * q + q1, q
+    return p, p1, q, q1
+
+
+_IMAGES = {(0, 1): double_cf, (1, 0): halve_cf, (1, 1): halve_plus1_cf}
+
+
+@settings(max_examples=1000)
+@given(st.integers(0, 5), st.lists(st.integers(1, 6), max_size=6),
+       st.lists(st.integers(1, 6), min_size=1, max_size=8))
+@example(0, [], [2])
+@example(0, [1], [2, 1])
+@example(3, [2, 2], [1, 1, 3])
+def test_class_rows_pick_the_image_of_the_necklace(a0, pre, period):
+    """2x and x/2 share their tails with the image of y = [(necklace)] that M's rows pick mod 2."""
+    cf = CF(a0, tuple(pre), tuple(period))
+    necklace = least_rotation(cf.period)
+    start = next(i for i in range(len(cf.period))
+                 if cf.period[i:] + cf.period[:i] == necklace)
+    p, p1, q, q1 = _matrix((cf.a0, *cf.pre, *cf.period[:start]))
+    y = CF(necklace[0], (), necklace[1:] + necklace[:1])
+    assert key_of_cf(double_cf(cf)) == key_of_cf(_IMAGES[q % 2, q1 % 2](y))
+    assert key_of_cf(halve_cf(cf)) == key_of_cf(_IMAGES[p % 2, p1 % 2](y))
+
+
 def test_doubling_memo_random_inputs():
     rng = random.Random(11)
     _check_shared_tails(random_periodic_cf(rng) for _ in range(500))
@@ -163,6 +289,12 @@ def test_falsify_c4_small():
 def test_falsify_rejects_other_bounds():
     with pytest.raises(ValueError):
         falsify_b_bound(5, 4)
+
+
+def test_falsify_rejects_empty_ranges():
+    for period_len_max, preperiod_len_max in ((0, 2), (4, -1)):
+        with pytest.raises(ValueError):
+            falsify_b_bound(3, period_len_max, preperiod_len_max)
 
 
 def test_falsify_deterministic_across_workers():

@@ -12,7 +12,7 @@ import cf2.surd
 
 from conftest import random_periodic_cf, random_surd
 from cf2.cf import parse_cf
-from cf2.cli import main
+from cf2.cli import build_parser, main
 from cf2.surd import expand_surd, parse_surd
 
 
@@ -126,6 +126,18 @@ def test_falsify_cli(capsys):
     code, out, _ = run_cli(capsys, "falsify", "--C", "3", "--period-max", "5")
     assert code == 0
     assert "no counterexample" in out
+
+
+def test_falsify_empty_ranges_exit_2(capsys):
+    for argv in (("--period-max", "0"), ("--period-max", "4", "--preperiod-max", "-1")):
+        code, out, err = run_cli(capsys, "falsify", "--C", "3", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_falsify_runs_one_worker_by_default():
+    args = build_parser().parse_args(["falsify", "--C", "3", "--period-max", "4"])
+    assert args.jobs == 1
 
 
 def test_witness_cli(capsys):
