@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator
 from .cf import CF, Digits, least_rotation, primitive_word
 from .doubling import _double_periodic, double_cf, halve_cf
 from .equiv import ClassKey, class_key, key_of_cf
-from .pool import chunks, pmap
 from .surd import QuadraticSurd, double_surd, expand_surd
 
 KEY_311: ClassKey = (1, 1, 3)
@@ -76,34 +75,22 @@ class B2Shape(enum.Enum):
     TAIL_TWO_ONE = "(2,1)"
 
 
-def _junction_parities(cf: CF) -> tuple[int, int]:
-    """(q_n, q_{n-1}) mod 2 for the canonical preperiod junction n = len(pre)."""
-    q_prev, q_cur = 0, 1  # q_{-1}, q_0
-    for d in cf.pre:
-        q_prev, q_cur = q_cur, (d * q_cur + q_prev) % 2
-    return q_cur, q_prev
-
-
 def classify_b2(cf: CF) -> B2Shape | None:
     """Shape of expansions x with both B(x) <= 2 and B(2x) <= 2, else None.
 
     Tail (2) requires odd q_n and q_{n-1} at the junction; tail (2, 1)
     requires an even q_{n-1} at the junction where the rotation reads 2, 1.
+    Both rows are (q_n, q_{n-1}) mod 2 after a0, the preperiod and the
+    period digits before its first 2.
     """
     if cf.is_finite:
         raise ValueError("classification applies to eventually periodic input")
-    if cf.period == (2,):
-        qn, qn1 = _junction_parities(cf)
-        return B2Shape.TAIL_TWOS if qn == 1 and qn1 == 1 else None
-    if sorted(cf.period) == [1, 2]:
-        qn, qn1 = _junction_parities(cf)
-        # walk to the junction where the period reads (2, 1, 2, 1, ...)
-        for offset in range(len(cf.period)):
-            if cf.period[offset] == 2:
-                return B2Shape.TAIL_TWO_ONE if qn1 == 0 else None
-            qn, qn1 = (cf.period[offset] * qn + qn1) % 2, qn
+    if cf.period not in ((2,), (1, 2), (2, 1)):
         return None
-    return None
+    _, (qn, qn1) = _mod2((cf.a0, *cf.pre, *cf.period[:cf.period.index(2)]))
+    if cf.period == (2,):
+        return B2Shape.TAIL_TWOS if qn == 1 and qn1 == 1 else None
+    return B2Shape.TAIL_TWO_ONE if qn1 == 0 else None
 
 
 def check_b2_characterization(s: QuadraticSurd) -> bool:
@@ -173,9 +160,9 @@ def _flagged_inputs(words: Iterable[Digits], pres: list[Digits],
                     yield CF(0, pre, word)
 
 
-def _b2_violated(cf: CF, tails: dict) -> bool:
+def _b2_violated(cf: CF) -> bool:
     """Whether B(2x) <= 2 disagrees with classify_b2 (B(x) <= 2 holds by construction)."""
-    _, (_, period) = _double_periodic(cf.a0, cf.pre, cf.period, tails)
+    _, (_, period) = _double_periodic(cf.a0, cf.pre, cf.period)
     return (max(period) <= 2) != (classify_b2(cf) is not None)
 
 
@@ -185,26 +172,24 @@ def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[C
     Returns the violating inputs (expected empty), in enumeration order and
     with repeats, as a check of every (preperiod, word) input would.  Both
     sides are constant on a class (necklace, (q_n : q_{n-1}) mod 2): B(2x)
-    by the module docstring, and `classify_b2` because its junction walk
-    reads that row at a fixed position of the necklace.  So each class is
-    checked once, on its first input; only the inputs of a failing class
-    are checked one by one.  The doubling runs share their continuation
-    from period entry through `tails`.
+    by the module docstring, and `classify_b2` because it reads that row
+    mod 2 at a fixed position of the necklace, the start of its rotation
+    (2) or (2, 1).  So each class is checked once, on its first input;
+    only the inputs of a failing class are checked one by one.
     """
     if period_max < 1 or preperiod_max < 0:
         raise ValueError("need period_max >= 1 and preperiod_max >= 0")
-    tails: dict = {}
     violated: dict[tuple[Digits, _Row], bool] = {}
 
     def fails(word, pre, necklace, row1, row2) -> bool:
         key = (necklace, row2)
         if key not in violated:
-            violated[key] = _b2_violated(CF(0, pre, word), tails)
+            violated[key] = _b2_violated(CF(0, pre, word))
         return violated[key]
 
     pres = [(), *_words((1, 2), preperiod_max)]
     return [cf for cf in _flagged_inputs(_words((1, 2), period_max), pres, fails)
-            if _b2_violated(cf, tails)]
+            if _b2_violated(cf)]
 
 
 @dataclass(frozen=True)
@@ -257,8 +242,27 @@ def _survivors(C: int, words: Iterable[Digits], pres: list[Digits]) -> Iterator[
     return _flagged_inputs(words, pres, survives)
 
 
-def _falsify_words(args) -> tuple[list[CF], list[WhitelistHit]]:
-    C, words, pres = args
+def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2) -> FalsifyResult:
+    """Bounded exhaustive search for counterexamples to the doubling B-bounds.
+
+    C = 2: looks for x with B(x/2) <= 2 and B(2x) <= 2 among eventually
+    periodic words over digits <= 3.  C = 3 or 4: enumerates y = 4x with
+    period maximum exactly C and tests B(2^k x) <= C for k in {0, 1, 3, 4},
+    i.e. B of y/4, y/2, 2y and 4y.  For C = 3 the (3,1,1) class is
+    whitelisted; each such hit is verified to reach B = 8 at the first
+    doubling that leaves the class.  B of twice and of half the input are
+    taken once per class (module docstring); every test runs on the inputs
+    of the classes where both are <= C, and only there, each distinct CF
+    once, in enumeration order.  It runs in one process: with one doubling
+    per class, starting a worker pool costs more than the work it splits.
+    """
+    if C not in (2, 3, 4):
+        raise ValueError("supported bounds are C in {2, 3, 4}")
+    if period_len_max < 1 or preperiod_len_max < 0:
+        raise ValueError("need period_len_max >= 1 and preperiod_len_max >= 0")
+    alphabet = range(1, (C + 1) + 1) if C == 2 else range(1, C + 1)
+    pres = list(itertools.chain([()], _words(alphabet, preperiod_len_max)))
+    words = (w for w in _words(alphabet, period_len_max) if C == 2 or max(w) == C)
     counterexamples: list[CF] = []
     whitelisted: list[WhitelistHit] = []
     seen: set[CF] = set()
@@ -286,43 +290,4 @@ def _falsify_words(args) -> tuple[list[CF], list[WhitelistHit]]:
             whitelisted.append(WhitelistHit(cf, k_exit, b_exit))
         else:
             counterexamples.append(cf)
-    return counterexamples, whitelisted
-
-
-def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2,
-                    jobs: int | None = 1) -> FalsifyResult:
-    """Bounded exhaustive search for counterexamples to the doubling B-bounds.
-
-    C = 2: looks for x with B(x/2) <= 2 and B(2x) <= 2 among eventually
-    periodic words over digits <= 3.  C = 3 or 4: enumerates y = 4x with
-    period maximum exactly C and tests B(2^k x) <= C for k in {0, 1, 3, 4},
-    i.e. B of y/4, y/2, 2y and 4y.  For C = 3 the (3,1,1) class is
-    whitelisted; each such hit is verified to reach B = 8 at the first
-    doubling that leaves the class.  B of twice and of half the input are
-    taken once per class (module docstring); every test runs on the inputs
-    of the classes where both are <= C, and only there.  Chunked
-    workers merge in enumeration order, so the result is independent of
-    the job count; each worker keeps its own class memo.
-    """
-    if C not in (2, 3, 4):
-        raise ValueError("supported bounds are C in {2, 3, 4}")
-    if period_len_max < 1 or preperiod_len_max < 0:
-        raise ValueError("need period_len_max >= 1 and preperiod_len_max >= 0")
-    alphabet = range(1, (C + 1) + 1) if C == 2 else range(1, C + 1)
-    pres = list(itertools.chain([()], _words(alphabet, preperiod_len_max)))
-    words = [w for w in _words(alphabet, period_len_max)
-             if C == 2 or max(w) == C]
-    parts = pmap(_falsify_words, [(C, chunk, pres) for chunk in chunks(words, jobs)], jobs)
-    counterexamples: list[CF] = []
-    whitelisted: list[WhitelistHit] = []
-    seen: set[CF] = set()
-    for cexs, hits in parts:
-        for cf in cexs:
-            if cf not in seen:
-                seen.add(cf)
-                counterexamples.append(cf)
-        for hit in hits:
-            if hit.cf not in seen:
-                seen.add(hit.cf)
-                whitelisted.append(hit)
     return FalsifyResult(counterexamples, whitelisted)

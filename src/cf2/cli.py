@@ -143,7 +143,7 @@ def _cmd_verify_b2(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    result = falsify_b_bound(args.C, args.period_max, args.preperiod_max, jobs=args.jobs)
+    result = falsify_b_bound(args.C, args.period_max, args.preperiod_max)
     for hit in result.whitelisted:
         print(f"whitelisted: {hit.cf} leaves the class at k={hit.k_exit} with B={hit.b_exit}")
     if result.counterexamples:
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=int, required=True, choices=(2, 3, 4))
     p.add_argument("--period-max", type=int, required=True)
     p.add_argument("--preperiod-max", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_falsify)
 
     p = sub.add_parser("witness", help="q with q*|q|_2*||q*alpha|| below a threshold")

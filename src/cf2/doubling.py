@@ -136,12 +136,10 @@ def production_counts(digits: Sequence[int]) -> dict[int, int]:
     return counts
 
 
-_Key = tuple[Digits, int, int]  # (period word, state, cleaned[-1]) at period entry
 _Tail = tuple[Digits, Digits]  # (preperiod, period) of 2x after the head
 
 
-def _double_periodic(a0: int, pre: Digits, period: Digits,
-                     tails: dict[_Key, _Tail] | None = None) -> tuple[Digits, _Tail]:
+def _double_periodic(a0: int, pre: Digits, period: Digits) -> tuple[Digits, _Tail]:
     """Digits of 2x for x = [a0; pre, (period)], as (frozen head, (tail preperiod, period)).
 
     `_feed` runs over the preperiod of x, then over one lap of its period per
@@ -151,10 +149,7 @@ def _double_periodic(a0: int, pre: Digits, period: Digits,
     closes a cycle of the output, and the digit provisional now ends up with
     the merges that the one provisional at the earlier lap start received.
     An empty preperiod borrows the first period digit (rotating the period),
-    so that the head is never empty.  Given `tails`, the continuation is
-    looked up under the entry key (period, state, provisional digit), which
-    determines it, and stored there after a miss, so inputs sharing a period
-    entry run the cycle detection once.  The digits of x need not be
+    so that the head is never empty.  The digits of x need not be
     canonical, and neither are the tail preperiod and period returned.
     """
     if not pre:
@@ -162,9 +157,6 @@ def _double_periodic(a0: int, pre: Digits, period: Digits,
     cleaned = [2 * a0]
     state = _feed(0, cleaned, pre)
     head = tuple(cleaned[:-1])
-    key = (period, state, cleaned[-1])
-    if tails is not None and key in tails:
-        return head, tails[key]
     laps: dict[int, tuple[int, int]] = {}  # state -> (len(cleaned), cleaned[-1]) at lap start
     while state not in laps:
         laps[state] = len(cleaned), cleaned[-1]
@@ -173,10 +165,7 @@ def _double_periodic(a0: int, pre: Digits, period: Digits,
     if len(cleaned) <= start:
         raise RuntimeError("doubling cycle closed without a period digit")
     last = cleaned[-1] + cleaned[start - 1] - provisional
-    tail = (tuple(cleaned[len(head):start]), (*cleaned[start:-1], last))
-    if tails is not None:
-        tails[key] = tail
-    return head, tail
+    return head, (tuple(cleaned[len(head):start]), (*cleaned[start:-1], last))
 
 
 def double_cf(cf: CF) -> CF:

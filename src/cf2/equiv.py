@@ -176,6 +176,8 @@ def build_chain(alpha: QuadraticSurd, K: int) -> ChainResult:
     by whichever of value/2, (value+1)/2 stays in the class (preferring the
     plain half when both do, which only happens at the first step).
     """
+    if K < 0:
+        raise ValueError("K must be >= 0")
     target = class_key(alpha)
     if not self_similar_check(alpha):
         raise ValueError("alpha does not satisfy the self-similarity precondition")

@@ -288,6 +288,10 @@ def run(C: int, max_depth: int | None = None, k_cap: int = DEFAULT_K_CAP,
     """
     if C < 1:
         raise ValueError("C must be >= 1")
+    if k_cap < 1:  # with no k to try nothing is excluded: an unbounded walk
+        raise ValueError("k_cap must be >= 1")
+    if max_depth is not None and max_depth < 2:
+        raise ValueError("max_depth must be >= 2, the depth of the roots")
     start = time.monotonic()
     tables = _tables(C)
     tasks = [((d1, d2), C, k_cap, max_depth, collect_witnesses, tables)
@@ -379,6 +383,8 @@ def witness_q(s: QuadraticSurd, threshold: Fraction = Fraction(1, 15),
     product is verified by exact surd arithmetic and the returned value is
     a certified rational upper bound that is itself below the threshold.
     """
+    if k_cap < 0:
+        raise ValueError("k_cap must be >= 0")
     need = -((-threshold.denominator) // threshold.numerator)  # ceil(1/threshold)
     beta = s
     for k in range(k_cap + 1):

@@ -58,16 +58,12 @@ class QuadraticSurd:
     Q: int
 
     def __post_init__(self):
-        P, D, Q = self.P, self.D, self.Q
+        D, Q = self.D, self.Q
         if Q == 0:
             raise ValueError("Q must be nonzero")
         if D <= 0 or isqrt(D) ** 2 == D:
             raise ValueError(f"D must be a positive nonsquare, got {D}")
-        a0 = Q * Q
-        b0 = -2 * P * Q
-        c0 = P * P - D
-        g = gcd(gcd(a0, b0), c0)
-        A, B, C = a0 // g, b0 // g, c0 // g
+        A, B, C = self.minimal_polynomial()  # of the raw P, D, Q
         disc = B * B - 4 * A * C
         if Q > 0:
             P1, Q1 = -B, 2 * A
@@ -261,10 +257,7 @@ def surd_of_periodic_cf(cf: CF) -> QuadraticSurd:
     if disc <= 0 or isqrt(disc) ** 2 == disc:
         raise ValueError("period does not define a quadratic irrational")
     t = QuadraticSurd(-B, disc, 2 * A)
-    if cf.pre:
-        p1, q1, p0, q0 = fold_word((cf.a0,) + cf.pre)
-    else:
-        p1, q1, p0, q0 = cf.a0, 1, 1, 0
+    p1, q1, p0, q0 = fold_word((cf.a0,) + cf.pre)
     return linear_fractional(t, p1, p0, q1, q0)
 
 

@@ -22,7 +22,7 @@ from cf2.bounds import (
     verify_b2_exhaustive,
 )
 from cf2.cf import CF, least_rotation, parse_cf
-from cf2.doubling import _double_periodic, double_cf, halve_cf, halve_plus1_cf
+from cf2.doubling import double_cf, halve_cf, halve_plus1_cf
 from cf2.equiv import key_of_cf
 from cf2.surd import QuadraticSurd, double_surd, surd_of_periodic_cf
 
@@ -109,35 +109,16 @@ def _b2_inputs(period_max, preperiod_max):
                     yield CF(0, pre, word)
 
 
-def _check_shared_tails(inputs):
-    """Doubling through one shared continuation memo agrees with per-input double_cf."""
-    tails = {}
-    count = 0
-    for cf in inputs:
-        head, (tail_pre, period) = _double_periodic(cf.a0, cf.pre, cf.period, tails)
-        reference = double_cf(cf)
-        assert max(period) == max(reference.period), cf
-        assert CF(head[0], head[1:] + tail_pre, period) == reference, cf
-        count += 1
-    assert len(tails) < count  # some inputs were answered from the memo
-
-
-def test_b2_memo_matches_brute_force():
-    _check_shared_tails(_b2_inputs(8, 4))
+def test_b2_exhaustive_matches_brute_force():
     brute = [cf for cf in _b2_inputs(8, 4)
              if (max(double_cf(cf).period) <= 2) != (classify_b2(cf) is not None)]
     assert verify_b2_exhaustive(8, 4) == brute
 
 
 def _verify_reference(period_max, preperiod_max):
-    """The per-input check: every (preperiod, word) input through the shared doubling memo."""
-    tails = {}
-    bad = []
-    for cf in _b2_inputs(period_max, preperiod_max):
-        _, (_, period) = _double_periodic(cf.a0, cf.pre, cf.period, tails)
-        if (max(period) <= 2) != (bounds.classify_b2(cf) is not None):
-            bad.append(cf)
-    return bad
+    """The per-input check: every (preperiod, word) input doubled on its own."""
+    return [cf for cf in _b2_inputs(period_max, preperiod_max)
+            if (max(double_cf(cf).period) <= 2) != (bounds.classify_b2(cf) is not None)]
 
 
 def _falsify_reference(C, period_len_max, preperiod_len_max=2):
@@ -197,9 +178,7 @@ def test_falsify_matches_per_input_reference():
 def test_class_checks_match_per_input_references_full_ranges():
     assert verify_b2_exhaustive(12, 6) == _verify_reference(12, 6) == []
     for args in ((2, 8), (3, 8), (4, 8, 1)):
-        reference = _falsify_reference(*args)
-        for jobs in (1, 2, 3, None):
-            assert falsify_b_bound(*args, jobs=jobs) == reference, (args, jobs)
+        assert falsify_b_bound(*args) == _falsify_reference(*args), args
 
 
 def test_verify_expands_a_failing_class_into_its_inputs(monkeypatch):
@@ -250,9 +229,40 @@ def test_class_rows_pick_the_image_of_the_necklace(a0, pre, period):
     assert key_of_cf(halve_cf(cf)) == key_of_cf(_IMAGES[p % 2, p1 % 2](y))
 
 
-def test_doubling_memo_random_inputs():
-    rng = random.Random(11)
-    _check_shared_tails(random_periodic_cf(rng) for _ in range(500))
+def _junction_parities(cf):
+    """(q_n, q_{n-1}) mod 2 for the canonical preperiod junction n = len(pre)."""
+    q_prev, q_cur = 0, 1  # q_{-1}, q_0
+    for d in cf.pre:
+        q_prev, q_cur = q_cur, (d * q_cur + q_prev) % 2
+    return q_cur, q_prev
+
+
+def _junction_walk_b2(cf):
+    """classify_b2 by a walk of q mod 2 from the preperiod junction to the first 2."""
+    if cf.period == (2,):
+        qn, qn1 = _junction_parities(cf)
+        return B2Shape.TAIL_TWOS if qn == 1 and qn1 == 1 else None
+    if sorted(cf.period) == [1, 2]:
+        qn, qn1 = _junction_parities(cf)
+        # walk to the junction where the period reads (2, 1, 2, 1, ...)
+        for offset in range(len(cf.period)):
+            if cf.period[offset] == 2:
+                return B2Shape.TAIL_TWO_ONE if qn1 == 0 else None
+            qn, qn1 = (cf.period[offset] * qn + qn1) % 2, qn
+    return None
+
+
+def test_classify_b2_matches_junction_walk():
+    periods = ((2,), (1, 2), (2, 1), (1,), (3,), (2, 2, 1), (1, 1, 2))
+    count = 0
+    for a0 in range(4):
+        for n in range(7):
+            for pre in itertools.product((1, 2, 3), repeat=n):
+                for period in periods:
+                    cf = CF(a0, pre, period)
+                    assert classify_b2(cf) == _junction_walk_b2(cf), cf
+                    count += 1
+    assert count == 30_604
 
 
 def test_b2_shape21_junction_walk():
@@ -297,18 +307,9 @@ def test_falsify_rejects_empty_ranges():
             falsify_b_bound(3, period_len_max, preperiod_len_max)
 
 
-def test_falsify_deterministic_across_workers():
-    serial = falsify_b_bound(3, 6, jobs=1)
-    short = falsify_b_bound(3, 3, jobs=1)  # 25 words, fewer than one chunk
-    assert short.whitelisted
-    for jobs in (2, 3, None):
-        assert falsify_b_bound(3, 6, jobs=jobs) == serial, jobs
-        assert falsify_b_bound(3, 3, jobs=jobs) == short, jobs
-
-
 @pytest.mark.slow
 def test_falsify_c2_period_10():
-    result = falsify_b_bound(2, 10, jobs=4)
+    result = falsify_b_bound(2, 10)
     assert result.counterexamples == []
 
 

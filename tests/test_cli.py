@@ -12,7 +12,7 @@ import cf2.surd
 
 from conftest import random_periodic_cf, random_surd
 from cf2.cf import parse_cf
-from cf2.cli import build_parser, main
+from cf2.cli import main
 from cf2.surd import expand_surd, parse_surd
 
 
@@ -135,11 +135,6 @@ def test_falsify_empty_ranges_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
-def test_falsify_runs_one_worker_by_default():
-    args = build_parser().parse_args(["falsify", "--C", "3", "--period-max", "4"])
-    assert args.jobs == 1
-
-
 def test_witness_cli(capsys):
     code, out, _ = run_cli(capsys, "witness", "(3 + sqrt(17))/2")
     assert code == 0
@@ -185,7 +180,12 @@ def test_bad_flag_values_exit_2(capsys):
 def test_domain_errors_exit_2(capsys):
     for argv in (("halve", "[-1; (2)]"), ("halve1", "[-1; (2)]"), ("trio", "[-1; (2)]"),
                  ("search", "--C", "0"), ("verify-b2", "--period-max", "0"),
-                 ("verify-b2", "--preperiod-max", "-1")):
+                 ("verify-b2", "--preperiod-max", "-1"),
+                 ("search", "--C", "3", "--k-cap", "0"), ("search", "--C", "3", "--k-cap", "-3"),
+                 ("search", "--C", "3", "--max-depth", "0"),
+                 ("search", "--C", "3", "--max-depth", "1"),
+                 ("witness", "(3 + sqrt(17))/2", "--k-cap", "-1"),
+                 ("chain", "--m", "3", "--K", "-1")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv

@@ -162,6 +162,8 @@ def test_build_chain_examples():
     assert all(k == (1, 1, 3) for k in result.checks)
     assert len(result.checks) == 3
     assert build_chain(S17, 0).beta == S17
+    with pytest.raises(ValueError):
+        build_chain(S17, -1)
     r10 = build_chain(QuadraticSurd(5, 33, 2), 10)
     assert len(r10.checks) == 11
     for k in range(11):

@@ -137,6 +137,14 @@ def test_search_depth_cap_reports_partial():
     assert report.max_depth_reached == 2
 
 
+def test_run_rejects_caps_that_exclude_nothing_or_cut_the_roots():
+    # k_cap < 1 tries no k, so with no depth cap the walk would never end
+    for kwargs in ({"k_cap": 0}, {"k_cap": -3}, {"max_depth": 0}, {"max_depth": 1},
+                   {"k_cap": 0, "max_depth": 4}):
+        with pytest.raises(ValueError):
+            run(3, **kwargs)
+
+
 def test_search_deterministic_across_workers():
     serial = run(4, jobs=1)
     for jobs in (2, 3, None):
@@ -316,6 +324,10 @@ def test_witness_q_cap():
     with pytest.raises(SearchCapExceeded):
         witness_q(QuadraticSurd(3, 17, 2), threshold=Fraction(1, 10**6), k_cap=2,
                   digit_cap=50)
+    with pytest.raises(SearchCapExceeded):  # k_cap = 0 tries k = 0 alone; the witness has k = 2
+        witness_q(QuadraticSurd(3, 17, 2), k_cap=0)
+    with pytest.raises(ValueError):
+        witness_q(QuadraticSurd(3, 17, 2), k_cap=-1)
 
 
 def _large_digit_by_seen_set(s, need, digit_cap):
