@@ -21,22 +21,6 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-def _parse_cf_arg(text: str) -> CF:
-    try:
-        return parse_cf(text)
-    except ValueError as exc:
-        print(f"error: bad continued fraction literal: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
-
-
-def _parse_surd_arg(text: str):
-    try:
-        return parse_surd(text)
-    except ValueError as exc:
-        print(f"error: bad surd literal: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
-
-
 def _positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -58,7 +42,7 @@ def _print_cf(cf: CF, digit_limit: int | None):
 
 
 def _cmd_expand(args) -> int:
-    s = _parse_surd_arg(args.surd)
+    s = parse_surd(args.surd)
     if args.digits is None:
         print(expand_surd(s))
     else:  # streamed: the full period has about sqrt(D) digits
@@ -67,13 +51,13 @@ def _cmd_expand(args) -> int:
 
 
 def _unary_cf(args, fn) -> int:
-    cf = _parse_cf_arg(args.cf)
+    cf = parse_cf(args.cf)
     _print_cf(fn(cf), args.digits)
     return 0
 
 
 def _cmd_trio(args) -> int:
-    cf = _parse_cf_arg(args.cf)
+    cf = parse_cf(args.cf)
     if cf.is_finite:
         print("error: trio needs an eventually periodic input", file=sys.stderr)
         return USAGE_ERROR
@@ -156,7 +140,7 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    s = _parse_surd_arg(args.surd)
+    s = parse_surd(args.surd)
     try:
         threshold = Fraction(args.threshold)
         if threshold <= 0:
@@ -249,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         # Python flushes stdout again at exit; send that flush to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return VERIFY_ERROR
-    except ValueError as exc:  # domain errors, e.g. halving a negative value
+    except ValueError as exc:  # literal and domain errors, e.g. halving a negative value
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -93,31 +93,29 @@ def _checked_digits(src: Iterable[int]) -> Iterator[int]:
         yield d
 
 
+def _fed(digits: Iterable[int]) -> Iterator[DoublingState]:
+    """The one machine for a digit source (a0 first): yielded after a0, then after each digit."""
+    it = _checked_digits(digits)
+    machine = DoublingState(next(it))
+    yield machine
+    for d in it:
+        machine.step(d)
+        yield machine
+
+
 def double_stream(src: Iterable[int]) -> Iterator[int]:
     """Digits of 2x from an endless digit source for x (a0 first).
 
     Yields each cleaned digit once it is final.  A finite source is an
     error; double rationals exactly instead.
     """
-    digits = _checked_digits(src)
-    machine = DoublingState(next(digits))
-    cleaned = machine.cleaned
     emitted = 0
-    for d in digits:
-        machine.step(d)
+    for machine in _fed(src):
+        cleaned = machine.cleaned
         while emitted < len(cleaned) - 1:
             yield cleaned[emitted]
             emitted += 1
     raise ValueError("digit source exhausted (finite inputs double exactly as rationals)")
-
-
-def feed_digits(digits: Sequence[int]) -> DoublingState:
-    """Push every digit of a finite list (a0 first) through the machine."""
-    it = _checked_digits(digits)
-    machine = DoublingState(next(it))
-    for d in it:
-        machine.step(d)
-    return machine
 
 
 def production_bounds_check(n: int, m: int) -> bool:
@@ -127,13 +125,7 @@ def production_bounds_check(n: int, m: int) -> bool:
 
 def production_counts(digits: Sequence[int]) -> dict[int, int]:
     """counts[n] = the m reached with the digit budget a_0..a_n, in one pass."""
-    it = _checked_digits(digits)
-    machine = DoublingState(next(it))
-    counts = {0: len(machine.cleaned) - 2}
-    for n, d in enumerate(it, 1):
-        machine.step(d)
-        counts[n] = len(machine.cleaned) - 2
-    return counts
+    return {n: len(machine.cleaned) - 2 for n, machine in enumerate(_fed(digits))}
 
 
 _Tail = tuple[Digits, Digits]  # (preperiod, period) of 2x after the head
@@ -229,13 +221,9 @@ class TrioResult:
 
 
 def _traced_cases(feed: Iterator[int], offset: int, n_max: int) -> dict[int, WindowCase]:
-    machine = DoublingState(next(feed))
-    cases = {}
-    for n in range(1 + offset, n_max + 1):  # digit n - offset is next
-        if n >= 1:
-            cases[n] = machine.case
-        machine.step(next(feed))
-    return cases
+    # window n is read with digit n - offset next; zip pushes no digit after window n_max
+    windows = zip(range(1 + offset, n_max + 1), _fed(feed))
+    return {n: machine.case for n, machine in windows if n >= 1}
 
 
 def trio(s: QuadraticSurd, n_max: int = 60) -> TrioResult:
@@ -247,6 +235,8 @@ def trio(s: QuadraticSurd, n_max: int = 60) -> TrioResult:
     """
     if s.cmp(0) <= 0:
         raise ValueError("trio requires a positive surd")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     alpha = expand_surd(s)
     runs: dict[int, WindowCase] = _traced_cases(alpha.digits(), 0, n_max)
     half_feed = reciprocal(alpha).digits()
@@ -260,7 +250,7 @@ def trio(s: QuadraticSurd, n_max: int = 60) -> TrioResult:
 
 def doubled_digit_prefix(digits: Sequence[int], count: int) -> list[int]:
     """First `count` final digits of 2x from a finite digit prefix of x."""
-    machine = feed_digits(digits)
+    *_, machine = _fed(digits)
     final = machine.cleaned[:-1]
     if len(final) < count:
         raise ValueError("not enough input digits")

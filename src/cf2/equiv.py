@@ -15,14 +15,7 @@ from math import gcd, isqrt
 
 from .cf import CF, least_rotation
 from .pool import chunks, pmap
-from .surd import (
-    QuadraticSurd,
-    _cycle,
-    double_surd,
-    expand_surd,
-    halve_plus1_surd,
-    halve_surd,
-)
+from .surd import QuadraticSurd, _cycle, expand_surd, linear_fractional
 
 ClassKey = tuple[int, ...]
 
@@ -42,6 +35,15 @@ class Move(enum.Enum):
     DOUBLE = "double"
     HALF = "half"
     HALF_PLUS1 = "half+1"
+
+
+# The images of the x2 algorithm, s -> (a*s + b)/d as (move, a, b, d), doubling first;
+# plain tuples, so that the scan's loop over them does no attribute lookups.
+_IMAGES = (
+    (Move.DOUBLE, 2, 0, 1),
+    (Move.HALF, 1, 0, 2),
+    (Move.HALF_PLUS1, 1, 1, 2),
+)
 
 
 def _isqrt_is_square(n: int) -> bool:
@@ -102,12 +104,7 @@ def m_equiv_certificate(s: QuadraticSurd, m: int | Fraction, bound: int = 1000):
 def self_similar_check(s: QuadraticSurd) -> bool:
     """True iff s, s/2 and (s+1)/2 share one equivalence class."""
     key = class_key(s)
-    return class_key(halve_surd(s)) == key and class_key(halve_plus1_surd(s)) == key
-
-
-def _primitive_discriminant(a: int, b: int, c: int) -> int:
-    g = gcd(gcd(a, b), c)
-    return (b * b - 4 * a * c) // (g * g)
+    return all(class_key(linear_fractional(s, a, b, 0, d)) == key for _, a, b, d in _IMAGES[1:])
 
 
 def class_contains_self_similar(s: QuadraticSurd, key: ClassKey | None = None) -> bool:
@@ -128,17 +125,15 @@ def class_contains_self_similar(s: QuadraticSurd, key: ClassKey | None = None) -
     if key is None:
         key = class_key(s)
     A, B, C = s.minimal_polynomial()
-    disc = B * B - 4 * A * C
-    images = [image for image, poly in (
-        (double_surd, (A, 2 * B, 4 * C)),
-        (halve_surd, (4 * A, 2 * B, C)),
-        (halve_plus1_surd, (4 * A, 2 * B - 4 * A, A - B + C)),
-    ) if _primitive_discriminant(*poly) == disc]
+    # t = (a*s + b)/d is a root of s's polynomial at s = (d*t - b)/a, times a*a.  That has
+    # (a*d)**2 times the discriminant of s, so t keeps s's primitive one iff its content is a*d.
+    images = [(a, b, d) for _, a, b, d in _IMAGES if a * d == gcd(
+        A * d * d, (a * B - 2 * b * A) * d, A * b * b - a * b * B + a * a * C)]
     spare = len(images) - 2  # candidates that may still fall outside the class
-    for image in images:
+    for a, b, d in images:
         if spare < 0:
             return False
-        period = expand_surd(image(s)).period
+        period = expand_surd(linear_fractional(s, a, b, 0, d)).period
         if len(period) != len(key) or least_rotation(period) != key:
             spare -= 1
     return spare >= 0
@@ -152,11 +147,8 @@ def two_of_three(beta: QuadraticSurd, target: ClassKey) -> set[Move]:
     """
     if class_key(beta) != target:
         raise ValueError("beta is not a member of the target class")
-    hits = {move for move, img in (
-        (Move.DOUBLE, double_surd(beta)),
-        (Move.HALF, halve_surd(beta)),
-        (Move.HALF_PLUS1, halve_plus1_surd(beta)),
-    ) if class_key(img) == target}
+    hits = {move for move, a, b, d in _IMAGES
+            if class_key(linear_fractional(beta, a, b, 0, d)) == target}
     if len(hits) != 2:
         raise ValueError(f"expected exactly two equivalent images, got {sorted(m.value for m in hits)}")
     return hits
@@ -183,20 +175,19 @@ def build_chain(alpha: QuadraticSurd, K: int) -> ChainResult:
         raise ValueError("alpha does not satisfy the self-similarity precondition")
     beta = alpha
     for step in range(K):
-        half = halve_surd(beta)
-        plus = halve_plus1_surd(beta)
-        half_ok = class_key(half) == target
-        plus_ok = class_key(plus) == target
-        if not (half_ok or plus_ok):
+        halves = (linear_fractional(beta, a, b, 0, d) for _, a, b, d in _IMAGES[1:])
+        stay = [image for image in halves if class_key(image) == target]
+        if not stay:
             raise RuntimeError("no equivalent halving; self-similarity violated")
-        if half_ok and plus_ok and step > 0:
+        if len(stay) == 2 and step > 0:
             raise RuntimeError("both halvings equivalent below the top of the chain")
-        beta = half if half_ok else plus
+        beta = stay[0]
+    _, a, b, d = _IMAGES[0]
     checks = []
     cur = beta
     for _ in range(K + 1):
         checks.append(class_key(cur))
-        cur = double_surd(cur)
+        cur = linear_fractional(cur, a, b, 0, d)
     if any(c != target for c in checks):
         raise RuntimeError("a chain member left the class of alpha")
     return ChainResult(beta, K, tuple(checks))
@@ -274,6 +265,10 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     deduplicated by class key and sorted by (D, Q, P); chunked workers
     merge in range order, so the result is independent of the job count.
     """
+    if q_max < 1:
+        raise ValueError("q_max must be >= 1")
+    if d_max < max(2, d_min):
+        raise ValueError("d_max must be >= max(2, d_min)")
     tasks = [(ds, q_max) for ds in chunks(range(max(2, d_min), d_max + 1), jobs)]
     seen: set[ClassKey] = set()
     hits = []

@@ -262,11 +262,8 @@ def surd_of_periodic_cf(cf: CF) -> QuadraticSurd:
 
 
 def is_purely_periodic(s: QuadraticSurd) -> bool:
-    """True iff s > 1 and its conjugate lies in (-1, 0)."""
-    if s.cmp(1) <= 0:
-        return False
-    conj = s.conjugate()
-    return conj.cmp(0) < 0 and conj.cmp(-1) > 0
+    """True iff s > 1 and its conjugate is in (-1, 0); canonical forms keep Q | D - P*P."""
+    return _is_reduced(s.P, s.Q, isqrt(s.D))
 
 
 def algebraic_integer_shape_check(s: QuadraticSurd) -> bool:

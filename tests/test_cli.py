@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,15 +143,12 @@ def test_witness_cli(capsys):
 
 
 def test_bad_literals_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "expand", "(3 + sqrt(16))/2")
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "double", "[1; 2, oops]")
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "double", "[(-2; 1)]")  # grammatical but invalid digits
-    assert exc.value.code == 2
+    for argv in (("expand", "(3 + sqrt(16))/2"), ("double", "[1; 2, oops]"),
+                 ("double", "[(-2; 1)]"),  # grammatical but invalid digits
+                 ("trio", "[(3; 1, 1"), ("witness", "(3 + sqrt(17)/2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert re.fullmatch(r"error: .+ \(at position \d+\)\n", err), (argv, err)
 
 
 def test_expand_over_period_budget_exits_2(capsys, monkeypatch):
@@ -185,7 +183,13 @@ def test_domain_errors_exit_2(capsys):
                  ("search", "--C", "3", "--max-depth", "0"),
                  ("search", "--C", "3", "--max-depth", "1"),
                  ("witness", "(3 + sqrt(17))/2", "--k-cap", "-1"),
-                 ("chain", "--m", "3", "--K", "-1")):
+                 ("chain", "--m", "3", "--K", "-1"),
+                 ("scan", "--d-max", "40", "--q-max", "0"),
+                 ("scan", "--d-max", "40", "--q-max", "-5"),
+                 ("scan", "--d-max", "1", "--q-max", "5"),
+                 ("scan", "--d-min", "50", "--d-max", "40", "--q-max", "5"),
+                 ("trio", "[(3; 1, 1)]", "--windows", "0"),
+                 ("trio", "[(3; 1, 1)]", "--windows", "-1")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv

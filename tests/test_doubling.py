@@ -15,13 +15,13 @@ from cf2.doubling import (
     DoublingState,
     WindowCase,
     _double_periodic,
+    _fed,
     _feed,
     production_counts,
     classify_windows,
     double_cf,
     double_stream,
     doubled_digit_prefix,
-    feed_digits,
     halve_cf,
     halve_plus1_cf,
     production_bounds_check,
@@ -142,7 +142,7 @@ def test_zero_body_digit_rejected_by_every_driver():
     with pytest.raises(ValueError, match=message):
         list(itertools.islice(double_stream(iter(digits)), 4))
     with pytest.raises(ValueError, match=message):
-        feed_digits(digits)
+        list(_fed(digits))
     with pytest.raises(ValueError, match=message):
         production_counts(digits)
     with pytest.raises(ValueError, match=message):
@@ -240,9 +240,8 @@ def test_stream_determinism_of_finalized_prefix():
     rng = random.Random(103)
     for _ in range(40):
         digits = [rng.randint(0, 3)] + [rng.randint(1, 8) for _ in range(60)]
-        shorter = feed_digits(digits[:40]).cleaned[:-1]
-        longer = feed_digits(digits).cleaned[:-1]
-        assert longer[:len(shorter)] == shorter
+        final = production_counts(digits[:40])[39] + 1  # all cleaned digits but the last
+        assert doubled_digit_prefix(digits, final) == doubled_digit_prefix(digits[:40], final)
 
 
 def test_prefix_determination_3l_plus_1():

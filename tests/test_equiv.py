@@ -1,9 +1,11 @@
 import random
-from math import isqrt
+from math import gcd, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+import cf2.equiv
 from conftest import random_surd
 from cf2.cf import CF
 from cf2.equiv import (
@@ -233,8 +235,9 @@ def test_scan_deterministic_across_workers():
     for jobs in (2, 3, None):
         assert scan_self_similar(400, 30, jobs=jobs) == serial, jobs
         assert scan_self_similar(440, 30, d_min=400, jobs=jobs) == short, jobs
-    for jobs in (1, 2, None):
-        assert scan_self_similar(399, 30, d_min=400, jobs=jobs) == [], jobs
+    for jobs in (1, 2, None):  # an empty range is an error, not an empty result
+        with pytest.raises(ValueError, match="d_max"):
+            scan_self_similar(399, 30, d_min=400, jobs=jobs)
 
 
 def test_class_contains_self_similar_is_member_independent():
@@ -291,6 +294,13 @@ def test_class_contains_self_similar_matches_old_rule_on_scanned_classes():
 
 
 @st.composite
+def _surds(draw):
+    """Random surds, Q of either sign."""
+    D = draw(st.integers(2, 10**5).filter(lambda d: isqrt(d) ** 2 != d))
+    return QuadraticSurd(draw(st.integers(-500, 500)), D, draw(st.integers(-50, 50).filter(bool)))
+
+
+@st.composite
 def _positive_surds(draw):
     """Random positive surds, half of them members of self-similar classes."""
     if draw(st.booleans()):
@@ -298,9 +308,7 @@ def _positive_surds(draw):
         pre = tuple(draw(st.lists(st.integers(1, 9), max_size=5)))
         word = expand_surd(family_member(m)).period
         return surd_of_periodic_cf(CF(draw(st.integers(0, 3)), pre, word))
-    D = draw(st.integers(2, 10**5).filter(lambda d: isqrt(d) ** 2 != d))
-    s = QuadraticSurd(draw(st.integers(-500, 500)), D,
-                      draw(st.integers(-50, 50).filter(bool)))
+    s = draw(_surds())
     return s if s.cmp(0) > 0 else QuadraticSurd(s.P, s.D, -s.Q)
 
 
@@ -309,6 +317,33 @@ def test_class_contains_self_similar_matches_old_rule(s):
     expected = _old_membership_rule(s)
     assert class_contains_self_similar(s) == expected
     assert class_contains_self_similar(s, class_key(s)) == expected
+
+
+def _discriminant(s):
+    A, B, C = s.minimal_polynomial()
+    return B * B - 4 * A * C
+
+
+@given(_surds())
+def test_image_table_matches_surd_arithmetic(s):
+    """Each row (move, a, b, d) of the image table is the surd map of its move.
+    The polynomial that class_contains_self_similar derives for the row (the
+    one whose content it takes) is the image's minimal polynomial times a
+    constant, and the content test keeps exactly the images whose primitive
+    discriminant is that of s."""
+    reference = {Move.DOUBLE: double_surd, Move.HALF: halve_surd,
+                 Move.HALF_PLUS1: halve_plus1_surd}
+    with mock.patch.object(cf2.equiv, "gcd", wraps=gcd) as content:
+        class_contains_self_similar(s)
+    rows = cf2.equiv._IMAGES
+    assert [move for move, *_ in rows] == list(Move)
+    assert content.call_count == len(rows)
+    for (move, a, b, d), call in zip(rows, content.call_args_list):
+        image = linear_fractional(s, a, b, 0, d)
+        assert image == reference[move](s), move
+        poly, g = call.args, gcd(*call.args)
+        assert tuple(c // g for c in poly) == image.minimal_polynomial(), move
+        assert (g == a * d) == (_discriminant(image) == _discriminant(s)), move
 
 
 @pytest.mark.parametrize("d_max, q_max", [(2000, 50), (2000, 6)])

@@ -119,10 +119,16 @@ def test_purely_periodic_characterization():
     assert is_purely_periodic(S17)
     assert not is_purely_periodic(QuadraticSurd(-1, 17, 8))
     assert is_purely_periodic(QuadraticSurd(1, 5, 2))
+    negative_q = [QuadraticSurd(-3, 17, -2), QuadraticSurd(3, 17, -2), QuadraticSurd(-1, 5, -2),
+                  QuadraticSurd(-7, 53, -1), QuadraticSurd(5, 2, -3)]
+    assert all(s.Q < 0 for s in negative_q)
     rng = random.Random(31)
     for _ in range(120):
         s = random_surd(rng, d_max=10**4)
-        assert is_purely_periodic(s) == expand_surd(s).is_purely_periodic
+        for t in (s, s.conjugate()):
+            assert is_purely_periodic(t) == expand_surd(t).is_purely_periodic, t
+    for s in negative_q:
+        assert not is_purely_periodic(s) and not expand_surd(s).is_purely_periodic, s
 
 
 def test_minimal_polynomials():

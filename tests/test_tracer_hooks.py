@@ -9,7 +9,9 @@ import importlib
 import inspect
 from pathlib import Path
 
+import cf2.equiv
 from cf2.doubling import double_stream
+from cf2.surd import QuadraticSurd
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,6 +38,23 @@ def test_traced_names_resolve():
         cls = getattr(importlib.import_module(f"cf2.{layer}"), cls_name, None)
         assert inspect.isclass(cls), metric
         assert callable(getattr(cls, method, None)), metric
+
+
+def test_equiv_calls_surd_layers_through_module_globals(monkeypatch):
+    # The tracer wraps cf2.equiv.expand_surd and cf2.equiv.linear_fractional in
+    # place; an image table of functions bound at import time would bypass them.
+    calls = {"expand_surd": 0, "linear_fractional": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(cf2.equiv, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(cf2.equiv, name, counted)
+    s = QuadraticSurd(3, 17, 2)  # in the self-similar class (1, 1, 3)
+    for check in (lambda: cf2.equiv.class_contains_self_similar(s),
+                  lambda: cf2.equiv.two_of_three(s, (1, 1, 3))):
+        calls.update(dict.fromkeys(calls, 0))
+        assert check()
+        assert calls["expand_surd"] >= 2 and calls["linear_fractional"] >= 2, calls
 
 
 def test_double_stream_is_a_generator_function():
