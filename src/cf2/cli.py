@@ -21,11 +21,15 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(lo: int):
+    """An argparse type for integers >= lo, so a range error names its flag."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {n}")
+        return n
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
 
 
 def _print_prefix(digits: Iterator[int], limit: int, more: bool):
@@ -164,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="continued fraction of a quadratic surd")
     p.add_argument("surd", help="literal like '(3 + sqrt(17))/2'")
-    p.add_argument("--digits", type=_positive_int, default=None,
+    p.add_argument("--digits", type=_at_least(1), default=None,
                    help="print only the first N digits")
     p.set_defaults(fn=_cmd_expand)
 
@@ -172,19 +176,19 @@ def build_parser() -> argparse.ArgumentParser:
                             ("halve1", halve_plus1_cf, "(x+1)/2")):
         p = sub.add_parser(name, help=f"continued fraction of {blurb}")
         p.add_argument("cf", help="literal like '[0; 2, (1, 1, 3)]'")
-        p.add_argument("--digits", type=_positive_int, default=None)
+        p.add_argument("--digits", type=_at_least(1), default=None)
         p.set_defaults(fn=lambda args, _f=fn: _unary_cf(args, _f))
 
     p = sub.add_parser("trio", help="2x, x/2 and (x+1)/2 with window cases")
     p.add_argument("cf")
-    p.add_argument("--windows", type=int, default=40)
+    p.add_argument("--windows", type=_at_least(1), default=40)
     p.add_argument("--show-cases", action="store_true")
     p.set_defaults(fn=_cmd_trio)
 
     p = sub.add_parser("search", help="prefix-exclusion search for a digit bound")
-    p.add_argument("--C", type=int, required=True)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--k-cap", type=int, default=256)
+    p.add_argument("--C", type=_at_least(1), required=True)
+    p.add_argument("--max-depth", type=_at_least(2), default=None)
+    p.add_argument("--k-cap", type=_at_least(1), default=256)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--witnesses", action="store_true", help="dump one line per exclusion")
@@ -192,32 +196,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", help="beta with 2^k beta all in one class, k <= K")
     p.add_argument("--m", type=int, required=True, help="odd integer >= 3")
-    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--K", type=_at_least(0), required=True)
     p.set_defaults(fn=_cmd_chain)
 
     p = sub.add_parser("scan", help="self-similar classes with representatives in range")
-    p.add_argument("--d-max", type=int, required=True)
+    p.add_argument("--d-max", type=_at_least(2), required=True)
     p.add_argument("--d-min", type=int, default=2)
-    p.add_argument("--q-max", type=int, required=True)
+    p.add_argument("--q-max", type=_at_least(1), required=True)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("verify-b2", help="exhaustive check of the B<=2 characterization")
-    p.add_argument("--period-max", type=int, default=12)
-    p.add_argument("--preperiod-max", type=int, default=6)
+    p.add_argument("--period-max", type=_at_least(1), default=12)
+    p.add_argument("--preperiod-max", type=_at_least(0), default=6)
     p.set_defaults(fn=_cmd_verify_b2)
 
     p = sub.add_parser("falsify", help="bounded counterexample search for the B-bounds")
     p.add_argument("--C", type=int, required=True, choices=(2, 3, 4))
-    p.add_argument("--period-max", type=int, required=True)
-    p.add_argument("--preperiod-max", type=int, default=2)
+    p.add_argument("--period-max", type=_at_least(1), required=True)
+    p.add_argument("--preperiod-max", type=_at_least(0), default=2)
     p.set_defaults(fn=_cmd_falsify)
 
     p = sub.add_parser("witness", help="q with q*|q|_2*||q*alpha|| below a threshold")
     p.add_argument("surd")
     p.add_argument("--threshold", default="1/15")
-    p.add_argument("--k-cap", type=int, default=64)
+    p.add_argument("--k-cap", type=_at_least(0), default=64)
     p.set_defaults(fn=_cmd_witness)
 
     return ap

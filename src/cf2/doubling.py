@@ -80,25 +80,17 @@ class DoublingState:
         return _CASES[self.state]
 
 
-def _checked_digits(src: Iterable[int]) -> Iterator[int]:
-    it = iter(src)
+def _fed(digits: Iterable[int]) -> Iterator[DoublingState]:
+    """The one machine for a digit source (a0 first): yielded after a0, then after each digit."""
+    it = iter(digits)
     try:
-        first = next(it)
+        machine = DoublingState(next(it))
     except StopIteration:
         raise ValueError("empty digit source") from None
-    yield first
+    yield machine
     for d in it:
         if not isinstance(d, int) or d < 1:
             raise ValueError(f"body digit must be a positive integer, got {d!r}")
-        yield d
-
-
-def _fed(digits: Iterable[int]) -> Iterator[DoublingState]:
-    """The one machine for a digit source (a0 first): yielded after a0, then after each digit."""
-    it = _checked_digits(digits)
-    machine = DoublingState(next(it))
-    yield machine
-    for d in it:
         machine.step(d)
         yield machine
 
@@ -168,28 +160,25 @@ def double_cf(cf: CF) -> CF:
     return CF(head[0], head[1:] + tail_pre, period)
 
 
-def _halve(a0: int, pre: Digits, period: Digits) -> CF:
-    """x/2 = 1/(2 * (1/x)) for periodic x >= 0, canonicalizing only the result."""
-    head, (tail_pre, tail_period) = _double_periodic(*_reciprocal_digits(a0, pre, period))
+def _halve(cf: CF, plus: int) -> CF:
+    """(x + plus)/2 = 1/(2 * (1/(x + plus))) for x > 0, canonicalizing only the result."""
+    if cf.is_finite:
+        return cf_of_rational((eval_finite(cf) + plus) / 2)
+    if cf.a0 < 0:
+        raise ValueError("halving is defined here only for positive values")
+    head, (tail_pre, tail_period) = _double_periodic(
+        *_reciprocal_digits(cf.a0 + plus, cf.pre, cf.period))
     return CF(*_reciprocal_digits(head[0], head[1:] + tail_pre, tail_period))
 
 
 def halve_cf(cf: CF) -> CF:
     """Exact continued fraction of x/2; requires x > 0."""
-    if cf.is_finite:
-        return cf_of_rational(eval_finite(cf) / 2)
-    if cf.a0 < 0:
-        raise ValueError("halving is defined here only for positive values")
-    return _halve(cf.a0, cf.pre, cf.period)
+    return _halve(cf, 0)
 
 
 def halve_plus1_cf(cf: CF) -> CF:
     """Exact continued fraction of (x+1)/2; requires x > 0."""
-    if cf.is_finite:
-        return cf_of_rational((eval_finite(cf) + 1) / 2)
-    if cf.a0 < 0:
-        raise ValueError("halving is defined here only for positive values")
-    return _halve(cf.a0 + 1, cf.pre, cf.period)
+    return _halve(cf, 1)
 
 
 def classify_windows(cf: CF | Sequence[int], n_max: int) -> list[WindowCase]:

@@ -28,6 +28,7 @@ from .pool import pmap
 from .surd import QuadraticSurd, _is_reduced, _quotients, double_surd, linear_fractional
 
 DEFAULT_K_CAP = 256
+_WITNESS_DIGIT_CAP = 2000  # most digits of each 2^k s that `witness_q` scans
 
 
 class WitnessKind(enum.Enum):
@@ -375,7 +376,7 @@ def _rational_upper_bound(s: QuadraticSurd, below: Fraction) -> Fraction:
 
 
 def witness_q(s: QuadraticSurd, threshold: Fraction = Fraction(1, 15),
-              k_cap: int = 64, digit_cap: int = 2000) -> DyadicWitness:
+              k_cap: int = 64) -> DyadicWitness:
     """A positive integer q with q * |q|_2 * ||q*s|| strictly below threshold.
 
     Scans k = 0, 1, 2, ... for a body digit of 2^k s at least 1/threshold;
@@ -388,7 +389,7 @@ def witness_q(s: QuadraticSurd, threshold: Fraction = Fraction(1, 15),
     need = -((-threshold.denominator) // threshold.numerator)  # ceil(1/threshold)
     beta = s
     for k in range(k_cap + 1):
-        hit = _find_large_digit(beta, need, digit_cap)
+        hit = _find_large_digit(beta, need, _WITNESS_DIGIT_CAP)
         if hit is not None:
             n, _, qm1 = hit
             q = (1 << k) * qm1

@@ -31,24 +31,6 @@ def sign_with_sqrt(a: int, b: int, d: int) -> int:
     return 1 if b * b * d > a * a else -1
 
 
-def _small_factor_divisors(n: int) -> list[int]:
-    """Divisors of n built from prime factors <= 10**4 (larger factors kept whole)."""
-    n = abs(n)
-    divs = [1]
-    f = 2
-    while f * f <= n and f <= 10_000:
-        if n % f == 0:
-            powers = []
-            while n % f == 0:
-                n //= f
-                powers.append(f ** (len(powers) + 1))
-            divs = [d * e for d in divs for e in [1] + powers]
-        f += 1 if f == 2 else 2
-    if n > 1:
-        divs = [d * e for d in divs for e in (1, n)]
-    return divs
-
-
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Exact value (P + sqrt(D))/Q with D > 0 nonsquare and Q != 0."""
@@ -64,23 +46,20 @@ class QuadraticSurd:
         if D <= 0 or isqrt(D) ** 2 == D:
             raise ValueError(f"D must be a positive nonsquare, got {D}")
         A, B, C = self.minimal_polynomial()  # of the raw P, D, Q
-        disc = B * B - 4 * A * C
-        if Q > 0:
-            P1, Q1 = -B, 2 * A
+        sign = 1 if Q > 0 else -1
+        # The value is (-B + sqrt(B*B - 4AC))/(2A) on the branch of sign(Q).
+        # Dividing P, Q by v and D by v*v keeps Q | D - P*P exactly when
+        # v | gcd(B, 2A), v*v | B*B - 4AC and v | 2C, because (D - P*P)/Q
+        # then equals -2C/v up to sign.  Primitivity makes gcd(B, 2A, 2C)
+        # divide 2 (an odd prime, or 4, dividing all three would divide A, B
+        # and C), so the largest such v is 2 for even B and 1 for odd B.
+        if B & 1:
+            P, D, Q = -B, B * B - 4 * A * C, 2 * A
         else:
-            P1, Q1 = B, -2 * A
-        # Cosmetic square reduction: divide P, Q by d and D by d*d when legal.
-        g0 = gcd(P1, Q1)
-        best = 1
-        for dv in _small_factor_divisors(g0):
-            if dv > best and disc % (dv * dv) == 0:
-                d2 = disc // (dv * dv)
-                p2, q2 = P1 // dv, Q1 // dv
-                if (d2 - p2 * p2) % q2 == 0:
-                    best = dv
-        object.__setattr__(self, "P", P1 // best)
-        object.__setattr__(self, "D", disc // (best * best))
-        object.__setattr__(self, "Q", Q1 // best)
+            P, D, Q = -(B >> 1), (B >> 1) ** 2 - A * C, A
+        object.__setattr__(self, "P", sign * P)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "Q", sign * Q)
 
     # -- basic queries -----------------------------------------------------
 
@@ -113,9 +92,6 @@ class QuadraticSurd:
         """Yield the continued-fraction digits, a0 first, endlessly."""
         for _, _, a in _quotients(self.P, self.D, self.Q, isqrt(self.D)):
             yield a
-
-    def __float__(self) -> float:
-        return (self.P + self.D ** 0.5) / self.Q
 
     def __str__(self) -> str:
         return f"({self.P} + sqrt({self.D}))/{self.Q}"

@@ -130,10 +130,13 @@ def test_falsify_cli(capsys):
 
 
 def test_falsify_empty_ranges_exit_2(capsys):
-    for argv in (("--period-max", "0"), ("--period-max", "4", "--preperiod-max", "-1")):
-        code, out, err = run_cli(capsys, "falsify", "--C", "3", *argv)
-        assert code == 2 and out == "", argv
-        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    for argv, flag in ((("--period-max", "0"), "--period-max"),
+                       (("--period-max", "4", "--preperiod-max", "-1"), "--preperiod-max")):
+        with pytest.raises(SystemExit) as exc:
+            main(["falsify", "--C", "3", *argv])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert f"argument {flag}: must be at least" in err, argv
 
 
 def test_witness_cli(capsys):
@@ -177,22 +180,32 @@ def test_bad_flag_values_exit_2(capsys):
 
 def test_domain_errors_exit_2(capsys):
     for argv in (("halve", "[-1; (2)]"), ("halve1", "[-1; (2)]"), ("trio", "[-1; (2)]"),
-                 ("search", "--C", "0"), ("verify-b2", "--period-max", "0"),
-                 ("verify-b2", "--preperiod-max", "-1"),
-                 ("search", "--C", "3", "--k-cap", "0"), ("search", "--C", "3", "--k-cap", "-3"),
-                 ("search", "--C", "3", "--max-depth", "0"),
-                 ("search", "--C", "3", "--max-depth", "1"),
-                 ("witness", "(3 + sqrt(17))/2", "--k-cap", "-1"),
-                 ("chain", "--m", "3", "--K", "-1"),
-                 ("scan", "--d-max", "40", "--q-max", "0"),
-                 ("scan", "--d-max", "40", "--q-max", "-5"),
-                 ("scan", "--d-max", "1", "--q-max", "5"),
-                 ("scan", "--d-min", "50", "--d-max", "40", "--q-max", "5"),
-                 ("trio", "[(3; 1, 1)]", "--windows", "0"),
-                 ("trio", "[(3; 1, 1)]", "--windows", "-1")):
+                 ("scan", "--d-min", "50", "--d-max", "40", "--q-max", "5")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_flag_below_range_exit_2(capsys):
+    for argv, flag in ((("search", "--C", "0"), "--C"),
+                       (("verify-b2", "--period-max", "0"), "--period-max"),
+                       (("verify-b2", "--preperiod-max", "-1"), "--preperiod-max"),
+                       (("search", "--C", "3", "--k-cap", "0"), "--k-cap"),
+                       (("search", "--C", "3", "--k-cap", "-3"), "--k-cap"),
+                       (("search", "--C", "3", "--max-depth", "0"), "--max-depth"),
+                       (("search", "--C", "3", "--max-depth", "1"), "--max-depth"),
+                       (("witness", "(3 + sqrt(17))/2", "--k-cap", "-1"), "--k-cap"),
+                       (("chain", "--m", "3", "--K", "-1"), "--K"),
+                       (("scan", "--d-max", "40", "--q-max", "0"), "--q-max"),
+                       (("scan", "--d-max", "40", "--q-max", "-5"), "--q-max"),
+                       (("scan", "--d-max", "1", "--q-max", "5"), "--d-max"),
+                       (("trio", "[(3; 1, 1)]", "--windows", "0"), "--windows"),
+                       (("trio", "[(3; 1, 1)]", "--windows", "-1"), "--windows")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert f"argument {flag}: must be at least" in err, (argv, err)
 
 
 def test_digits_below_one_exit_2(capsys):

@@ -322,8 +322,7 @@ def test_witness_q_product_is_exact():
 
 def test_witness_q_cap():
     with pytest.raises(SearchCapExceeded):
-        witness_q(QuadraticSurd(3, 17, 2), threshold=Fraction(1, 10**6), k_cap=2,
-                  digit_cap=50)
+        witness_q(QuadraticSurd(3, 17, 2), threshold=Fraction(1, 10**6), k_cap=2)
     with pytest.raises(SearchCapExceeded):  # k_cap = 0 tries k = 0 alone; the witness has k = 2
         witness_q(QuadraticSurd(3, 17, 2), k_cap=0)
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -40,6 +40,46 @@ def test_normalization_is_value_based():
     assert QuadraticSurd(6, 68, 4) == QuadraticSurd(3, 17, 2)
     # opposite branches stay distinct
     assert QuadraticSurd(0, 2, 1) != QuadraticSurd(0, 2, -1)
+
+
+def _trial_division_canonical(P, D, Q):
+    """Canonical (P, D, Q) by the earlier search: the largest divisor of
+    gcd(P, Q) whose square reduction keeps Q | D - P*P, trying prime factors
+    up to 10**4 and keeping any larger cofactor whole."""
+    a0, b0, c0 = Q * Q, -2 * P * Q, P * P - D
+    g = gcd(gcd(a0, b0), c0)
+    A, B, C = a0 // g, b0 // g, c0 // g
+    disc = B * B - 4 * A * C
+    P1, Q1 = (-B, 2 * A) if Q > 0 else (B, -2 * A)
+    n, divs, f = abs(gcd(P1, Q1)), [1], 2
+    while f * f <= n and f <= 10_000:
+        if n % f == 0:
+            powers = []
+            while n % f == 0:
+                n //= f
+                powers.append(f ** (len(powers) + 1))
+            divs = [d * e for d in divs for e in [1] + powers]
+        f += 1 if f == 2 else 2
+    if n > 1:
+        divs = [d * e for d in divs for e in (1, n)]
+    best = 1
+    for dv in divs:
+        if dv > best and disc % (dv * dv) == 0:
+            p2, q2 = P1 // dv, Q1 // dv
+            if (disc // (dv * dv) - p2 * p2) % q2 == 0:
+                best = dv
+    return P1 // best, disc // (best * best), Q1 // best
+
+
+@given(st.integers(-600, 600), st.integers(2, 10**5).filter(lambda d: isqrt(d) ** 2 != d),
+       st.integers(-60, 60).filter(bool), st.sampled_from((1, 2, 3, 4, 6, 12, 97, 2**10, 10007)))
+@example(3, 17, 2, 1)    # odd B: (1, -3, -2)
+@example(0, 8, -2, 4)    # even B: (1, 0, -2), on the negative branch
+@example(-20014, 4 * 10007 * 10008, 20014, 1)  # (10007, 20014, -1): gcd(B, 2A) = 2 * 10007
+@example(-10007, 10007 * 10011, -2 * 10007, 10007)  # (10007, 10007, -1), scaled by 10007
+def test_canonical_form_matches_trial_division(P, D, Q, k):
+    s = QuadraticSurd(k * P, k * k * D, k * Q)
+    assert (s.P, s.D, s.Q) == _trial_division_canonical(k * P, k * k * D, k * Q)
 
 
 def test_expansion_known_vectors():
