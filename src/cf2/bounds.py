@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .cf import CF, Digits, least_rotation, primitive_word
+from .cf import CF, Digits, fold_word, least_rotation, primitive_word
 from .doubling import _double_periodic, double_cf, halve_cf
 from .equiv import ClassKey, class_key, key_of_cf
 from .surd import QuadraticSurd, double_surd, expand_surd
@@ -112,13 +112,10 @@ _Mod2 = tuple[_Row, _Row]  # [[p_n, p_{n-1}], [q_n, q_{n-1}]] mod 2, by rows
 _ROWS: tuple[_Row, ...] = ((0, 1), (1, 0), (1, 1))  # the rows of GL2(F2) matrices
 
 
-def _mod2(digits: Iterable[int], m: _Mod2 = ((1, 0), (0, 1))) -> _Mod2:
-    """m times the product of [[d, 1], [1, 0]] over `digits`, mod 2."""
-    (p, p1), (q, q1) = m
-    for d in digits:
-        p, p1 = (d * p + p1) & 1, p
-        q, q1 = (d * q + q1) & 1, q
-    return (p, p1), (q, q1)
+def _mod2(word: Digits) -> _Mod2:
+    """The product of [[d, 1], [1, 0]] over `word`, mod 2."""
+    p1, q1, p0, q0 = fold_word(word)
+    return (p1 & 1, p0 & 1), (q1 & 1, q0 & 1)
 
 
 def _row_times(row: _Row, m: _Mod2) -> _Row:
@@ -145,7 +142,7 @@ def _flagged_inputs(words: Iterable[Digits], pres: list[Digits],
     is asked once per (word, bucket), with the bucket's first preperiod and
     the class rows: flagged(word, pre, necklace, (p_n, p_{n-1}), (q_n, q_{n-1})).
     """
-    mats = [_mod2(pre, ((0, 1), (1, 0))) for pre in pres]
+    mats = [_mod2((0, *pre)) for pre in pres]
     first: dict[_Mod2, Digits] = {}
     for m, pre in zip(mats, pres):
         first.setdefault(m, pre)
@@ -162,7 +159,7 @@ def _flagged_inputs(words: Iterable[Digits], pres: list[Digits],
 
 def _b2_violated(cf: CF) -> bool:
     """Whether B(2x) <= 2 disagrees with classify_b2 (B(x) <= 2 holds by construction)."""
-    _, (_, period) = _double_periodic(cf.a0, cf.pre, cf.period)
+    _, _, period = _double_periodic(cf.a0, cf.pre, cf.period)
     return (max(period) <= 2) != (classify_b2(cf) is not None)
 
 

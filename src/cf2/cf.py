@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 Digits = tuple[int, ...]
 _INT = frozenset({int})
@@ -169,12 +169,6 @@ class CF:
         return f"[{self.a0}]"
 
 
-class Convergent(NamedTuple):
-    p: int
-    q: int
-    index: int
-
-
 def cf_of_rational(r: Fraction | int) -> CF:
     """Canonical (Euclidean) expansion of a rational number."""
     r = Fraction(r)
@@ -198,42 +192,17 @@ def eval_finite(cf: CF) -> Fraction:
     return cf.a0 + val
 
 
-def convergents(cf: CF | Iterable[int], n: int) -> list[Convergent]:
-    """Convergents p_0/q_0 .. p_n/q_n of the first n+1 digits.
-
-    Satisfies q_{k+1} = a_{k+1} q_k + q_{k-1} and p_k q_{k-1} - p_{k-1} q_k = (-1)^{k-1}.
-    """
-    source = cf.digits() if isinstance(cf, CF) else iter(cf)
-    p_prev, q_prev = 1, 0
-    p_cur = q_cur = None
-    out: list[Convergent] = []
-    for k in range(n + 1):
-        try:
-            d = next(source)
-        except StopIteration:
-            raise ValueError("digit source exhausted") from None
-        if k == 0:
-            p_cur, q_cur = d, 1
-        else:
-            p_cur, p_prev = d * p_cur + p_prev, p_cur
-            q_cur, q_prev = d * q_cur + q_prev, q_cur
-        out.append(Convergent(p_cur, q_cur, k))
-    return out
-
-
 def fold_word(word: Iterable[int]) -> tuple[int, int, int, int]:
-    """Fold digits into the final two convergent pairs (p1, q1, p0, q0)."""
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = None, None
+    """The last two convergents (p_n, q_n, p_{n-1}, q_{n-1}) of the digits a_0 .. a_n of `word`.
+
+    They are the columns of [[p_n, p_{n-1}], [q_n, q_{n-1}]], the product of
+    [[a, 1], [1, 0]] over `word`; the empty word gives the identity.  So p_n q_{n-1} - p_{n-1} q_n
+    = (-1)^(n-1), and a row of the product mod 2 is never (0, 0).
+    """
+    p1, q1, p0, q0 = 1, 0, 0, 1
     for d in word:
-        if p_cur is None:
-            p_cur, q_cur = d, 1
-        else:
-            p_cur, p_prev = d * p_cur + p_prev, p_cur
-            q_cur, q_prev = d * q_cur + q_prev, q_cur
-    if p_cur is None:
-        raise ValueError("empty word")
-    return p_cur, q_cur, p_prev, q_prev
+        p1, q1, p0, q0 = d * p1 + p0, d * q1 + q0, p1, q1
+    return p1, q1, p0, q0
 
 
 def _reciprocal_digits(a0: int, pre: Digits, period: Digits) -> tuple[int, Digits, Digits]:

@@ -61,11 +61,7 @@ def _unary_cf(args, fn) -> int:
 
 
 def _cmd_trio(args) -> int:
-    cf = parse_cf(args.cf)
-    if cf.is_finite:
-        print("error: trio needs an eventually periodic input", file=sys.stderr)
-        return USAGE_ERROR
-    result = trio(surd_of_periodic_cf(cf), n_max=args.windows)
+    result = trio(surd_of_periodic_cf(parse_cf(args.cf)), n_max=args.windows)
     print(f"double: {result.double}")
     print(f"half:   {result.half}")
     print(f"half+1: {result.half_plus1}")
@@ -189,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=_at_least(1), required=True)
     p.add_argument("--max-depth", type=_at_least(2), default=None)
     p.add_argument("--k-cap", type=_at_least(1), default=256)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_at_least(1), default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--witnesses", action="store_true", help="dump one line per exclusion")
     p.set_defaults(fn=_cmd_search)
@@ -201,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="self-similar classes with representatives in range")
     p.add_argument("--d-max", type=_at_least(2), required=True)
-    p.add_argument("--d-min", type=int, default=2)
+    p.add_argument("--d-min", type=_at_least(2), default=2)
     p.add_argument("--q-max", type=_at_least(1), required=True)
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_at_least(1), default=None)
     p.set_defaults(fn=_cmd_scan)
 
     p = sub.add_parser("verify-b2", help="exhaustive check of the B<=2 characterization")

@@ -12,11 +12,11 @@ earlier digit is frozen as soon as a later one is appended.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .cf import (CF, Digits, _reciprocal_digits, cf_of_rational, convergents, eval_finite,
-                 reciprocal)
+from .cf import CF, Digits, _reciprocal_digits, cf_of_rational, eval_finite, fold_word, reciprocal
 from .surd import QuadraticSurd, expand_surd
 
 
@@ -120,27 +120,19 @@ def production_counts(digits: Sequence[int]) -> dict[int, int]:
     return {n: len(machine.cleaned) - 2 for n, machine in enumerate(_fed(digits))}
 
 
-_Tail = tuple[Digits, Digits]  # (preperiod, period) of 2x after the head
-
-
-def _double_periodic(a0: int, pre: Digits, period: Digits) -> tuple[Digits, _Tail]:
-    """Digits of 2x for x = [a0; pre, (period)], as (frozen head, (tail preperiod, period)).
+def _double_periodic(a0: int, pre: Digits, period: Digits) -> tuple[int, Digits, Digits]:
+    """Digits (a0, preperiod, period) of 2x for x = [a0; pre, (period)].
 
     `_feed` runs over the preperiod of x, then over one lap of its period per
-    call.  The head is every digit frozen at period entry.  What a lap
-    appends, and what it merges onto the digit provisional at its start,
-    depend only on the state at its start; so a repeated lap-start state
-    closes a cycle of the output, and the digit provisional now ends up with
-    the merges that the one provisional at the earlier lap start received.
-    An empty preperiod borrows the first period digit (rotating the period),
-    so that the head is never empty.  The digits of x need not be
-    canonical, and neither are the tail preperiod and period returned.
+    call.  What a lap appends, and what it merges onto the digit provisional
+    at its start, depend only on the state at its start; so a repeated
+    lap-start state closes a cycle of the output, and the digit provisional
+    now ends up with the merges that the one provisional at the earlier lap
+    start received.  The digits of x need not be canonical, and neither are
+    the digits returned.
     """
-    if not pre:
-        pre, period = period[:1], period[1:] + period[:1]
     cleaned = [2 * a0]
     state = _feed(0, cleaned, pre)
-    head = tuple(cleaned[:-1])
     laps: dict[int, tuple[int, int]] = {}  # state -> (len(cleaned), cleaned[-1]) at lap start
     while state not in laps:
         laps[state] = len(cleaned), cleaned[-1]
@@ -149,15 +141,14 @@ def _double_periodic(a0: int, pre: Digits, period: Digits) -> tuple[Digits, _Tai
     if len(cleaned) <= start:
         raise RuntimeError("doubling cycle closed without a period digit")
     last = cleaned[-1] + cleaned[start - 1] - provisional
-    return head, (tuple(cleaned[len(head):start]), (*cleaned[start:-1], last))
+    return cleaned[0], tuple(cleaned[1:start]), (*cleaned[start:-1], last)
 
 
 def double_cf(cf: CF) -> CF:
     """Exact continued fraction of 2x for finite or eventually periodic x."""
     if cf.is_finite:
         return cf_of_rational(2 * eval_finite(cf))
-    head, (tail_pre, period) = _double_periodic(cf.a0, cf.pre, cf.period)
-    return CF(head[0], head[1:] + tail_pre, period)
+    return CF(*_double_periodic(cf.a0, cf.pre, cf.period))
 
 
 def _halve(cf: CF, plus: int) -> CF:
@@ -166,9 +157,8 @@ def _halve(cf: CF, plus: int) -> CF:
         return cf_of_rational((eval_finite(cf) + plus) / 2)
     if cf.a0 < 0:
         raise ValueError("halving is defined here only for positive values")
-    head, (tail_pre, tail_period) = _double_periodic(
-        *_reciprocal_digits(cf.a0 + plus, cf.pre, cf.period))
-    return CF(*_reciprocal_digits(head[0], head[1:] + tail_pre, tail_period))
+    return CF(*_reciprocal_digits(*_double_periodic(
+        *_reciprocal_digits(cf.a0 + plus, cf.pre, cf.period))))
 
 
 def halve_cf(cf: CF) -> CF:
@@ -184,17 +174,19 @@ def halve_plus1_cf(cf: CF) -> CF:
 def classify_windows(cf: CF | Sequence[int], n_max: int) -> list[WindowCase]:
     """Predicted window case at each index 1..n_max from convergent parities.
 
-    Index n >= 2 is FRESH iff q_{n-2} is even, DECREMENTED iff q_{n-2} and
-    q_{n-1} are both odd, SKIPPED iff q_{n-1} is even; n = 1 is FRESH.
+    Index n is FRESH iff q_{n-2} is even, DECREMENTED iff q_{n-2} and
+    q_{n-1} are both odd, SKIPPED iff q_{n-1} is even (q_{-1} = 0).  The
+    source must supply the digits a_0 .. a_{n_max}.
     """
-    conv = convergents(cf, n_max)
-    out = [WindowCase.FRESH]
-    for n in range(2, n_max + 1):
-        q1 = conv[n - 1].q % 2
-        q2 = conv[n - 2].q % 2
-        if q2 == 0:
+    digits = list(itertools.islice(cf.digits() if isinstance(cf, CF) else cf, n_max + 1))
+    if len(digits) <= n_max:
+        raise ValueError("digit source exhausted")
+    out = []
+    for n in range(1, n_max + 1):
+        _, q1, _, q2 = fold_word(digits[:n])
+        if q2 % 2 == 0:
             out.append(WindowCase.FRESH)
-        elif q1 == 0:
+        elif q1 % 2 == 0:
             out.append(WindowCase.SKIPPED)
         else:
             out.append(WindowCase.DECREMENTED)

@@ -64,7 +64,7 @@ class SearchReport:
     max_depth_reached: int
     K: int
     depths: list[DepthStats] = field(default_factory=list)
-    seconds: float = 0.0
+    seconds: float = field(default=0.0, compare=False)  # wall time: == compares results only
 
     def to_json(self) -> str:
         return json.dumps({
@@ -75,11 +75,6 @@ class SearchReport:
                        for d in self.depths],
             "seconds": round(self.seconds, 4),
         })
-
-    def same_result(self, other: "SearchReport") -> bool:
-        """Equality ignoring wall time."""
-        return (self.C, self.terminated, self.max_depth_reached, self.K, self.depths) == \
-            (other.C, other.terminated, other.max_depth_reached, other.K, other.depths)
 
 
 @dataclass(frozen=True)
@@ -346,7 +341,7 @@ def _find_large_digit(s: QuadraticSurd, need: int, digit_cap: int):
     """
     r = isqrt(s.D)
     cycle_start = None  # the first reduced (P, Q); the walk cycles when it comes back
-    qm1, qm2 = 0, 0
+    digits: list[int] = []
     for n, (P, Q, a) in zip(range(digit_cap + 1), _quotients(s.P, s.D, s.Q, r)):
         if cycle_start is None:
             if _is_reduced(P, Q, r):
@@ -354,11 +349,8 @@ def _find_large_digit(s: QuadraticSurd, need: int, digit_cap: int):
         elif cycle_start == (P, Q):
             return None
         if n >= 1 and a >= need:
-            return n, a, qm1
-        if n == 0:
-            qm1, qm2 = 1, 0  # q_0, q_{-1}
-        else:
-            qm1, qm2 = a * qm1 + qm2, qm1
+            return n, a, fold_word(digits)[1]
+        digits.append(a)
     return None
 
 

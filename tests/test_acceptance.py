@@ -75,7 +75,7 @@ def test_criterion_1_slow(C, K, depth, prefixes):
     _report(f"criterion 1 (opt-in): C={C} gives K={K} at depth {depth} "
             f"after {prefixes:,} prefixes",
             serial.terminated and serial.K == K and serial.max_depth_reached == depth
-            and visited == prefixes and serial.same_result(parallel) and elapsed < 600,
+            and visited == prefixes and serial == parallel and elapsed < 600,
             f"K={serial.K}, depth {serial.max_depth_reached}, {visited} prefixes, "
             f"{elapsed:.1f}s")
 

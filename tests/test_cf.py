@@ -11,7 +11,6 @@ from cf2.cf import (
     CFParseError,
     _reciprocal_digits,
     cf_of_rational,
-    convergents,
     eval_finite,
     fold_word,
     least_rotation,
@@ -81,27 +80,22 @@ def test_rejects_bad_digits():
 
 
 def test_convergents_fibonacci():
-    cf = CF(0, (), (1,))
-    qs = [c.q for c in convergents(cf, 5)]
-    assert qs == [1, 1, 2, 3, 5, 8]
+    golden = (0,) + (1,) * 5
+    assert [fold_word(golden[:n + 1])[1] for n in range(6)] == [1, 1, 2, 3, 5, 8]
 
 
 def test_convergents_final_17_12():
-    conv = convergents(CF(1, (2, 2, 2)), 3)
-    assert (conv[-1].p, conv[-1].q) == (17, 12)
-    with pytest.raises(ValueError):
-        convergents(CF(1, (2, 2, 2)), 4)
+    assert fold_word((1, 2, 2, 2)) == (17, 12, 7, 5)
 
 
 def test_convergent_determinant_and_parity():
     rng = random.Random(7)
     for _ in range(50):
         digits = [rng.randint(-4, 4)] + [rng.randint(1, 9) for _ in range(12)]
-        conv = convergents(iter(digits), 12)
-        for k in range(1, 12):
-            det = conv[k].p * conv[k - 1].q - conv[k - 1].p * conv[k].q
-            assert det == (-1) ** (k - 1)
-            assert conv[k].q % 2 or conv[k - 1].q % 2
+        for k in range(-1, len(digits)):  # p_k, q_k, p_{k-1}, q_{k-1}; k = -1 is the empty prefix
+            p1, q1, p0, q0 = fold_word(digits[:k + 1])
+            assert p1 * q0 - p0 * q1 == (1 if k % 2 else -1)  # (-1)^(k-1)
+            assert q1 % 2 or q0 % 2
 
 
 @given(st.fractions())
@@ -236,10 +230,19 @@ def test_reciprocal_digits_reject_zero_and_negative():
         reciprocal(CF(-2, (), (1,)))
 
 
-def test_fold_word_matches_convergents():
-    digits = (2, 1, 4, 1, 8)
-    conv = convergents(iter(digits), 4)
-    assert fold_word(digits) == (conv[4].p, conv[4].q, conv[3].p, conv[3].q)
+def _matrix_product(word):
+    m = ((1, 0), (0, 1))
+    for d in word:
+        (a, b), (c, e) = m
+        m = ((a * d + b, a), (c * d + e, c))  # m times [[d, 1], [1, 0]]
+    return m
+
+
+@given(st.lists(st.integers(-5, 9), max_size=12))
+@example([])  # the identity
+def test_fold_word_is_the_matrix_product(word):
+    (p1, p0), (q1, q0) = _matrix_product(word)
+    assert fold_word(word) == fold_word(iter(word)) == (p1, q1, p0, q0)
 
 
 _small_words = st.lists(st.integers(1, 3), min_size=1, max_size=10).map(tuple)

@@ -180,6 +180,7 @@ def test_bad_flag_values_exit_2(capsys):
 
 def test_domain_errors_exit_2(capsys):
     for argv in (("halve", "[-1; (2)]"), ("halve1", "[-1; (2)]"), ("trio", "[-1; (2)]"),
+                 ("trio", "[1; 2]"),
                  ("scan", "--d-min", "50", "--d-max", "40", "--q-max", "5")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -200,7 +201,12 @@ def test_flag_below_range_exit_2(capsys):
                        (("scan", "--d-max", "40", "--q-max", "-5"), "--q-max"),
                        (("scan", "--d-max", "1", "--q-max", "5"), "--d-max"),
                        (("trio", "[(3; 1, 1)]", "--windows", "0"), "--windows"),
-                       (("trio", "[(3; 1, 1)]", "--windows", "-1"), "--windows")):
+                       (("trio", "[(3; 1, 1)]", "--windows", "-1"), "--windows"),
+                       (("search", "--C", "2", "--jobs", "0"), "--jobs"),
+                       (("search", "--C", "2", "--jobs", "-3"), "--jobs"),
+                       (("scan", "--d-max", "40", "--q-max", "5", "--jobs", "0"), "--jobs"),
+                       (("scan", "--d-max", "40", "--q-max", "5", "--d-min", "-5"), "--d-min"),
+                       (("scan", "--d-max", "40", "--q-max", "5", "--d-min", "1"), "--d-min")):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         out, err = capsys.readouterr()

@@ -288,6 +288,14 @@ def test_classify_windows_alternating_evens():
     assert cases[1:] == [WindowCase.SKIPPED, WindowCase.FRESH] * 4
 
 
+def test_classify_windows_needs_digits_through_n_max():
+    with pytest.raises(ValueError, match="^digit source exhausted$"):
+        classify_windows(CF(1, (2, 2, 2)), 4)  # five digits a_0 .. a_4 needed, four given
+    with pytest.raises(ValueError, match="^digit source exhausted$"):
+        classify_windows([0, 1, 2], 3)
+    assert len(classify_windows([0, 1, 2, 3], 3)) == 3
+
+
 def test_classify_windows_matches_machine():
     rng = random.Random(131)
     for _ in range(50):
@@ -396,8 +404,7 @@ def _periodic_cfs(draw):
 def test_flat_doubling_matches_stepwise_machine_and_surds(cf):
     """The flat kernel against the window machine and exact surd arithmetic."""
     doubled = _stepwise_double(cf)
-    head, (tail_pre, period) = _double_periodic(cf.a0, cf.pre, cf.period)
-    assert CF(head[0], head[1:] + tail_pre, period) == doubled
+    assert CF(*_double_periodic(cf.a0, cf.pre, cf.period)) == doubled
     s = surd_of_periodic_cf(cf)
     assert double_cf(cf) == doubled == expand_surd(double_surd(s))
     if cf.a0 >= 0:

@@ -148,7 +148,7 @@ def test_run_rejects_caps_that_exclude_nothing_or_cut_the_roots():
 def test_search_deterministic_across_workers():
     serial = run(4, jobs=1)
     for jobs in (2, 3, None):
-        assert serial.same_result(run(4, jobs=jobs)), jobs
+        assert serial == run(4, jobs=jobs), jobs
 
 
 def test_terminated_search_claim_against_expansion_oracle():
@@ -249,7 +249,7 @@ def test_depth_first_run_matches_breadth_first_oracle(C, max_depth):
     expected, expected_witnesses = _bfs_run(C, max_depth)
     for jobs in (1, 2):
         report, witnesses = run(C, max_depth=max_depth, jobs=jobs, collect_witnesses=True)
-        assert report.same_result(expected), (jobs, report, expected)
+        assert report == expected, (jobs, report, expected)
         assert witnesses == expected_witnesses, jobs
 
 

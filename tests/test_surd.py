@@ -218,15 +218,14 @@ def test_algebraic_integer_shape():
 
 def test_approximation_sandwich():
     # 1/(q^2 (a+2)) < |x - p/q| < 1/(q^2 a) with the next digit a
-    from cf2.cf import convergents
+    from cf2.cf import fold_word
     rng = random.Random(41)
     for _ in range(40):
         s = random_surd(rng, d_max=10**4)
         cf = expand_surd(s)
         digits = cf.digit_prefix(32)
-        conv = convergents(iter(digits), 30)
         for n in range(2, 30):
-            p, q = conv[n - 1].p, conv[n - 1].q
+            p, q, _, _ = fold_word(digits[:n])  # p_{n-1}, q_{n-1}
             a = digits[n]
             diff = linear_fractional(s, q, -p, 0, 1)  # q*s - p
             if diff.cmp(0) < 0:

@@ -9,7 +9,11 @@ import importlib
 import inspect
 from pathlib import Path
 
+import cf2.bounds
+import cf2.doubling
 import cf2.equiv
+import cf2.search
+from cf2.cf import CF
 from cf2.doubling import double_stream
 from cf2.surd import QuadraticSurd
 
@@ -55,6 +59,24 @@ def test_equiv_calls_surd_layers_through_module_globals(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert check()
         assert calls["expand_surd"] >= 2 and calls["linear_fractional"] >= 2, calls
+
+
+def test_convergent_callers_call_fold_word_through_module_globals(monkeypatch):
+    # The tracer wraps cf2.<layer>.fold_word in place, so cf.fold_word.calls counts
+    # these callers only while they look fold_word up at call time.
+    calls = []
+    for module in (cf2.bounds, cf2.doubling, cf2.search):
+        def counted(word, _f=module.fold_word, _name=module.__name__):
+            calls.append(_name)
+            return _f(word)
+        monkeypatch.setattr(module, "fold_word", counted)
+    for module, check in ((cf2.bounds, lambda: cf2.bounds.classify_b2(CF(0, (1,), (2,)))),
+                          (cf2.doubling, lambda: cf2.doubling.classify_windows(CF(0, (), (1,)), 4)),
+                          (cf2.search, lambda: cf2.search.witness_q(QuadraticSurd(3, 17, 2))),
+                          (cf2.search, lambda: cf2.search.try_exclude((1, 2), 2))):
+        calls.clear()
+        check()
+        assert calls and set(calls) == {module.__name__}, (module.__name__, calls)
 
 
 def test_double_stream_is_a_generator_function():
