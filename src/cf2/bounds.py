@@ -157,12 +157,6 @@ def _flagged_inputs(words: Iterable[Digits], pres: list[Digits],
                     yield CF(0, pre, word)
 
 
-def _b2_violated(cf: CF) -> bool:
-    """Whether B(2x) <= 2 disagrees with classify_b2 (B(x) <= 2 holds by construction)."""
-    _, _, period = _double_periodic(cf.a0, cf.pre, cf.period)
-    return (max(period) <= 2) != (classify_b2(cf) is not None)
-
-
 def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[CF]:
     """Check the B<=2 characterization over all digit-{1,2} periodic words.
 
@@ -171,8 +165,9 @@ def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[C
     sides are constant on a class (necklace, (q_n : q_{n-1}) mod 2): B(2x)
     by the module docstring, and `classify_b2` because it reads that row
     mod 2 at a fixed position of the necklace, the start of its rotation
-    (2) or (2, 1).  So each class is checked once, on its first input;
-    only the inputs of a failing class are checked one by one.
+    (2) or (2, 1).  So each class is checked once, on its first input, and
+    that verdict is final: every input of a failing class is listed with
+    no second check.  B(x) <= 2 holds by construction.
     """
     if period_max < 1 or preperiod_max < 0:
         raise ValueError("need period_max >= 1 and preperiod_max >= 0")
@@ -181,12 +176,13 @@ def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[C
     def fails(word, pre, necklace, row1, row2) -> bool:
         key = (necklace, row2)
         if key not in violated:
-            violated[key] = _b2_violated(CF(0, pre, word))
+            cf = CF(0, pre, word)
+            _, _, period = _double_periodic(cf.a0, cf.pre, cf.period)
+            violated[key] = (max(period) <= 2) != (classify_b2(cf) is not None)
         return violated[key]
 
     pres = [(), *_words((1, 2), preperiod_max)]
-    return [cf for cf in _flagged_inputs(_words((1, 2), period_max), pres, fails)
-            if _b2_violated(cf)]
+    return list(_flagged_inputs(_words((1, 2), period_max), pres, fails))
 
 
 @dataclass(frozen=True)
@@ -248,10 +244,12 @@ def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2) -> 
     i.e. B of y/4, y/2, 2y and 4y.  For C = 3 the (3,1,1) class is
     whitelisted; each such hit is verified to reach B = 8 at the first
     doubling that leaves the class.  B of twice and of half the input are
-    taken once per class (module docstring); every test runs on the inputs
-    of the classes where both are <= C, and only there, each distinct CF
-    once, in enumeration order.  It runs in one process: with one doubling
-    per class, starting a worker pool costs more than the work it splits.
+    taken once per class (module docstring), and that verdict is final: for
+    C = 2 every distinct input of a class where both are <= 2 is a
+    counterexample, and for C = 3 or 4 only B(4y) and B(y/4), which the
+    class key does not decide, are tested, each distinct CF once, in
+    enumeration order.  It runs in one process: with one doubling per
+    class, starting a worker pool costs more than the work it splits.
     """
     if C not in (2, 3, 4):
         raise ValueError("supported bounds are C in {2, 3, 4}")
@@ -267,20 +265,9 @@ def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2) -> 
         if cf in seen:
             continue
         seen.add(cf)
-        if C == 2:
-            if _b_of(double_cf(cf)) <= 2 and _b_of(halve_cf(cf)) <= 2:
-                counterexamples.append(cf)
-            continue
-        # cf plays the role of y = 4x with B(y) = C
-        d1 = double_cf(cf)
-        if _b_of(d1) > C:
-            continue
-        if _b_of(double_cf(d1)) > C:
-            continue
-        h1 = halve_cf(cf)
-        if _b_of(h1) > C:
-            continue
-        if _b_of(halve_cf(h1)) > C:
+        # for C > 2, cf plays the role of y = 4x with B(y) = C
+        if C > 2 and (_b_of(double_cf(double_cf(cf))) > C
+                      or _b_of(halve_cf(halve_cf(cf))) > C):
             continue
         if C == 3 and key_of_cf(cf) == KEY_311:
             k_exit, b_exit = _exit_b_from_311(cf, 2)

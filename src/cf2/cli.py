@@ -33,8 +33,10 @@ def _at_least(lo: int):
 
 
 def _print_prefix(digits: Iterator[int], limit: int, more: bool):
-    shown = list(itertools.islice(digits, limit))
-    print(f"{shown[0]}; " + ", ".join(map(str, shown[1:])) + (", ..." if more else ""))
+    head, *body = map(str, itertools.islice(digits, limit))
+    if more:
+        body.append("...")
+    print(f"{head}; {', '.join(body)}" if body else head)
 
 
 def _print_cf(cf: CF, digit_limit: int | None):
@@ -73,14 +75,10 @@ def _cmd_trio(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    out = run(args.C, max_depth=args.max_depth, k_cap=args.k_cap, jobs=args.jobs,
-              collect_witnesses=args.witnesses)
-    if args.witnesses:
-        report, witnesses = out
-        for w in witnesses:
-            print(w)
-    else:
-        report = out
+    report = run(args.C, max_depth=args.max_depth, k_cap=args.k_cap, jobs=args.jobs,
+                 collect_witnesses=args.witnesses)
+    for w in report.witnesses:
+        print(w)
     if args.json:
         print(report.to_json())
     else:
@@ -143,8 +141,6 @@ def _cmd_witness(args) -> int:
     s = parse_surd(args.surd)
     try:
         threshold = Fraction(args.threshold)
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: bad threshold: {exc}", file=sys.stderr)
         return USAGE_ERROR

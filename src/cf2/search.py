@@ -16,7 +16,6 @@ homographic state, HAKMEM item 101).
 
 from __future__ import annotations
 
-import enum
 import json
 import time
 from dataclasses import dataclass, field
@@ -31,18 +30,12 @@ DEFAULT_K_CAP = 256
 _WITNESS_DIGIT_CAP = 2000  # most digits of each 2^k s that `witness_q` scans
 
 
-class WitnessKind(enum.Enum):
-    SHARED_DIGIT = "shared"
-    NEXT_DIGIT_MIN = "next-min"
-
-
 @dataclass(frozen=True)
 class ExclusionWitness:
     prefix: tuple[int, ...]
     k: int
     position: int
     bound: int
-    kind: WitnessKind
 
     def __str__(self) -> str:
         w = "".join(str(d) for d in self.prefix) if max(self.prefix) <= 9 else \
@@ -65,6 +58,7 @@ class SearchReport:
     K: int
     depths: list[DepthStats] = field(default_factory=list)
     seconds: float = field(default=0.0, compare=False)  # wall time: == compares results only
+    witnesses: list[ExclusionWitness] = field(default_factory=list)  # empty unless collected
 
     def to_json(self) -> str:
         return json.dumps({
@@ -163,9 +157,7 @@ def try_exclude(word, C: int, k_cap: int = DEFAULT_K_CAP, *, fold=None, tables=N
     The endpoint pair at k is diag(2^k, 1) . M . T, with M the matrix of
     [0; word] and T the tail matrix.  Euclid runs on both endpoints at once
     and reads the verdict of `common_prefix_info`:
-    - a shared digit above C at position i >= 1 excludes; it is a
-      next-digit floor rather than a shared digit when an endpoint
-      terminates at it, or one digit later where the digits differ;
+    - a shared digit above C at position i >= 1 excludes;
     - at the first differing position i >= 1, the smaller of the two
       digits excludes when it is above C and neither endpoint ends there;
     - differing integer parts stop the k loop.
@@ -205,12 +197,7 @@ def try_exclude(word, C: int, k_cap: int = DEFAULT_K_CAP, *, fold=None, tables=N
             if a != b:
                 break
             if a > C and i:
-                if ra and rb:
-                    a1, ra1 = divmod(qa, ra)
-                    b1, rb1 = divmod(qb, rb)
-                    if a1 == b1 or (ra1 and rb1):
-                        return ExclusionWitness(word, k, i, a, WitnessKind.SHARED_DIGIT)
-                return ExclusionWitness(word, k, i, a, WitnessKind.NEXT_DIGIT_MIN)
+                return ExclusionWitness(word, k, i, a)
             if not (ra and rb):
                 break
             pa, qa, pb, qb = qa, ra, qb, rb
@@ -219,7 +206,7 @@ def try_exclude(word, C: int, k_cap: int = DEFAULT_K_CAP, *, fold=None, tables=N
             if i == 0:
                 break
             if ra and rb and a > C and b > C:
-                return ExclusionWitness(word, k, i, min(a, b), WitnessKind.NEXT_DIGIT_MIN)
+                return ExclusionWitness(word, k, i, min(a, b))
         # Digits 0..i-1 are shared without terminating, and those past digit 0
         # are at most C, so they hold on every cylinder inside this one.
         found.append((i, pa, qa, pb, qb))
@@ -277,7 +264,7 @@ def run(C: int, max_depth: int | None = None, k_cap: int = DEFAULT_K_CAP,
         jobs: int | None = 1, collect_witnesses: bool = False):
     """Prefix exclusion for the bound C, walked depth first from the C^2 depth-2 roots.
 
-    Returns a SearchReport (and the witness list when requested).  The
+    Returns a SearchReport, whose witnesses are listed when requested.  The
     report and the witness order are those of a breadth-first search in
     lexicographic order, for any worker count: each root's subtree is one
     task, and the per-depth results are merged in root order.
@@ -303,11 +290,9 @@ def run(C: int, max_depth: int | None = None, k_cap: int = DEFAULT_K_CAP,
             levels[n][2] += found
     depths = [DepthStats(n + 2, frontier, excluded)
               for n, (frontier, excluded, _) in enumerate(levels)]
-    report = SearchReport(C, not any(cut for _, _, cut in parts), len(depths) + 1,
-                          max(K for _, K, _ in parts), depths, time.monotonic() - start)
-    if collect_witnesses:
-        return report, [wit for _, _, found in levels for wit in found]
-    return report
+    return SearchReport(C, not any(cut for _, _, cut in parts), len(depths) + 1,
+                        max(K for _, K, _ in parts), depths, time.monotonic() - start,
+                        [wit for _, _, found in levels for wit in found])
 
 
 # -- constructive witness ----------------------------------------------------
@@ -334,22 +319,24 @@ def two_adic_valuation(n: int) -> int:
 
 
 def _find_large_digit(s: QuadraticSurd, need: int, digit_cap: int):
-    """First body digit >= need in the expansion of s: (n, digit, q_{n-1}).
+    """First body digit >= need in the expansion of s: (n, q_{n-1}).
 
     Returns None when the expansion provably cycles below `need`, or when
-    digit_cap digits were scanned without a conclusion.
+    digit_cap digits were scanned without a conclusion.  The digit at which
+    the cycle closes is checked before the cycle test: for a purely
+    periodic s it repeats a0, which was not checked as a body digit.
     """
     r = isqrt(s.D)
     cycle_start = None  # the first reduced (P, Q); the walk cycles when it comes back
     digits: list[int] = []
     for n, (P, Q, a) in zip(range(digit_cap + 1), _quotients(s.P, s.D, s.Q, r)):
+        if n >= 1 and a >= need:
+            return n, fold_word(digits)[1]
         if cycle_start is None:
             if _is_reduced(P, Q, r):
                 cycle_start = (P, Q)
         elif cycle_start == (P, Q):
             return None
-        if n >= 1 and a >= need:
-            return n, a, fold_word(digits)[1]
         digits.append(a)
     return None
 
@@ -378,12 +365,14 @@ def witness_q(s: QuadraticSurd, threshold: Fraction = Fraction(1, 15),
     """
     if k_cap < 0:
         raise ValueError("k_cap must be >= 0")
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
     need = -((-threshold.denominator) // threshold.numerator)  # ceil(1/threshold)
     beta = s
     for k in range(k_cap + 1):
         hit = _find_large_digit(beta, need, _WITNESS_DIGIT_CAP)
         if hit is not None:
-            n, _, qm1 = hit
+            n, qm1 = hit
             q = (1 << k) * qm1
             v = two_adic_valuation(q)
             t = linear_fractional(s, q, 0, 0, 1)  # q*s

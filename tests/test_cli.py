@@ -143,6 +143,18 @@ def test_witness_cli(capsys):
     code, out, _ = run_cli(capsys, "witness", "(3 + sqrt(17))/2")
     assert code == 0
     assert "q = 16" in out and "< 1/15" in out
+    # the digit 20 of [(20; 1)] that closes the cycle at n = 2 is a witness
+    code, out, _ = run_cli(capsys, "witness", "(10 + sqrt(120))/1", "--k-cap", "0")
+    assert code == 0
+    assert out.startswith("q = 1  (k=0, digit index n=2)\n")
+
+
+def test_witness_threshold_domain_exit_2(capsys):
+    for threshold in ("0", "-1/15", "1/0", "zero"):
+        code, out, err = run_cli(capsys, "witness", "(3 + sqrt(17))/2",
+                                 f"--threshold={threshold}")
+        assert (code, out) == (2, ""), threshold
+        assert re.fullmatch(r"error: .*threshold.*\n", err), (threshold, err)
 
 
 def test_bad_literals_exit_2(capsys):
@@ -244,6 +256,10 @@ def test_expand_digit_preview(capsys):
         code, out, _ = run_cli(capsys, "expand", str(s), "--digits", "12")
         assert code == 0
         assert out == f"{a0}; {', '.join(map(str, body))}, ...\n", s
+    for argv, preview in ((("expand", "(0 + sqrt(2))/1", "--digits", "1"), "1; ..."),
+                          (("double", "[3]", "--digits", "3"), "6")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, preview + "\n"), argv
 
 
 def test_expand_digits_streams_without_the_period():

@@ -2,7 +2,7 @@ import concurrent.futures
 import os
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cf2.pool
 from cf2.equiv import scan_self_similar
@@ -66,3 +66,23 @@ def test_huge_jobs_is_clamped_to_cores_and_tasks(monkeypatch, cores):
     assert len(_InlinePool.calls) == (2 if limit > 1 else 0)
     for max_workers, tasks in _InlinePool.calls:
         assert 2 <= max_workers <= min(limit, tasks)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.one_of(st.none(), st.integers(2, 6)), st.booleans(),
+       st.integers(2, 300), st.integers(0, 400), st.integers(1, 40), st.sampled_from([2, 3, 8]))
+def test_results_do_not_depend_on_the_worker_count(C, max_depth, collect, d_min, span, q_max,
+                                                    cores):
+    # the in-process pool stands in for the processes, so the merge is what is tested
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        mp.setattr(cf2.pool.os, "cpu_count", lambda: cores)
+        _InlinePool.calls = []
+        searched = run(C, max_depth=max_depth, jobs=1, collect_witnesses=collect)
+        scanned = scan_self_similar(d_min + span, q_max, d_min=d_min, jobs=1)
+        assert _InlinePool.calls == []
+        for jobs in (2, 3, 8, None):
+            assert run(C, max_depth=max_depth, jobs=jobs, collect_witnesses=collect) == searched
+            assert scan_self_similar(d_min + span, q_max, d_min=d_min, jobs=jobs) == scanned
+        # the search has C^2 tasks, the scan one per 64 or more values of D
+        assert bool(_InlinePool.calls) == (C > 1 or span >= 64)

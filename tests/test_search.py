@@ -13,7 +13,6 @@ from cf2.search import (
     ExclusionWitness,
     SearchCapExceeded,
     SearchReport,
-    WitnessKind,
     _find_large_digit,
     _tables,
     common_prefix_info,
@@ -171,17 +170,18 @@ def test_terminated_search_claim_against_expansion_oracle():
 
 
 def test_parallel_run_witnesses_match_serial():
-    serial = run(3, collect_witnesses=True)[1]
+    serial = run(3, collect_witnesses=True).witnesses
+    assert serial and run(3).witnesses == []
     for jobs in (2, 3, None):
-        assert run(3, jobs=jobs, collect_witnesses=True)[1] == serial, jobs
+        assert run(3, jobs=jobs, collect_witnesses=True).witnesses == serial, jobs
 
 
 def test_witness_soundness_via_surd_oracle():
     rng = random.Random(23)
     C = 3
-    report, witnesses = run(C, collect_witnesses=True)
+    report = run(C, collect_witnesses=True)
     assert report.terminated
-    sample = rng.sample(witnesses, min(25, len(witnesses)))
+    sample = rng.sample(report.witnesses, min(25, len(report.witnesses)))
     for wit in sample:
         for _ in range(20):
             tail = tuple(rng.randint(1, C) for _ in range(12))
@@ -204,10 +204,9 @@ def _fraction_exclude(word, C, k_cap=DEFAULT_K_CAP):
         shared, next_min = common_prefix_info(x, y)
         for pos, digit in enumerate(shared):
             if pos >= 1 and digit > C:
-                return ExclusionWitness(word, k, pos, digit, WitnessKind.SHARED_DIGIT)
+                return ExclusionWitness(word, k, pos, digit)
         if len(shared) >= 1 and next_min is not None and next_min > C:
-            return ExclusionWitness(word, k, len(shared), next_min,
-                                    WitnessKind.NEXT_DIGIT_MIN)
+            return ExclusionWitness(word, k, len(shared), next_min)
     return None
 
 
@@ -228,7 +227,7 @@ def _bfs_run(C, max_depth=None, exclude=try_exclude):
         words = [w + (d,) for w, wit in zip(words, results) if wit is None
                  for d in range(1, C + 1)]
         depth += 1
-    return SearchReport(C, terminated, depth - 1, K, depths), witnesses
+    return SearchReport(C, terminated, depth - 1, K, depths, witnesses=witnesses)
 
 
 def test_try_exclude_matches_fraction_oracle():
@@ -238,7 +237,7 @@ def test_try_exclude_matches_fraction_oracle():
             expected = _fraction_exclude(word, C)
             assert try_exclude(word, C) == expected, word
             return expected
-        report, _ = _bfs_run(C, exclude=both)
+        report = _bfs_run(C, exclude=both)
         visited += sum(d.frontier for d in report.depths)
     assert visited == 2159
 
@@ -246,11 +245,10 @@ def test_try_exclude_matches_fraction_oracle():
 @pytest.mark.parametrize("C", range(1, 7))
 @pytest.mark.parametrize("max_depth", [None, 2, 4])
 def test_depth_first_run_matches_breadth_first_oracle(C, max_depth):
-    expected, expected_witnesses = _bfs_run(C, max_depth)
+    expected = _bfs_run(C, max_depth)
     for jobs in (1, 2):
-        report, witnesses = run(C, max_depth=max_depth, jobs=jobs, collect_witnesses=True)
-        assert report == expected, (jobs, report, expected)
-        assert witnesses == expected_witnesses, jobs
+        report = run(C, max_depth=max_depth, jobs=jobs, collect_witnesses=True)
+        assert report == expected, (jobs, report, expected)  # witnesses included
 
 
 def _euclid_state(word, C, k, j):
@@ -329,6 +327,22 @@ def test_witness_q_cap():
         witness_q(QuadraticSurd(3, 17, 2), k_cap=-1)
 
 
+@pytest.mark.parametrize("threshold", [Fraction(0), Fraction(-1, 15), -1])
+def test_witness_q_rejects_non_positive_thresholds(threshold):
+    with pytest.raises(ValueError, match="threshold must be positive"):
+        witness_q(QuadraticSurd(3, 17, 2), threshold=threshold)
+
+
+def test_witness_q_reads_the_repeated_a0_of_a_purely_periodic_surd():
+    # (10 + sqrt(120))/1 = [(20; 1)]: the digit 20 at n = 2 closes the cycle
+    s = QuadraticSurd(10, 120, 1)
+    assert str(expand_surd(s)) == "[(20; 1)]"
+    assert _find_large_digit(s, 15, 2000) == (2, 1)
+    w = witness_q(s, k_cap=0)
+    assert (w.k, w.n, w.q) == (0, 2, 1)
+    assert w.value < Fraction(1, 15)
+
+
 def _large_digit_by_seen_set(s, need, digit_cap):
     """_find_large_digit detecting the cycle by a set of every visited (P, Q) state."""
     P, D, Q = s.P, s.D, s.Q
@@ -336,12 +350,12 @@ def _large_digit_by_seen_set(s, need, digit_cap):
     seen = set()
     qm1, qm2 = 0, 0
     for n in range(digit_cap + 1):
+        a = (P + r) // Q if Q > 0 else -((P + r) // (-Q)) - 1
+        if n >= 1 and a >= need:  # before the cycle test: a revisit at n repeats a0 of s
+            return n, qm1
         if (P, Q) in seen:
             return None
         seen.add((P, Q))
-        a = (P + r) // Q if Q > 0 else -((P + r) // (-Q)) - 1
-        if n >= 1 and a >= need:
-            return n, a, qm1
         P = a * Q - P
         Q = (D - P * P) // Q
         qm1, qm2 = (1, 0) if n == 0 else (a * qm1 + qm2, qm1)
@@ -354,6 +368,7 @@ def _large_digit_by_seen_set(s, need, digit_cap):
 @example(2, 0, 1, 3, 2000)
 @example(3, 0, 1, 3, 2000)
 @example(17, 3, 2, 15, 2000)
+@example(120, 10, 1, 15, 2000)
 def test_find_large_digit_matches_seen_set(D, P, Q, need, digit_cap):
     s = QuadraticSurd(P, D, Q)
     assert _find_large_digit(s, need, digit_cap) == _large_digit_by_seen_set(s, need, digit_cap)
