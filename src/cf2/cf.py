@@ -79,14 +79,68 @@ def least_rotation(word: Digits) -> Digits:
     return ww[i:i + n]
 
 
+def _check_digit(d) -> None:
+    """The one body-digit rule: an int >= 1 (int subclasses pass)."""
+    if not isinstance(d, int) or d < 1:
+        raise ValueError(f"body digit must be a positive integer, got {d!r}")
+
+
+def _validate(a0, body: Digits) -> None:
+    """Raise on the first body digit `_check_digit` rejects, then on a non-int a0."""
+    if body and not (set(map(type, body)) <= _INT and min(body) >= 1):
+        for d in body:
+            _check_digit(d)
+    if not isinstance(a0, int):
+        raise ValueError(f"integer part must be an int, got {a0!r}")
+
+
+def _canonicalize(cf: CF, a0: int, pre: Digits, period: Digits) -> CF:
+    """Store on `cf` the canonical form of valid digits, and return it.
+
+    The period is made primitive and the preperiod minimal (a preperiod
+    digit equal to the last period digit is absorbed by rotating the
+    period); a finite body never ends in 1.
+    """
+    if period:
+        period = primitive_word(period)
+        # Absorb the preperiod digits that continue the period backwards.
+        n, m = len(pre), len(period)
+        k = 0
+        while k < n and pre[n - 1 - k] == period[-1 - k % m]:
+            k += 1
+        if k:
+            pre = pre[:n - k]
+            k %= m
+            period = period[m - k:] + period[:m - k]
+    else:
+        # Fold a trailing 1 so rationals have a unique representation.
+        if len(pre) >= 2 and pre[-1] == 1:
+            pre = pre[:-2] + (pre[-2] + 1,)
+        elif pre == (1,):
+            a0 += 1
+            pre = ()
+    object.__setattr__(cf, "a0", a0)
+    object.__setattr__(cf, "pre", pre)
+    object.__setattr__(cf, "period", period)
+    return cf
+
+
+def _canonical_cf(a0: int, pre: Digits, period: Digits) -> CF:
+    """The CF of digit tuples valid by construction: canonicalized, never checked.
+
+    The library's producers build here; `CF(...)` is for digits from
+    outside and checks them first.
+    """
+    return _canonicalize(object.__new__(CF), a0, pre, period)
+
+
 @dataclass(frozen=True)
 class CF:
     """Continued fraction [a0; d1, d2, ...], finite or eventually periodic.
 
-    `period == ()` means the value is rational (finite body).  Construction
-    canonicalizes: body digits are positive, a finite body never ends in 1,
-    the period is primitive, and the preperiod is minimal (a preperiod digit
-    equal to the last period digit is absorbed by rotating the period).
+    `period == ()` means the value is rational (finite body).  `CF(...)`
+    checks that a0 is an int and every body digit an int >= 1, then
+    canonicalizes (see `_canonicalize`).
     """
 
     a0: int
@@ -94,37 +148,10 @@ class CF:
     period: Digits = ()
 
     def __post_init__(self):
-        a0 = self.a0
         pre = tuple(self.pre)
         period = tuple(self.period)
-        body = pre + period
-        if body and not (set(map(type, body)) <= _INT and min(body) >= 1):
-            for d in body:  # name the first offender; int subclasses pass as before
-                if not isinstance(d, int) or d < 1:
-                    raise ValueError(f"body digit must be a positive integer, got {d!r}")
-        if not isinstance(a0, int):
-            raise ValueError(f"integer part must be an int, got {a0!r}")
-        if period:
-            period = primitive_word(period)
-            # Absorb the preperiod digits that continue the period backwards.
-            n, m = len(pre), len(period)
-            k = 0
-            while k < n and pre[n - 1 - k] == period[-1 - k % m]:
-                k += 1
-            if k:
-                pre = pre[:n - k]
-                k %= m
-                period = period[m - k:] + period[:m - k]
-        else:
-            # Fold a trailing 1 so rationals have a unique representation.
-            if len(pre) >= 2 and pre[-1] == 1:
-                pre = pre[:-2] + (pre[-2] + 1,)
-            elif pre == (1,):
-                a0 += 1
-                pre = ()
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "period", period)
+        _validate(self.a0, pre + period)
+        _canonicalize(self, self.a0, pre, period)
 
     @property
     def is_finite(self) -> bool:
@@ -179,7 +206,7 @@ def cf_of_rational(r: Fraction | int) -> CF:
         p, q = q, rem
         d, rem = divmod(p, q)
         digits.append(d)
-    return CF(a, tuple(digits))
+    return _canonical_cf(a, tuple(digits), ())
 
 
 def eval_finite(cf: CF) -> Fraction:
@@ -220,7 +247,7 @@ def _reciprocal_digits(a0: int, pre: Digits, period: Digits) -> tuple[int, Digit
 
 def reciprocal(cf: CF) -> CF:
     """1/x as a continued fraction; requires x > 0."""
-    return CF(*_reciprocal_digits(cf.a0, cf.pre, cf.period))
+    return _canonical_cf(*_reciprocal_digits(cf.a0, cf.pre, cf.period))
 
 
 # ---------------------------------------------------------------------------

@@ -77,11 +77,11 @@ def _cmd_trio(args) -> int:
 def _cmd_search(args) -> int:
     report = run(args.C, max_depth=args.max_depth, k_cap=args.k_cap, jobs=args.jobs,
                  collect_witnesses=args.witnesses)
-    for w in report.witnesses:
-        print(w)
     if args.json:
-        print(report.to_json())
+        print(report.to_json(witnesses=args.witnesses))
     else:
+        for w in report.witnesses:
+            print(w)
         status = "terminated" if report.terminated else "stopped early"
         print(f"C={report.C}: {status}, K={report.K}, "
               f"max depth {report.max_depth_reached}, {report.seconds:.2f}s")
@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-cap", type=_at_least(1), default=256)
     p.add_argument("--jobs", type=_at_least(1), default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--witnesses", action="store_true", help="dump one line per exclusion")
+    p.add_argument("--witnesses", action="store_true",
+                   help="dump one line per exclusion (with --json, a list in the object)")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("chain", help="beta with 2^k beta all in one class, k <= K")

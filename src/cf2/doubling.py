@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .cf import CF, Digits, _reciprocal_digits, cf_of_rational, eval_finite, fold_word, reciprocal
+from .cf import (CF, Digits, _canonical_cf, _check_digit, _reciprocal_digits, cf_of_rational,
+                 eval_finite, fold_word, reciprocal)
 from .surd import QuadraticSurd, expand_surd
 
 
@@ -89,8 +90,7 @@ def _fed(digits: Iterable[int]) -> Iterator[DoublingState]:
         raise ValueError("empty digit source") from None
     yield machine
     for d in it:
-        if not isinstance(d, int) or d < 1:
-            raise ValueError(f"body digit must be a positive integer, got {d!r}")
+        _check_digit(d)
         machine.step(d)
         yield machine
 
@@ -148,7 +148,7 @@ def double_cf(cf: CF) -> CF:
     """Exact continued fraction of 2x for finite or eventually periodic x."""
     if cf.is_finite:
         return cf_of_rational(2 * eval_finite(cf))
-    return CF(*_double_periodic(cf.a0, cf.pre, cf.period))
+    return _canonical_cf(*_double_periodic(cf.a0, cf.pre, cf.period))
 
 
 def _halve(cf: CF, plus: int) -> CF:
@@ -157,7 +157,7 @@ def _halve(cf: CF, plus: int) -> CF:
         return cf_of_rational((eval_finite(cf) + plus) / 2)
     if cf.a0 < 0:
         raise ValueError("halving is defined here only for positive values")
-    return CF(*_reciprocal_digits(*_double_periodic(
+    return _canonical_cf(*_reciprocal_digits(*_double_periodic(
         *_reciprocal_digits(cf.a0 + plus, cf.pre, cf.period))))
 
 

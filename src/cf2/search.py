@@ -60,15 +60,20 @@ class SearchReport:
     seconds: float = field(default=0.0, compare=False)  # wall time: == compares results only
     witnesses: list[ExclusionWitness] = field(default_factory=list)  # empty unless collected
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_json(self, witnesses: bool = False) -> str:
+        """The report as one JSON object; `witnesses` adds the list of them."""
+        out = {
             "C": self.C,
             "terminated": self.terminated,
             "K": self.K,
             "depths": [{"n": d.n, "frontier": d.frontier, "excluded": d.excluded}
                        for d in self.depths],
             "seconds": round(self.seconds, 4),
-        })
+        }
+        if witnesses:
+            out["witnesses"] = [{"prefix": list(w.prefix), "k": w.k, "position": w.position,
+                                 "bound": w.bound} for w in self.witnesses]
+        return json.dumps(out)
 
 
 @dataclass(frozen=True)

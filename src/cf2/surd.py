@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator
 
-from .cf import CF, LiteralParseError, _Scanner, fold_word
+from .cf import CF, LiteralParseError, _canonical_cf, _Scanner, fold_word
 
 
 class SurdParseError(LiteralParseError):
@@ -212,8 +212,8 @@ def _expansion_raw(P: int, D: int, Q: int, states: list[tuple[int, int]] | None 
 
 def _cf_of_raw(digits: list[int], j: int) -> CF:
     if j == 0:
-        return CF(digits[0], (), tuple(digits[1:]) + (digits[0],))
-    return CF(digits[0], tuple(digits[1:j]), tuple(digits[j:]))
+        return _canonical_cf(digits[0], (), tuple(digits[1:]) + (digits[0],))
+    return _canonical_cf(digits[0], tuple(digits[1:j]), tuple(digits[j:]))
 
 
 def expand_surd(s: QuadraticSurd) -> CF:

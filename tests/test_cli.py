@@ -14,6 +14,7 @@ import cf2.surd
 from conftest import random_periodic_cf, random_surd
 from cf2.cf import parse_cf
 from cf2.cli import main
+from cf2.search import run
 from cf2.surd import expand_surd, parse_surd
 
 
@@ -71,6 +72,22 @@ def test_search_witness_dump(capsys):
     assert code == 0
     dump = [l for l in out.splitlines() if l.startswith("w=")]
     assert dump and all(" k=" in l and " pos=" in l and " bound=" in l for l in dump)
+
+
+def test_search_witnesses_json_is_one_object(capsys):
+    code, out, _ = run_cli(capsys, "search", "--C", "2", "--witnesses", "--json", "--jobs", "1")
+    assert code == 0
+    got = json.loads(out)  # the whole of stdout: no dump lines around the object
+    report = run(2, collect_witnesses=True)
+    assert got.pop("seconds") >= 0
+    assert got == {
+        "C": report.C, "terminated": report.terminated, "K": report.K,
+        "depths": [{"n": d.n, "frontier": d.frontier, "excluded": d.excluded}
+                   for d in report.depths],
+        "witnesses": [{"prefix": list(w.prefix), "k": w.k, "position": w.position,
+                       "bound": w.bound} for w in report.witnesses],
+    }
+    assert got["witnesses"]
 
 
 def test_search_depth_cap_exit_code(capsys):

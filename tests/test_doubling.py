@@ -149,6 +149,16 @@ def test_zero_body_digit_rejected_by_every_driver():
         doubled_digit_prefix(digits, 1)
 
 
+@pytest.mark.parametrize("bad", [0, "3"])
+def test_stream_digit_error_is_the_cf_error(bad):
+    with pytest.raises(ValueError) as checked:
+        CF(1, (2, bad, 2))
+    with pytest.raises(ValueError) as streamed:
+        list(itertools.islice(double_stream(iter([1, 2, bad, 2])), 4))
+    assert str(streamed.value) == str(checked.value)
+    assert str(checked.value) == f"body digit must be a positive integer, got {bad!r}"
+
+
 @given(st.integers(-3, 5), st.lists(st.one_of(st.integers(1, 3), st.integers(1, 40)), max_size=40))
 @example(0, [1, 2, 1, 1, 3])
 @example(2, [1, 1, 1, 1, 1, 1])
@@ -173,8 +183,10 @@ def test_results_hold_without_asserts():
     """`python -O` strips assert statements; no result may depend on one."""
     script = "\n".join([
         "import sys",
-        "from cf2 import (double_cf, family_chain, halve_cf, halve_plus1_cf, interval_bounds,",
-        "                 parse_cf, parse_surd, verify_b2_exhaustive, witness_q)",
+        "from fractions import Fraction",
+        "from cf2 import (double_cf, expand_surd, family_chain, halve_cf, halve_plus1_cf,",
+        "                 interval_bounds, parse_cf, parse_surd, verify_b2_exhaustive, witness_q)",
+        "from cf2.cf import cf_of_rational, reciprocal",
         "print(sys.flags.optimize)",
         "print(verify_b2_exhaustive(6, 3))",
         "print(double_cf(parse_cf('[0; 2, (1, 1, 3)]')))",
@@ -184,6 +196,9 @@ def test_results_hold_without_asserts():
         "w = witness_q(parse_surd('(3 + sqrt(17))/2'))",
         "print(w.q, w.value)",
         "print(*interval_bounds((1, 2), 3))",
+        "print(expand_surd(parse_surd('(1 + sqrt(3))/5')))",
+        "print(reciprocal(parse_cf('[0; 2, (1, 1, 3)]')))",
+        "print(cf_of_rational(Fraction(-17, 12)))",
     ])
     src = str(Path(cf2.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -193,7 +208,8 @@ def test_results_hold_without_asserts():
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "1", "[]", "[0; (1, 3, 1)]", "[(1; 1, 3)]", "[2; (3, 1, 1)]",
-        "(23 + sqrt(17))/32", "16 1/64", "206/297 67/91"]
+        "(23 + sqrt(17))/32", "16 1/64", "206/297 67/91",
+        "[0; 1, (1, 4, 1, 7)]", "[2; (1, 1, 3)]", "[-2; 1, 1, 2, 2]"]
 
 
 def test_double_cf_worked_examples():
