@@ -19,6 +19,7 @@ from .surd import expand_surd, parse_surd, surd_of_periodic_cf
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+INTERRUPTED = 130  # 128 + SIGINT, the shell's code for a command stopped by Ctrl-C
 
 
 def _at_least(lo: int):
@@ -233,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # literal and domain errors, e.g. halving a negative value
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -3,6 +3,35 @@
 Two quadratic irrationals are equivalent exactly when their expansions
 eventually agree, i.e. when the primitive periods are rotations of one
 another.  The class key is the lexicographically least rotation.
+
+Which images of s can share its class.  Equivalent surds have primitive
+minimal polynomials of one discriminant.  Let s have the primitive
+polynomial (A, B, C), of discriminant d = B*B - 4*A*C.  The images 2s,
+s/2 and (s+1)/2 are roots of (A, 2B, 4C), (4A, 2B, C) and
+(4A, 2B - 4A, A - B + C), each of discriminant 4d, so an image keeps d
+exactly when that polynomial has content 2.  No odd prime divides the
+content, as it would divide A, B and C.
+- B odd: the content is 2 iff A is even for 2s, iff C is even for s/2,
+  and iff A - B + C is even, i.e. A + C is odd, for (s+1)/2.  Exactly
+  two of these hold, unless A and C are both odd, when none does.
+- B even: A and C are not both even.  2s keeps d only if A is even, s/2
+  only if C is even, and (s+1)/2 only if A + C is even, so at most one
+  image keeps d.
+So at least two images keep d iff B is odd and A*C is even, that is iff
+d = 1 (mod 8): the condition for 2 to split in the quadratic order of
+discriminant d, where the Kronecker symbol (d/2) is 1 (Cohen, A Course in
+Computational Algebraic Number Theory, GTM 138, ch. 5).  The parities of
+A and C then name the two images.  A class holds a member equivalent to
+both of its halvings iff two of the three images stay in the class (see
+class_contains_self_similar), so only a class with d = 1 (mod 8) can.
+
+The scan reads this off its reduced states (P + sqrt(D))/Q, Q | D - P*P.
+Their primitive polynomial is (Q, -2P, (P*P - D)/Q)/g with content
+g = gcd(Q, 2P, (D - P*P)/Q), of discriminant d = 4D/g**2.  An odd d needs
+an even g, so an even Q, and then D = 4**e * u with 2**(e+1) || g and
+u = d * (g/2**(e+1))**2, which is d = 1 (mod 8) as odd squares are.
+Every other D, every odd Q and every state with 4D/g**2 != 1 (mod 8) is
+skipped without a walk; all states of a cycle share d, so they all fail.
 """
 
 from __future__ import annotations
@@ -37,8 +66,7 @@ class Move(enum.Enum):
     HALF_PLUS1 = "half+1"
 
 
-# The images of the x2 algorithm, s -> (a*s + b)/d as (move, a, b, d), doubling first;
-# plain tuples, so that the scan's loop over them does no attribute lookups.
+# The images of the x2 algorithm, s -> (a*s + b)/d as (move, a, b, d), doubling first.
 _IMAGES = (
     (Move.DOUBLE, 2, 0, 1),
     (Move.HALF, 1, 0, 2),
@@ -107,6 +135,13 @@ def self_similar_check(s: QuadraticSurd) -> bool:
     return all(class_key(linear_fractional(s, a, b, 0, d)) == key for _, a, b, d in _IMAGES[1:])
 
 
+def _kept_images(A: int, B: int, C: int) -> tuple:
+    """The rows of _IMAGES whose images keep the discriminant of (A, B, C) if two do, else ()."""
+    if (B * B - 4 * A * C) & 7 != 1:
+        return ()
+    return tuple(row for row, kept in zip(_IMAGES, (not A & 1, not C & 1, (A + C) & 1)) if kept)
+
+
 def class_contains_self_similar(s: QuadraticSurd, key: ClassKey | None = None) -> bool:
     """True iff the class of s has some member equivalent to both its halvings.
 
@@ -116,27 +151,15 @@ def class_contains_self_similar(s: QuadraticSurd, key: ClassKey | None = None) -
     any of the three, so two in-class images means some member keeps both
     halvings in the class.
 
-    `key` is class_key(s), when the caller already has it.  Equivalent
-    surds have primitive minimal polynomials of one discriminant, so an
-    image whose polynomial has another discriminant is never built or
-    expanded, and neither is any image once the count cannot reach two.
-    The least rotation is taken only of a period as long as the key.
+    `key` is class_key(s), when the caller already has it.  Only the two images
+    that keep the discriminant of s can be in its class, so only they are expanded,
+    and the least rotation is taken only of a period as long as the key.
     """
     if key is None:
         key = class_key(s)
-    A, B, C = s.minimal_polynomial()
-    # t = (a*s + b)/d is a root of s's polynomial at s = (d*t - b)/a, times a*a.  That has
-    # (a*d)**2 times the discriminant of s, so t keeps s's primitive one iff its content is a*d.
-    images = [(a, b, d) for _, a, b, d in _IMAGES if a * d == gcd(
-        A * d * d, (a * B - 2 * b * A) * d, A * b * b - a * b * B + a * a * C)]
-    spare = len(images) - 2  # candidates that may still fall outside the class
-    for a, b, d in images:
-        if spare < 0:
-            return False
-        period = expand_surd(linear_fractional(s, a, b, 0, d)).period
-        if len(period) != len(key) or least_rotation(period) != key:
-            spare -= 1
-    return spare >= 0
+    rows = _kept_images(*s.minimal_polynomial())
+    periods = (expand_surd(linear_fractional(s, a, b, 0, d)).period for _, a, b, d in rows)
+    return bool(rows) and all(len(p) == len(key) and least_rotation(p) == key for p in periods)
 
 
 def two_of_three(beta: QuadraticSurd, target: ClassKey) -> set[Move]:
@@ -147,10 +170,11 @@ def two_of_three(beta: QuadraticSurd, target: ClassKey) -> set[Move]:
     """
     if class_key(beta) != target:
         raise ValueError("beta is not a member of the target class")
-    hits = {move for move, a, b, d in _IMAGES
-            if class_key(linear_fractional(beta, a, b, 0, d)) == target}
+    rows = _kept_images(*beta.minimal_polynomial())
+    hits = {move for move, a, b, d in rows if class_key(linear_fractional(beta, a, b, 0, d)) == target}
     if len(hits) != 2:
-        raise ValueError(f"expected exactly two equivalent images, got {sorted(m.value for m in hits)}")
+        raise ValueError(f"expected exactly two equivalent images, got {sorted(m.value for m in hits)}"
+                         f" of the {len(rows)} that keep the discriminant")
     return hits
 
 
@@ -175,7 +199,8 @@ def build_chain(alpha: QuadraticSurd, K: int) -> ChainResult:
         raise ValueError("alpha does not satisfy the self-similarity precondition")
     beta = alpha
     for step in range(K):
-        halves = (linear_fractional(beta, a, b, 0, d) for _, a, b, d in _IMAGES[1:])
+        halves = (linear_fractional(beta, a, b, 0, d) for move, a, b, d
+                  in _kept_images(*beta.minimal_polynomial()) if move is not Move.DOUBLE)
         stay = [image for image in halves if class_key(image) == target]
         if not stay:
             raise RuntimeError("no equivalent halving; self-similarity violated")
@@ -216,9 +241,9 @@ class ScanHit:
 
 
 def _divisor_table(d_hi: int, q_max: int) -> list[list[int]]:
-    """table[m] lists the divisors q <= q_max of m, ascending, for 0 < m <= d_hi."""
+    """table[m] lists the even divisors q <= q_max of m, ascending, for 0 < m <= d_hi."""
     table: list[list[int]] = [[] for _ in range(d_hi + 1)]
-    for q in range(1, q_max + 1):
+    for q in range(2, q_max + 1, 2):
         for m in range(q, d_hi + 1, q):
             table[m].append(q)
     return table
@@ -230,17 +255,23 @@ def _scan_range(args) -> list[ScanHit]:
     seen_keys: set[ClassKey] = set()
     hits: list[ScanHit] = []
     for D in ds:
+        u = D
+        while not u & 3:
+            u >>= 2
         r = isqrt(D)
-        if r * r == D:
+        if u & 7 != 1 or r * r == D:  # only D = 4**e * u, u = 1 (mod 8), can pass
             continue
         seen_states: set[tuple[int, int]] = set()
         local: list[ScanHit] = []
         for P in range(1, r + 1):
+            M = D - P * P
             # reduced (value > 1, conjugate in (-1, 0)) iff r - P < Q <= r + P
-            for Q in divisors[D - P * P]:
+            for Q in divisors[M]:
                 if Q > r + P:
                     break
                 if Q <= r - P or (P, Q) in seen_states:
+                    continue
+                if (4 * D // gcd(Q, 2 * P, M // Q) ** 2) & 7 != 1:  # so does its whole cycle
                     continue
                 states: list[tuple[int, int]] = []
                 digits = _cycle(P, Q, D, r, states)

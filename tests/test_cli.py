@@ -2,8 +2,10 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _child_env():
+    """The environment for `python -m cf2.cli` in a subprocess, with this checkout's src first."""
+    src = str(Path(cf2.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_expand(capsys):
@@ -100,13 +109,10 @@ def test_search_depth_cap_exit_code(capsys):
 def test_closed_stdout_exits_1_without_traceback():
     # the reader takes one line and closes the pipe, as `| head -1` does; the
     # dump is far larger than a pipe buffer, so the writer is still writing
-    src = str(Path(cf2.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     with subprocess.Popen(
             [sys.executable, "-m", "cf2.cli", "search", "--C", "8", "--witnesses",
              "--jobs", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
         try:
             assert proc.stdout.readline().startswith(b"w=")
             proc.stdout.close()
@@ -116,6 +122,23 @@ def test_closed_stdout_exits_1_without_traceback():
             proc.kill()
     assert code == 1
     assert err == b""
+
+
+def test_interrupt_exits_130_with_one_line():
+    # Ctrl-C during a long search, sent once the child is past its imports (about 0.3 s)
+    with subprocess.Popen(
+            [sys.executable, "-m", "cf2.cli", "search", "--C", "13", "--jobs", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+        try:
+            time.sleep(2)
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 130
+    assert out == b""
+    assert err == b"interrupted\n"
 
 
 def test_chain(capsys):
@@ -281,12 +304,9 @@ def test_expand_digit_preview(capsys):
 
 def test_expand_digits_streams_without_the_period():
     # the period of sqrt(10^30 + 57) has about 10^15 digits
-    src = str(Path(cf2.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-m", "cf2.cli", "expand",
          "(0 + sqrt(1000000000000000000000000000057))/1", "--digits", "5"],
-        env=env, capture_output=True, text=True, timeout=60)
+        env=_child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "1000000000000000; 35087719298245, 1, 1, 1, ...\n"

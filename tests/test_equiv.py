@@ -1,9 +1,8 @@
 import random
 from math import gcd, isqrt
-from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cf2.equiv
 from conftest import random_surd
@@ -326,24 +325,63 @@ def _discriminant(s):
 
 @given(_surds())
 def test_image_table_matches_surd_arithmetic(s):
-    """Each row (move, a, b, d) of the image table is the surd map of its move.
-    The polynomial that class_contains_self_similar derives for the row (the
-    one whose content it takes) is the image's minimal polynomial times a
-    constant, and the content test keeps exactly the images whose primitive
-    discriminant is that of s."""
+    """Each row (move, a, b, d) of the image table is the surd map of its move,
+    and the rule keeps exactly the images whose primitive discriminant is that
+    of s when at least two of them do, and none otherwise."""
     reference = {Move.DOUBLE: double_surd, Move.HALF: halve_surd,
                  Move.HALF_PLUS1: halve_plus1_surd}
-    with mock.patch.object(cf2.equiv, "gcd", wraps=gcd) as content:
-        class_contains_self_similar(s)
     rows = cf2.equiv._IMAGES
     assert [move for move, *_ in rows] == list(Move)
-    assert content.call_count == len(rows)
-    for (move, a, b, d), call in zip(rows, content.call_args_list):
+    same = []
+    for move, a, b, d in rows:
         image = linear_fractional(s, a, b, 0, d)
         assert image == reference[move](s), move
-        poly, g = call.args, gcd(*call.args)
-        assert tuple(c // g for c in poly) == image.minimal_polynomial(), move
-        assert (g == a * d) == (_discriminant(image) == _discriminant(s)), move
+        if _discriminant(image) == _discriminant(s):
+            same.append((move, a, b, d))
+    kept = cf2.equiv._kept_images(*s.minimal_polynomial())
+    assert kept == (tuple(same) if len(same) >= 2 else ())
+
+
+def _content_rows(s):
+    """The image rows that keep the primitive discriminant of s, by the content test.
+
+    t = (a*s + b)/d is a root of s's polynomial at s = (d*t - b)/a, times a*a,
+    which has (a*d)**2 times the discriminant of s; so t keeps the primitive
+    discriminant iff that polynomial has content a*d.
+    """
+    A, B, C = s.minimal_polynomial()
+    return [(move, a, b, d) for move, a, b, d in cf2.equiv._IMAGES if a * d == gcd(
+        A * d * d, (a * B - 2 * b * A) * d, A * b * b - a * b * B + a * a * C)]
+
+
+@given(_surds())
+def test_discriminant_rule_matches_content_test(s):
+    A, B, C = s.minimal_polynomial()
+    rows = _content_rows(s)
+    assert ((B * B - 4 * A * C) % 8 == 1) == (len(rows) >= 2)
+    if len(rows) >= 2:  # 2s iff A even, s/2 iff C even, (s+1)/2 iff A + C odd
+        parity = (A % 2 == 0, C % 2 == 0, (A + C) % 2 == 1)
+        assert rows == [row for row, kept in zip(cf2.equiv._IMAGES, parity) if kept]
+
+
+@given(st.one_of(st.integers(2, 700), st.integers(1, 87).map(lambda j: 8 * j + 1)),
+       st.integers(1, 3))
+def test_passing_states_have_scanned_d_and_even_q(m, k):
+    """Every reduced state (P + sqrt(D))/Q of a class that passes the content
+    test has D = 4**e * u with u = 1 (mod 8) and an even Q, so the scan may
+    skip every other D and list only even divisors."""
+    D = k * k * m
+    if isqrt(D) ** 2 == D:
+        return
+    u = D
+    while u % 4 == 0:
+        u //= 4
+    for P in range(1, isqrt(D) + 1):
+        for Q in range(1, 2 * isqrt(D) + 2):
+            if (D - P * P) % Q or not (Q <= P or (Q - P) ** 2 < D) or (P + Q) ** 2 < D:
+                continue
+            if len(_content_rows(QuadraticSurd(P, D, Q))) >= 2:
+                assert u % 8 == 1 and Q % 2 == 0, (P, D, Q)
 
 
 @pytest.mark.parametrize("d_max, q_max", [(2000, 50), (2000, 6)])
@@ -353,3 +391,48 @@ def test_scan_matches_brute_force(d_max, q_max):
                 if _old_membership_rule(QuadraticSurd(P, D, Q))]
     assert len(expected) > 50
     assert scan_self_similar(d_max, q_max) == expected
+
+
+def _brute_force_window(d_min, d_max, q_max):
+    """_brute_force_classes over the nonsquare D in [d_min, d_max]: the first state
+    in the window of each class, so a class met below d_min is reported again."""
+    seen = set()
+    for D in range(d_min, d_max + 1):
+        if isqrt(D) ** 2 == D:
+            continue
+        local = []
+        for P in range(1, isqrt(D) + 1):
+            for Q in range(1, q_max + 1):
+                if (D - P * P) % Q or not (Q <= P or (Q - P) ** 2 < D) or (P + Q) ** 2 < D:
+                    continue
+                key = class_key(QuadraticSurd(P, D, Q))
+                if key not in seen:
+                    seen.add(key)
+                    local.append((D, Q, P, key))
+        yield from sorted(local, key=lambda c: (c[1], c[2]))
+
+
+def _self_similar_hits(classes):
+    return [ScanHit(D, Q, P, len(key), max(key), key) for D, Q, P, key in classes
+            if _old_membership_rule(QuadraticSurd(P, D, Q))]
+
+
+@st.composite
+def _windows(draw):
+    """(d_min, d_max, q_max) with d_max uniform, as the brute force's cost grows with d_max."""
+    d_max = draw(st.integers(2, 3000))
+    return draw(st.integers(2, d_max)), d_max, draw(st.integers(1, 120))
+
+
+@settings(max_examples=3, deadline=None)
+@given(_windows())
+def test_scan_matches_brute_force_on_random_windows(window):
+    """The scan below d_min against _brute_force_classes, and the window against
+    the brute force that starts at d_min: a window reports a class met below it
+    again, at its first state in the window (a D = 4**e * u with e > 0, say)."""
+    d_min, d_max, q_max = window
+    if d_min > 2:
+        below = _self_similar_hits(_brute_force_classes(d_min - 1, q_max))
+        assert scan_self_similar(d_min - 1, q_max) == below
+    expected = _self_similar_hits(_brute_force_window(d_min, d_max, q_max))
+    assert scan_self_similar(d_max, q_max, d_min=d_min) == expected
