@@ -25,13 +25,21 @@ A and C then name the two images.  A class holds a member equivalent to
 both of its halvings iff two of the three images stay in the class (see
 class_contains_self_similar), so only a class with d = 1 (mod 8) can.
 
-The scan reads this off its reduced states (P + sqrt(D))/Q, Q | D - P*P.
-Their primitive polynomial is (Q, -2P, (P*P - D)/Q)/g with content
+The scan reads this off its reduced states (P + sqrt(D))/Q: with
+r = isqrt(D), those with r - P < Q <= r + P and Q | D - P*P.  Their
+primitive polynomial is (Q, -2P, (P*P - D)/Q)/g with content
 g = gcd(Q, 2P, (D - P*P)/Q), of discriminant d = 4D/g**2.  An odd d needs
 an even g, so an even Q, and then D = 4**e * u with 2**(e+1) || g and
 u = d * (g/2**(e+1))**2, which is d = 1 (mod 8) as odd squares are.
 Every other D, every odd Q and every state with 4D/g**2 != 1 (mod 8) is
 skipped without a walk; all states of a cycle share d, so they all fail.
+So every Q in a passing cycle is even, and the scan needs no divisors of
+D - P*P: for each even Q <= 2r, Q | D - P*P says P = rho (mod Q) for a
+square root rho of D mod Q, read from a table of roots per Q, and
+r - P < Q leaves the one P = r - (r - rho) % Q, a state iff Q <= r + P
+(which rules out P <= 0 too).  A cycle is walked from the first of its
+states met, and its class is tested and named at its least (P, Q) with
+Q <= q_max, the state first in order of P, then Q.
 """
 
 from __future__ import annotations
@@ -240,18 +248,20 @@ class ScanHit:
     key: ClassKey
 
 
-def _divisor_table(d_hi: int, q_max: int) -> list[list[int]]:
-    """table[m] lists the even divisors q <= q_max of m, ascending, for 0 < m <= d_hi."""
-    table: list[list[int]] = [[] for _ in range(d_hi + 1)]
-    for q in range(2, q_max + 1, 2):
-        for m in range(q, d_hi + 1, q):
-            table[m].append(q)
-    return table
+def _root_table(q_hi: int) -> dict[int, list[tuple[int, ...]]]:
+    """roots[q][m] holds the rho in [0, q) with rho*rho = m (mod q), for even q <= q_hi."""
+    roots: dict[int, list[tuple[int, ...]]] = {}
+    for q in range(2, q_hi + 1, 2):
+        lists: list[list[int]] = [[] for _ in range(q)]
+        for rho in range(q):
+            lists[rho * rho % q].append(rho)
+        roots[q] = [tuple(rhos) for rhos in lists]  # a non-residue shares the empty ()
+    return roots
 
 
 def _scan_range(args) -> list[ScanHit]:
     ds, q_max = args
-    divisors = _divisor_table(ds.stop - 1, q_max)
+    roots = _root_table(min(q_max, 2 * isqrt(ds.stop - 1)))
     seen_keys: set[ClassKey] = set()
     hits: list[ScanHit] = []
     for D in ds:
@@ -263,15 +273,13 @@ def _scan_range(args) -> list[ScanHit]:
             continue
         seen_states: set[tuple[int, int]] = set()
         local: list[ScanHit] = []
-        for P in range(1, r + 1):
-            M = D - P * P
-            # reduced (value > 1, conjugate in (-1, 0)) iff r - P < Q <= r + P
-            for Q in divisors[M]:
-                if Q > r + P:
-                    break
-                if Q <= r - P or (P, Q) in seen_states:
+        for Q in range(2, min(q_max, 2 * r) + 1, 2):
+            for rho in roots[Q][D % Q]:
+                # reduced (value > 1, conjugate in (-1, 0)) iff r - P < Q <= r + P
+                P = r - (r - rho) % Q
+                if Q > r + P or (P, Q) in seen_states:
                     continue
-                if (4 * D // gcd(Q, 2 * P, M // Q) ** 2) & 7 != 1:  # so does its whole cycle
+                if (4 * D // gcd(Q, 2 * P, (D - P * P) // Q) ** 2) & 7 != 1:  # so does its cycle
                     continue
                 states: list[tuple[int, int]] = []
                 digits = _cycle(P, Q, D, r, states)
@@ -280,8 +288,9 @@ def _scan_range(args) -> list[ScanHit]:
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                if class_contains_self_similar(QuadraticSurd(P, D, Q), key):
-                    local.append(ScanHit(D, Q, P, len(key), max(key), key))
+                p, q = min((p, q) for p, q in states if q <= q_max)  # first in order of P, then Q
+                if class_contains_self_similar(QuadraticSurd(p, D, q), key):
+                    local.append(ScanHit(D, q, p, len(key), max(key), key))
         hits.extend(sorted(local, key=lambda h: (h.Q, h.P)))
     return hits
 

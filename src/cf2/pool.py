@@ -16,13 +16,22 @@ def workers(jobs: int | None, tasks: int) -> int:
 
 
 def pmap(fn, tasks: list, jobs: int | None) -> list:
-    """[fn(t) for t in tasks], in task order; one worker runs in the calling process."""
+    """[fn(t) for t in tasks], in task order; one worker runs in the calling process.
+
+    An exception, such as KeyboardInterrupt, ends the workers and drops the queued tasks.
+    """
     n = workers(jobs, len(tasks))
     if n == 1:
         return list(map(fn, tasks))
     import concurrent.futures  # here, not at the top: loading multiprocessing costs time and RSS
     with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, tasks))
+        try:
+            return list(pool.map(fn, tasks))
+        except BaseException:  # a SIGINT to this process alone, say: the workers keep running
+            for process in pool._processes.values():  # the executor has no public terminate
+                process.terminate()
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def chunks(items, jobs: int | None) -> list:

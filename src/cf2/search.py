@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .cf import cf_of_rational, fold_word
 from .pool import pmap
@@ -30,8 +31,7 @@ DEFAULT_K_CAP = 256
 _WITNESS_DIGIT_CAP = 2000  # most digits of each 2^k s that `witness_q` scans
 
 
-@dataclass(frozen=True)
-class ExclusionWitness:
+class ExclusionWitness(NamedTuple):
     prefix: tuple[int, ...]
     k: int
     position: int

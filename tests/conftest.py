@@ -1,6 +1,16 @@
+import os
 import random
+from pathlib import Path
 
+import cf2
 from cf2.surd import QuadraticSurd
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a Python subprocess that imports cf2, with this checkout's src first."""
+    src = str(Path(cf2.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def random_surd(rng: random.Random, d_max: int = 10**6) -> QuadraticSurd:

@@ -1,19 +1,16 @@
 import json
-import os
 import random
 import re
 import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import cf2
 import cf2.surd
 
-from conftest import random_periodic_cf, random_surd
+from conftest import child_env, random_periodic_cf, random_surd
 from cf2.cf import parse_cf
 from cf2.cli import main
 from cf2.search import run
@@ -24,13 +21,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def _child_env():
-    """The environment for `python -m cf2.cli` in a subprocess, with this checkout's src first."""
-    src = str(Path(cf2.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_expand(capsys):
@@ -112,7 +102,7 @@ def test_closed_stdout_exits_1_without_traceback():
     with subprocess.Popen(
             [sys.executable, "-m", "cf2.cli", "search", "--C", "8", "--witnesses",
              "--jobs", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
         try:
             assert proc.stdout.readline().startswith(b"w=")
             proc.stdout.close()
@@ -128,7 +118,7 @@ def test_interrupt_exits_130_with_one_line():
     # Ctrl-C during a long search, sent once the child is past its imports (about 0.3 s)
     with subprocess.Popen(
             [sys.executable, "-m", "cf2.cli", "search", "--C", "13", "--jobs", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
         try:
             time.sleep(2)
             assert proc.poll() is None
@@ -307,6 +297,6 @@ def test_expand_digits_streams_without_the_period():
     done = subprocess.run(
         [sys.executable, "-m", "cf2.cli", "expand",
          "(0 + sqrt(1000000000000000000000000000057))/1", "--digits", "5"],
-        env=_child_env(), capture_output=True, text=True, timeout=60)
+        env=child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "1000000000000000; 35087719298245, 1, 1, 1, ...\n"

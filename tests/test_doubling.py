@@ -1,15 +1,12 @@
 import itertools
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-import cf2
-from conftest import random_surd
+from conftest import child_env, random_surd
 from cf2.cf import CF, cf_of_rational, eval_finite, parse_cf, reciprocal
 from cf2.doubling import (
     DoublingState,
@@ -200,10 +197,7 @@ def test_results_hold_without_asserts():
         "print(reciprocal(parse_cf('[0; 2, (1, 1, 3)]')))",
         "print(cf_of_rational(Fraction(-17, 12)))",
     ])
-    src = str(Path(cf2.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd, isqrt
 
 import pytest
@@ -369,7 +370,7 @@ def test_discriminant_rule_matches_content_test(s):
 def test_passing_states_have_scanned_d_and_even_q(m, k):
     """Every reduced state (P + sqrt(D))/Q of a class that passes the content
     test has D = 4**e * u with u = 1 (mod 8) and an even Q, so the scan may
-    skip every other D and list only even divisors."""
+    skip every other D and walk only even Q."""
     D = k * k * m
     if isqrt(D) ** 2 == D:
         return
@@ -436,3 +437,23 @@ def test_scan_matches_brute_force_on_random_windows(window):
         assert scan_self_similar(d_min - 1, q_max) == below
     expected = _self_similar_hits(_brute_force_window(d_min, d_max, q_max))
     assert scan_self_similar(d_max, q_max, d_min=d_min) == expected
+
+
+def test_scan_matches_brute_force_where_q_max_passes_2_isqrt_d():
+    """60 D near 2 * 10**4 with q_max = 300 > 2 * isqrt(D) = 282, where a
+    reduced state has Q <= r + P <= 2r: the scan caps Q there, the brute force does not."""
+    expected = _self_similar_hits(_brute_force_window(20000, 20059, 300))
+    assert expected
+    assert scan_self_similar(20059, 300, d_min=20000) == expected
+
+
+def test_scan_memory_does_not_grow_with_d():
+    """The scan holds square roots mod each even Q <= q_max, so 200 D near 10**6
+    cost about what they cost near 10**4; a table over every m <= D took 90 MiB."""
+    tracemalloc.start()
+    try:
+        assert scan_self_similar(10**6 + 200, 200, d_min=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -1,10 +1,14 @@
 import concurrent.futures
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cf2.pool
+from conftest import child_env
 from cf2.equiv import scan_self_similar
 from cf2.pool import chunks, pmap, workers
 from cf2.search import run
@@ -86,3 +90,20 @@ def test_results_do_not_depend_on_the_worker_count(C, max_depth, collect, d_min,
             assert scan_self_similar(d_min + span, q_max, d_min=d_min, jobs=jobs) == scanned
         # the search has C^2 tasks, the scan one per 64 or more values of D
         assert bool(_InlinePool.calls) == (C > 1 or span >= 64)
+
+
+def test_interrupt_stops_the_workers():
+    """A SIGINT to the calling process alone, not its workers, ends pmap within a
+    second: the running tasks are stopped and the queued ones dropped.  Waiting
+    for them, as the pool's own exit does, takes 8 s here."""
+    script = ("import os, signal, time\n"
+              "from cf2.pool import pmap\n"
+              "signal.signal(signal.SIGALRM, lambda *_: os.kill(os.getpid(), signal.SIGINT))\n"
+              "signal.setitimer(signal.ITIMER_REAL, 0.5)  # a forked worker has no timer\n"
+              "pmap(time.sleep, [4] * 20, 2)\n")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert time.perf_counter() - start < 3
+    assert done.returncode != 0
+    assert done.stderr.rstrip().endswith("KeyboardInterrupt")
