@@ -13,7 +13,8 @@ H one of [[2, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 1], [0, 2]], chosen by the
 row (q_n : q_{n-1}) of M mod 2: (0 : 1), (1 : 0) and (1 : 1) in turn.  By
 Serret's theorem 2x therefore has the tail of 2y, y/2 or (y+1)/2 in turn,
 so B(2x) depends only on (necklace, that row).  B(x/2) depends in the
-same way on the row (p_n : p_{n-1}), through diag(1, 2).M.
+same way on the row (p_n : p_{n-1}): x/2 has the tail of 2/x = diag(2, 1).M'.y,
+M' the row swap of M.  So one table from (necklace, row) to B serves both.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .cf import CF, Digits, fold_word, least_rotation, primitive_word
+from .cf import CF, Digits, fold_word, primitive_word, rotation_start
 from .doubling import _double_periodic, double_cf, halve_cf
 from .equiv import ClassKey, class_key, key_of_cf
 from .surd import QuadraticSurd, double_surd, expand_surd
@@ -127,9 +128,8 @@ def _row_times(row: _Row, m: _Mod2) -> _Row:
 def _necklace(word: Digits) -> tuple[Digits, _Mod2]:
     """Least rotation of the primitive root of `word`, and the matrix mod 2 of the digits before it."""
     root = primitive_word(word)
-    necklace = least_rotation(root)
-    start = next(i for i in range(len(root)) if root[i:] + root[:i] == necklace)
-    return necklace, _mod2(root[:start])
+    start = rotation_start(root)
+    return root[start:] + root[:start], _mod2(root[:start])
 
 
 def _flagged_inputs(words: Iterable[Digits], pres: list[Digits],
@@ -215,22 +215,19 @@ def _exit_b_from_311(beta: CF, k_start: int) -> tuple[int, int]:
 def _survivors(C: int, words: Iterable[Digits], pres: list[Digits]) -> Iterator[CF]:
     """The inputs CF(0, pre, word) with B(2x) <= C and B(x/2) <= C, in enumeration order.
 
-    Both are looked up per class (module docstring), and computed on the
-    first input of a class that misses.
+    One table (module docstring) holds B of the image of y = [(necklace)]:
+    B(2x) fills it under the row (q_n, q_{n-1}) and B(x/2) under
+    (p_n, p_{n-1}), on the first input whose (necklace, row) misses.
     """
-    doubled: dict[tuple[Digits, _Row], int] = {}  # (necklace, (q_n, q_{n-1}) mod 2) -> B(2x)
-    halved: dict[tuple[Digits, _Row], int] = {}   # (necklace, (p_n, p_{n-1}) mod 2) -> B(x/2)
+    image_b: dict[tuple[Digits, _Row], int] = {}  # (necklace, row) -> B of the image of y
 
     def survives(word, pre, necklace, row1, row2) -> bool:
-        b = doubled.get((necklace, row2))
-        if b is None:
-            b = doubled[necklace, row2] = _b_of(double_cf(CF(0, pre, word)))
-        if b > C:
-            return False
-        b = halved.get((necklace, row1))
-        if b is None:
-            b = halved[necklace, row1] = _b_of(halve_cf(CF(0, pre, word)))
-        return b <= C
+        for image, row in ((double_cf, row2), (halve_cf, row1)):
+            if (necklace, row) not in image_b:
+                image_b[necklace, row] = _b_of(image(CF(0, pre, word)))
+            if image_b[necklace, row] > C:
+                return False
+        return True
 
     return _flagged_inputs(words, pres, survives)
 

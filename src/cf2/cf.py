@@ -52,8 +52,8 @@ def primitive_word(word: Digits) -> Digits:
     return word[:p]
 
 
-def least_rotation(word: Digits) -> Digits:
-    """Lexicographically least rotation of `word`, in O(len(word)).
+def rotation_start(word: Digits) -> int:
+    """The least i with word[i:] + word[:i] the least rotation of `word`, in O(len(word)).
 
     Two-pointer minimum-rotation scan: i and j are candidate starts and k
     the length of their common run.  At the first mismatch the larger side
@@ -76,7 +76,13 @@ def least_rotation(word: Digits) -> Digits:
         elif i > j:
             i, j = j, i
         k = 0
-    return ww[i:i + n]
+    return i
+
+
+def least_rotation(word: Digits) -> Digits:
+    """Lexicographically least rotation of `word`, in O(len(word))."""
+    i = rotation_start(word)
+    return word[i:] + word[:i]
 
 
 def _check_digit(d) -> None:

@@ -2,7 +2,8 @@
 
 Two quadratic irrationals are equivalent exactly when their expansions
 eventually agree, i.e. when the primitive periods are rotations of one
-another.  The class key is the lexicographically least rotation.
+another.  The class key is the lexicographically least rotation; read at
+its start, an expansion aligns s = M.[(key)] with M in GL2(Z) (Serret).
 
 Which images of s can share its class.  Equivalent surds have primitive
 minimal polynomials of one discriminant.  Let s have the primitive
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .cf import CF, least_rotation
+from .cf import CF, fold_word, least_rotation, rotation_start
 from .pool import chunks, pmap
 from .surd import QuadraticSurd, _cycle, expand_surd, linear_fractional
 
@@ -82,59 +83,47 @@ _IMAGES = (
 )
 
 
-def _isqrt_is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
+def _alignment(s: QuadraticSurd) -> tuple[ClassKey, tuple[int, int, int, int]]:
+    """(key, M) with s = [a0; pre, period[:i], [(key)]] = M.[(key)], i the start of the key."""
+    cf = expand_surd(s)
+    i = rotation_start(cf.period)
+    return cf.period[i:] + cf.period[:i], fold_word((cf.a0, *cf.pre, *cf.period[:i]))
 
 
-def scaled_equiv_certificate(s: QuadraticSurd, e: int, f: int, h: int,
-                             bound: int = 1000):
-    """Unimodular (a, b, c, d) and scale l certifying (e*s + f)/h = (a*s + b)/(c*s + d).
+def scaled_equiv_certificate(s: QuadraticSurd, e: int, f: int, h: int):
+    """Unimodular (a, b, c, d) and scale l with t = (e*s + f)/h = (a*s + b)/(c*s + d), or None.
 
-    Cross-multiplying against the minimal polynomial A, B, C forces
-    e*c = A*l, e*d + f*c - h*a = B*l, f*d - h*b = C*l; for each l the
-    determinant condition becomes a quadratic in d.  Returns the first
-    solution with |l|, |d| <= bound, or None.
+    None exactly when the class keys differ, i.e. s and t are not equivalent.
+    Otherwise s = M_s.y and t = M_t.y for y = [(key)] (_alignment), and
+    (a, b, c, d) is M_t.adj(M_s), of determinant +-1.  By Gauss's lemma
+    e*c*s*s + (e*d + f*c - h*a)*s + f*d - h*b, which vanishes, is l times the
+    primitive (A, B, C) of s: e*c = A*l, e*d + f*c - h*a = B*l and
+    f*d - h*b = C*l, so l = e*c/A exactly.  For t = s + f (e = h = 1) only a0
+    differs, so c = 0 and l = 0.
     """
     if e == 0 or h == 0:
         raise ValueError("target transform must be nonsingular")
-    A, B, C = s.minimal_polynomial()
-    for la in range(1, bound + 1):
-        for l in (la, -la):
-            if (A * l) % e:
-                continue
-            c = A * l // e
-            # e^2 d^2 - e*B*l*d + A*C*l^2 -+ e*h = 0
-            for det in (1, -1):
-                disc = (e * B * l) ** 2 - 4 * e * e * (A * C * l * l - det * e * h)
-                if disc < 0 or not _isqrt_is_square(disc):
-                    continue
-                root = isqrt(disc)
-                for sgn in (1, -1):
-                    num = e * B * l + sgn * root
-                    if num % (2 * e * e):
-                        continue
-                    d = num // (2 * e * e)
-                    if abs(d) > bound:
-                        continue
-                    if (e * d + f * c - B * l) % h or (f * d - C * l) % h:
-                        continue
-                    a = (e * d + f * c - B * l) // h
-                    b = (f * d - C * l) // h
-                    if a * d - b * c == det:
-                        return a, b, c, d, l
-    return None
+    key, (p1, q1, p0, q0) = _alignment(s)
+    t_key, (r1, t1, r0, t0) = _alignment(linear_fractional(s, e, f, 0, h))
+    if t_key != key:
+        return None
+    # [[r1, r0], [t1, t0]] times adj([[p1, p0], [q1, q0]]) = [[q0, -p0], [-q1, p1]]
+    a, b = r1 * q0 - r0 * q1, r0 * p1 - r1 * p0
+    c, d = t1 * q0 - t0 * q1, t0 * p1 - t1 * p0
+    return a, b, c, d, e * c // s.minimal_polynomial()[0]
 
 
-def m_equiv_certificate(s: QuadraticSurd, m: int | Fraction, bound: int = 1000):
-    """Certificate that s ~ m*s (integer m), or s ~ (p/q)*s for a Fraction.
+def m_equiv_certificate(s: QuadraticSurd, m: int | Fraction):
+    """Certificate that s ~ m*s (integer m), or s ~ (p/q)*s for a Fraction; None if not.
 
     For integer m the returned (a, b, c, d, l) satisfies A*l = m*c,
-    B*l = m*d - a, C*l = -b and a*d - b*c = +-1 with gcd(l, m) = 1.
+    B*l = m*d - a, C*l = -b and a*d - b*c = +-1 with gcd(l, m) = 1: a prime
+    dividing l and m divides a and b, hence a*d - b*c.
     """
     m = Fraction(m)
     if m == 0:
         raise ValueError("m must be nonzero")
-    return scaled_equiv_certificate(s, m.numerator, 0, m.denominator, bound)
+    return scaled_equiv_certificate(s, m.numerator, 0, m.denominator)
 
 
 def self_similar_check(s: QuadraticSurd) -> bool:
@@ -295,6 +284,9 @@ def _scan_range(args) -> list[ScanHit]:
     return hits
 
 
+_D_PER_WORKER = 20_000  # D per worker at jobs=None; on fewer, another process costs more than it saves
+
+
 def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
                       jobs: int | None = 1) -> list[ScanHit]:
     """All self-similar classes with a reduced representative (P + sqrt(D))/Q in range.
@@ -304,12 +296,16 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     where some member is equivalent to both of its halvings.  Output is
     deduplicated by class key and sorted by (D, Q, P); chunked workers
     merge in range order, so the result is independent of the job count.
+    jobs=None starts one worker per _D_PER_WORKER D or part of it, at most one per core.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     if d_max < max(2, d_min):
         raise ValueError("d_max must be >= max(2, d_min)")
-    tasks = [(ds, q_max) for ds in chunks(range(max(2, d_min), d_max + 1), jobs)]
+    ds = range(max(2, d_min), d_max + 1)
+    if jobs is None:
+        jobs = -(-len(ds) // _D_PER_WORKER)
+    tasks = [(chunk, q_max) for chunk in chunks(ds, jobs)]
     seen: set[ClassKey] = set()
     hits = []
     for h in itertools.chain.from_iterable(pmap(_scan_range, tasks, jobs)):

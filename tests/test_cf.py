@@ -17,6 +17,7 @@ from cf2.cf import (
     parse_cf,
     primitive_word,
     reciprocal,
+    rotation_start,
 )
 from cf2.surd import (
     QuadraticSurd,
@@ -258,6 +259,20 @@ _small_words = st.lists(st.integers(1, 3), min_size=1, max_size=10).map(tuple)
 @example((5,))
 def test_least_rotation_matches_every_rotation(word):
     assert least_rotation(word) == min(word[i:] + word[:i] for i in range(len(word)))
+
+
+@given(st.builds(lambda w, n: w * n, st.lists(st.integers(1, 3), min_size=1, max_size=12).map(tuple),
+                 st.integers(1, 4)))
+@example((1, 2, 1, 2))
+@example((2, 1, 1))
+@example((5,))
+def test_rotation_start_is_the_first_start_of_the_least_rotation(word):
+    rotations = [word[i:] + word[:i] for i in range(len(word))]
+    start = rotation_start(word)
+    assert rotations[start] == min(rotations)
+    assert start == rotations.index(min(rotations))
+    if primitive_word(word) == word:
+        assert rotations.count(min(rotations)) == 1
 
 
 @given(st.lists(st.integers(1, 3), min_size=1, max_size=12).map(tuple), st.integers(1, 6))

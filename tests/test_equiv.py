@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 import tracemalloc
 from math import gcd, isqrt
@@ -110,7 +112,7 @@ def test_certificate_existence_implies_class_equality():
     found = 0
     for _ in range(60):
         s = random_surd(rng, d_max=2000)
-        cert = m_equiv_certificate(s, 2, bound=300)
+        cert = m_equiv_certificate(s, 2)
         if cert is not None:
             found += 1
             a, b, c, d, l = cert
@@ -122,10 +124,66 @@ def test_certificate_existence_implies_class_equality():
 def test_never_all_three_certificates_on_self_similar():
     from fractions import Fraction
     for s in (S17, QuadraticSurd(5, 33, 2)):
-        certs = [m_equiv_certificate(s, 2, bound=400),
-                 m_equiv_certificate(s, Fraction(1, 2), bound=400),
-                 scaled_equiv_certificate(s, 1, 1, 2, bound=400)]
+        certs = [m_equiv_certificate(s, 2),
+                 m_equiv_certificate(s, Fraction(1, 2)),
+                 scaled_equiv_certificate(s, 1, 1, 2)]
         assert sum(c is not None for c in certs) == 2
+
+
+@pytest.mark.parametrize("s, e, f, h", [
+    (QuadraticSurd(27, 1563, 1), 1, 0, 2),
+    (QuadraticSurd(48, 947, 1), 1, 1, 2),
+    (QuadraticSurd(7, 2579, 2), 2, 0, 1),
+])
+def test_certificate_of_equivalent_pair_beyond_small_entries(s, e, f, h):
+    """Equivalent pairs whose certificate has |l| in the thousands or millions."""
+    t = linear_fractional(s, e, f, 0, h)
+    assert class_key(s) == class_key(t)
+    cert = scaled_equiv_certificate(s, e, f, h)
+    assert cert is not None
+    a, b, c, d, l = cert
+    assert a * d - b * c in (1, -1)
+    assert linear_fractional(s, a, b, c, d) == t
+    assert abs(l) > 1000
+
+
+def test_certificate_of_a_shift_has_c_and_l_zero():
+    rng = random.Random(17)
+    for _ in range(40):
+        s = random_surd(rng, d_max=10**4)
+        for f in range(-3, 4):
+            a, b, c, d, l = scaled_equiv_certificate(s, 1, f, 1)
+            assert (c, l) == (0, 0) and a * d in (1, -1)
+            assert linear_fractional(s, a, b, c, d) == linear_fractional(s, 1, f, 0, 1)
+
+
+# (e, f, h) for t = (e*s + f)/h: the rows of the image table, then m = 3 and m = 2/3
+_CERTIFICATE_TARGETS = tuple((a, b, d) for _, a, b, d in cf2.equiv._IMAGES) + ((3, 0, 1), (2, 0, 3))
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A surd of either sign, half of them members of self-similar classes, and a target."""
+    s = draw(st.one_of(_surds(), _positive_surds()))
+    return s, draw(st.sampled_from(_CERTIFICATE_TARGETS))
+
+
+@settings(deadline=None)
+@given(_certificate_cases())
+def test_certificate_exists_iff_class_keys_agree(case):
+    s, (e, f, h) = case
+    t = linear_fractional(s, e, f, 0, h)
+    cert = scaled_equiv_certificate(s, e, f, h)
+    assert (cert is None) == (class_key(s) != class_key(t))
+    if cert is None:
+        return
+    a, b, c, d, l = cert
+    A, B, C = s.minimal_polynomial()
+    assert a * d - b * c in (1, -1)
+    assert linear_fractional(s, a, b, c, d) == t
+    assert (e * c, e * d + f * c - h * a, f * d - h * b) == (A * l, B * l, C * l)
+    if h == 1 and f == 0:
+        assert gcd(l, e) == 1
 
 
 def test_self_similar_fixtures():
@@ -238,6 +296,22 @@ def test_scan_deterministic_across_workers():
     for jobs in (1, 2, None):  # an empty range is an error, not an empty result
         with pytest.raises(ValueError, match="d_max"):
             scan_self_similar(399, 30, d_min=400, jobs=jobs)
+
+
+def test_scan_default_workers_follow_the_range(monkeypatch):
+    """jobs=None starts one worker per 20,000 D begun, at most one per core;
+    an explicit job count is kept."""
+    serial = scan_self_similar(10_000, 200, jobs=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert scan_self_similar(10_000, 200, jobs=None) == serial
+    for d_max, jobs in ((20_002, None), (10_000, 2)):  # 20,001 D begin a second worker
+        with pytest.raises(AssertionError, match="pool"):
+            scan_self_similar(d_max, 200, jobs=jobs)
 
 
 def test_class_contains_self_similar_is_member_independent():
@@ -457,3 +531,30 @@ def test_scan_memory_does_not_grow_with_d():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _certificate_count(s):
+    return sum(scaled_equiv_certificate(s, a, b, d) is not None for _, a, b, d in cf2.equiv._IMAGES)
+
+
+def test_scan_hits_are_the_classes_with_two_certificates():
+    """Every scan hit has certificates for exactly two of its three images, and a
+    reduced state with D < 400 (so Q <= 2 isqrt(D) < 50) has two exactly when its
+    class is a hit: certificates, None included, agree with the scan's rule."""
+    hits = scan_self_similar(2000, 50)
+    keys = {h.key for h in hits}
+    assert len(keys) > 100
+    for h in hits:
+        assert _certificate_count(QuadraticSurd(h.P, h.D, h.Q)) == 2, h
+    states = 0
+    for D in range(2, 400):
+        r = isqrt(D)
+        if r * r == D:
+            continue
+        for P in range(1, r + 1):
+            for Q in range(r - P + 1, r + P + 1):
+                if (D - P * P) % Q == 0:
+                    states += 1
+                    s = QuadraticSurd(P, D, Q)
+                    assert (_certificate_count(s) >= 2) == (class_key(s) in keys), (P, D, Q)
+    assert states > 5000
