@@ -121,8 +121,6 @@ def m_equiv_certificate(s: QuadraticSurd, m: int | Fraction):
     dividing l and m divides a and b, hence a*d - b*c.
     """
     m = Fraction(m)
-    if m == 0:
-        raise ValueError("m must be nonzero")
     return scaled_equiv_certificate(s, m.numerator, 0, m.denominator)
 
 
@@ -284,7 +282,7 @@ def _scan_range(args) -> list[ScanHit]:
     return hits
 
 
-_D_PER_WORKER = 20_000  # D per worker at jobs=None; on fewer, another process costs more than it saves
+_COST_PER_WORKER = 1_500_000  # cost (below) per worker at jobs=None; on less, a second one loses
 
 
 def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
@@ -296,15 +294,17 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     where some member is equivalent to both of its halvings.  Output is
     deduplicated by class key and sorted by (D, Q, P); chunked workers
     merge in range order, so the result is independent of the job count.
-    jobs=None starts one worker per _D_PER_WORKER D or part of it, at most one per core.
+    jobs=None starts one worker per _COST_PER_WORKER of cost begun, at most one per core.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     if d_max < max(2, d_min):
         raise ValueError("d_max must be >= max(2, d_min)")
     ds = range(max(2, d_min), d_max + 1)
-    if jobs is None:
-        jobs = -(-len(ds) // _D_PER_WORKER)
+    if jobs is None:  # resolved here from the range, not by pool.workers' one per core
+        step = -(-len(ds) // 1024)  # per D: min(q_max, 2r) // 2 Q tried, cycles about r long walked
+        cost = step * sum(isqrt(D) + min(q_max, 2 * isqrt(D)) // 2 for D in ds[::step])
+        jobs = -(-cost // _COST_PER_WORKER)
     tasks = [(chunk, q_max) for chunk in chunks(ds, jobs)]
     seen: set[ClassKey] = set()
     hits = []

@@ -298,8 +298,8 @@ def test_scan_deterministic_across_workers():
             scan_self_similar(399, 30, d_min=400, jobs=jobs)
 
 
-def test_scan_default_workers_follow_the_range(monkeypatch):
-    """jobs=None starts one worker per 20,000 D begun, at most one per core;
+def test_scan_default_workers_follow_the_cost(monkeypatch):
+    """jobs=None starts one worker per _COST_PER_WORKER begun, at most one per core;
     an explicit job count is kept."""
     serial = scan_self_similar(10_000, 200, jobs=1)
 
@@ -309,9 +309,13 @@ def test_scan_default_workers_follow_the_range(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert scan_self_similar(10_000, 200, jobs=None) == serial
-    for d_max, jobs in ((20_002, None), (10_000, 2)):  # 20,001 D begin a second worker
+    scan_self_similar(1_000_999, 6, d_min=1_000_000, jobs=None)  # cost about 1000 * (1000 + 3)
+    # costs past 1.5e6: more D, late windows (the Q term decides at q_max 2000), a small q_max; or jobs=2
+    for d_min, d_max, q_max, jobs in ((2, 20_000, 200, None), (1_000_000, 1_003_999, 200, None),
+                                      (1_000_000, 1_000_999, 2_000, None), (2, 30_000, 6, None),
+                                      (2, 10_000, 200, 2)):
         with pytest.raises(AssertionError, match="pool"):
-            scan_self_similar(d_max, 200, jobs=jobs)
+            scan_self_similar(d_max, q_max, d_min=d_min, jobs=jobs)
 
 
 def test_class_contains_self_similar_is_member_independent():
