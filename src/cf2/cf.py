@@ -219,10 +219,8 @@ def eval_finite(cf: CF) -> Fraction:
     """Exact value of a finite continued fraction."""
     if not cf.is_finite:
         raise ValueError("continued fraction is not finite")
-    val = Fraction(0)
-    for d in reversed(cf.pre):
-        val = 1 / (d + val)
-    return cf.a0 + val
+    p, q, _, _ = fold_word((cf.a0, *cf.pre))
+    return Fraction(p, q)
 
 
 def fold_word(word: Iterable[int]) -> tuple[int, int, int, int]:

@@ -76,8 +76,7 @@ def _cmd_trio(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    report = run(args.C, max_depth=args.max_depth, k_cap=args.k_cap, jobs=args.jobs,
-                 collect_witnesses=args.witnesses)
+    report = run(args.C, args.max_depth, jobs=args.jobs, collect_witnesses=args.witnesses)
     if args.json:
         print(report.to_json(witnesses=args.witnesses))
     else:
@@ -181,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="prefix-exclusion search for a digit bound")
     p.add_argument("--C", type=_at_least(1), required=True)
     p.add_argument("--max-depth", type=_at_least(2), default=None)
-    p.add_argument("--k-cap", type=_at_least(1), default=256)
     p.add_argument("--jobs", type=_at_least(1), default=None)
     p.add_argument("--json", action="store_true")
     p.add_argument("--witnesses", action="store_true",

@@ -221,7 +221,7 @@ def trio(s: QuadraticSurd, n_max: int = 60) -> TrioResult:
     alpha = expand_surd(s)
     runs: dict[int, WindowCase] = _traced_cases(alpha.digits(), 0, n_max)
     half_feed = reciprocal(alpha).digits()
-    plus_feed = reciprocal(CF(alpha.a0 + 1, alpha.pre, alpha.period)).digits()
+    plus_feed = _canonical_cf(*_reciprocal_digits(alpha.a0 + 1, alpha.pre, alpha.period)).digits()
     half_cases = _traced_cases(half_feed, -1 if alpha.a0 >= 1 else 1, n_max)
     plus_cases = _traced_cases(plus_feed, -1, n_max)
     common = sorted(set(runs) & set(half_cases) & set(plus_cases))

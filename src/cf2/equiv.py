@@ -125,7 +125,10 @@ def m_equiv_certificate(s: QuadraticSurd, m: int | Fraction):
 
 
 def self_similar_check(s: QuadraticSurd) -> bool:
-    """True iff s, s/2 and (s+1)/2 share one equivalence class."""
+    """True iff s, s/2 and (s+1)/2 share one equivalence class; the halvings are
+    expanded only when both keep the discriminant of s (`_kept_images`)."""
+    if _kept_images(*s.minimal_polynomial()) != _IMAGES[1:]:
+        return False
     key = class_key(s)
     return all(class_key(linear_fractional(s, a, b, 0, d)) == key for _, a, b, d in _IMAGES[1:])
 

@@ -12,10 +12,14 @@ parent's, so the digits of 2^k x the parent found certain are certain for
 the child too: each child resumes the parent's Euclid scan at every k
 instead of expanding both doubled endpoints from digit 0 (Gosper's carried
 homographic state, HAKMEM item 101).
+
+Each prefix's k loop ends by k = ceil(log2(q_min q_max / |det T|)) (`try_exclude`),
+so only the depth of the walk has a budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -27,7 +31,6 @@ from .cf import cf_of_rational, fold_word
 from .pool import pmap
 from .surd import QuadraticSurd, _is_reduced, _quotients, double_surd, linear_fractional
 
-DEFAULT_K_CAP = 256
 _WITNESS_DIGIT_CAP = 2000  # most digits of each 2^k s that `witness_q` scans
 
 
@@ -155,8 +158,8 @@ def common_prefix_info(x: Fraction, y: Fraction) -> tuple[list[int], int | None]
     return shared, next_min
 
 
-def try_exclude(word, C: int, k_cap: int = DEFAULT_K_CAP, *, fold=None, tables=None,
-                inherited=(), states: list | None = None) -> ExclusionWitness | None:
+def try_exclude(word, C: int, *, fold=None, tables=None, inherited=(),
+                states: list | None = None) -> ExclusionWitness | None:
     """Search k = 1, 2, ... for a digit of 2^k x forced above C on the cylinder.
 
     The endpoint pair at k is diag(2^k, 1) . M . T, with M the matrix of
@@ -165,18 +168,18 @@ def try_exclude(word, C: int, k_cap: int = DEFAULT_K_CAP, *, fold=None, tables=N
     - a shared digit above C at position i >= 1 excludes;
     - at the first differing position i >= 1, the smaller of the two
       digits excludes when it is above C and neither endpoint ends there;
-    - differing integer parts stop the k loop.
+    - differing integer parts stop the k loop, by k = ceil(log2(q_min q_max / |det T|))
+      as the columns p/q of M . T are |det T| / (q_min q_max) apart (det M = +-1).
 
     `run` passes the convergents `fold` = fold_word((0,) + word), the
     `_tables(C)` of the search and the parent's states, one per k: a step j
     and R = A^-1 . diag(2^k, 1) . M_parent, with A the matrix of the first
     j digits of 2^k x that the whole parent cylinder shares (past digit 0,
-    all at most C).
-    A child with last digit d resumes Euclid at step j on the pair
-    R . [[d, 1], [1, 0]] . T.  When `states` is a list and no witness is
-    found, this prefix's states are appended to it: the pair S at the step
-    j where the scan stopped gives R = S . adj(T) / det(T), and the division
-    is exact because S = A^-1 . diag(2^k, 1) . M . T.
+    all at most C).  A child with last digit d resumes Euclid at step j on
+    R . [[d, 1], [1, 0]] . T, so a resumed k stops at digit 0 only if j = 0.
+    When `states` is a list and no witness is found, this prefix's states are
+    appended to it: the pair S at the step j where the scan stopped gives
+    R = S . adj(T) / det(T), exact because S = A^-1 . diag(2^k, 1) . M . T.
     """
     word = tuple(word)
     if tables is None:
@@ -189,7 +192,7 @@ def try_exclude(word, C: int, k_cap: int = DEFAULT_K_CAP, *, fold=None, tables=N
         w11, w12, w21, w22 = tables.child[parity][word[-1]]
     found = []
     resumable = len(inherited)
-    for k in range(1, k_cap + 1):
+    for k in itertools.count(1):
         if k <= resumable:
             i, r11, r12, r21, r22 = inherited[k - 1]
             pa, qa = r11 * w11 + r12 * w21, r21 * w11 + r22 * w21
@@ -235,7 +238,7 @@ def _walk(args):
     collected), the largest witness k, and whether max_depth cut off a
     surviving prefix.
     """
-    root, C, k_cap, max_depth, collect, tables = args
+    root, C, max_depth, collect, tables = args
     levels: list[list] = []
     K = 0
     cut = False
@@ -250,8 +253,7 @@ def _walk(args):
         level = levels[len(word) - 2]
         level[0] += 1
         states: list = []
-        wit = try_exclude(word, C, k_cap, fold=fold, tables=tables, inherited=inherited,
-                          states=states)
+        wit = try_exclude(word, C, fold=fold, tables=tables, inherited=inherited, states=states)
         if wit is None:
             p1, q1, p0, q0 = fold
             stack.extend((word + (d,), (d * p1 + p0, d * q1 + q0, p1, q1), states)
@@ -265,24 +267,22 @@ def _walk(args):
     return levels, K, cut
 
 
-def run(C: int, max_depth: int | None = None, k_cap: int = DEFAULT_K_CAP,
-        jobs: int | None = 1, collect_witnesses: bool = False):
+def run(C: int, max_depth: int | None = None, jobs: int | None = 1,
+        collect_witnesses: bool = False):
     """Prefix exclusion for the bound C, walked depth first from the C^2 depth-2 roots.
 
-    Returns a SearchReport, whose witnesses are listed when requested.  The
-    report and the witness order are those of a breadth-first search in
-    lexicographic order, for any worker count: each root's subtree is one
-    task, and the per-depth results are merged in root order.
+    Returns a SearchReport, whose witnesses are listed when requested.  The report and
+    the witness order are those of a breadth-first search in lexicographic order, for
+    any worker count: each root's subtree is one task, and the per-depth results are
+    merged in root order.  The k loop ends by itself, so `max_depth` is the one budget.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
-    if k_cap < 1:  # with no k to try nothing is excluded: an unbounded walk
-        raise ValueError("k_cap must be >= 1")
     if max_depth is not None and max_depth < 2:
         raise ValueError("max_depth must be >= 2, the depth of the roots")
     start = time.monotonic()
     tables = _tables(C)
-    tasks = [((d1, d2), C, k_cap, max_depth, collect_witnesses, tables)
+    tasks = [((d1, d2), C, max_depth, collect_witnesses, tables)
              for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
     parts = pmap(_walk, tasks, jobs)
     levels: list[list] = []

@@ -100,8 +100,20 @@ def test_convergent_determinant_and_parity():
 
 
 @given(st.fractions())
+@example(Fraction(-7, 3))
+@example(Fraction(-1))
+@example(Fraction(0))
 def test_rational_round_trip(r):
     assert eval_finite(cf_of_rational(r)) == r
+
+
+@given(st.integers(-9, 9), st.lists(st.integers(1, 30), max_size=10))
+def test_eval_finite_matches_backward_fraction_loop(a0, body):
+    # the raw digits, trailing 1 included, against their canonical form's value
+    val = Fraction(0)
+    for d in reversed(body):
+        val = 1 / (d + val)
+    assert eval_finite(CF(a0, tuple(body))) == a0 + val
 
 
 @given(st.integers(-9, 9), st.lists(st.integers(1, 30), max_size=8))

@@ -233,8 +233,6 @@ def test_flag_below_range_exit_2(capsys):
     for argv, flag in ((("search", "--C", "0"), "--C"),
                        (("verify-b2", "--period-max", "0"), "--period-max"),
                        (("verify-b2", "--preperiod-max", "-1"), "--preperiod-max"),
-                       (("search", "--C", "3", "--k-cap", "0"), "--k-cap"),
-                       (("search", "--C", "3", "--k-cap", "-3"), "--k-cap"),
                        (("search", "--C", "3", "--max-depth", "0"), "--max-depth"),
                        (("search", "--C", "3", "--max-depth", "1"), "--max-depth"),
                        (("witness", "(3 + sqrt(17))/2", "--k-cap", "-1"), "--k-cap"),
@@ -254,6 +252,15 @@ def test_flag_below_range_exit_2(capsys):
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, ""), argv
         assert f"argument {flag}: must be at least" in err, (argv, err)
+
+
+def test_search_has_no_k_cap(capsys):
+    # the search's k loop ends by itself; only `witness` keeps a --k-cap
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--C", "3", "--k-cap", "5"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: ") and "unrecognized arguments: --k-cap 5" in err, err
 
 
 def test_digits_below_one_exit_2(capsys):

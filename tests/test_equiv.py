@@ -5,7 +5,7 @@ import tracemalloc
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cf2.equiv
 from conftest import random_surd
@@ -395,6 +395,21 @@ def test_class_contains_self_similar_matches_old_rule(s):
     expected = _old_membership_rule(s)
     assert class_contains_self_similar(s) == expected
     assert class_contains_self_similar(s, class_key(s)) == expected
+
+
+def _self_similar_by_three_keys(s):
+    """self_similar_check by expanding s and both halvings, with no discriminant rule."""
+    key = class_key(s)
+    return all(class_key(linear_fractional(s, a, b, 0, d)) == key
+               for _, a, b, d in cf2.equiv._IMAGES[1:])
+
+
+@given(st.one_of(_surds(), _positive_surds()))
+@example(S17)
+@example(QuadraticSurd(1, 2089, 6))
+@example(QuadraticSurd(1, 5, 2))
+def test_self_similar_check_matches_three_keys(s):
+    assert self_similar_check(s) == _self_similar_by_three_keys(s)
 
 
 def _discriminant(s):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,6 @@ from hypothesis import example, given, strategies as st
 from conftest import random_surd
 from cf2.cf import CF, cf_of_rational, eval_finite, fold_word
 from cf2.search import (
-    DEFAULT_K_CAP,
     DepthStats,
     ExclusionWitness,
     SearchCapExceeded,
@@ -110,8 +110,8 @@ def test_try_exclude_c1():
 
 
 def test_try_exclude_rejects_nothing_silently():
-    # a prefix whose doubles stay small for k = 1 keeps returning None
-    assert try_exclude((2, 2), 6, k_cap=1) is None
+    # a prefix whose doubles stay small until the floors differ returns None
+    assert try_exclude((2, 2), 6) is None
 
 
 def test_witness_dump_format():
@@ -137,9 +137,7 @@ def test_search_depth_cap_reports_partial():
 
 
 def test_run_rejects_caps_that_exclude_nothing_or_cut_the_roots():
-    # k_cap < 1 tries no k, so with no depth cap the walk would never end
-    for kwargs in ({"k_cap": 0}, {"k_cap": -3}, {"max_depth": 0}, {"max_depth": 1},
-                   {"k_cap": 0, "max_depth": 4}):
+    for kwargs in ({"max_depth": 0}, {"max_depth": 1}):
         with pytest.raises(ValueError):
             run(3, **kwargs)
 
@@ -194,10 +192,10 @@ def test_witness_soundness_via_surd_oracle():
 # -- slow oracles for the depth-first search ---------------------------------
 
 
-def _fraction_exclude(word, C, k_cap=DEFAULT_K_CAP):
+def _fraction_exclude(word, C):
     """try_exclude from Fractions: common_prefix_info on 2^k times the interval bounds."""
     lo, hi = interval_bounds(word, C)
-    for k in range(1, k_cap + 1):
+    for k in itertools.count(1):
         x, y = lo * 2 ** k, hi * 2 ** k
         if math.floor(x) != math.floor(y):
             return None
@@ -265,26 +263,51 @@ def _euclid_state(word, C, k, j):
     return pa, qa, pb, qb
 
 
+def _surviving_states(C):
+    """(word, states) for each prefix run(C) visits and does not exclude, depth first."""
+    tables = _tables(C)
+    stack = [((d1, d2), ()) for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
+    while stack:
+        word, inherited = stack.pop()
+        states = []
+        if try_exclude(word, C, tables=tables, inherited=inherited, states=states):
+            continue
+        yield word, states
+        stack.extend((word + (d,), states) for d in range(1, C + 1))
+
+
 def test_resume_states_divide_exactly():
     # every state run hands to a child is A^-1 diag(2^k, 1) M exactly: times T
     # it gives back the endpoint pair after its j certain digits
     checked = 0
     for C in range(1, 8):
-        tables = _tables(C)
-        stack = [((d1, d2), ()) for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
-        while stack:
-            word, inherited = stack.pop()
-            states = []
-            if try_exclude(word, C, tables=tables, inherited=inherited, states=states):
-                continue
+        for word, states in _surviving_states(C):
             checked += len(states)
-            t11, t12, t21, t22 = tables.pair[len(word) % 2]
+            t11, t12, t21, t22 = _tables(C).pair[len(word) % 2]
             for k, (j, r11, r12, r21, r22) in enumerate(states, 1):
                 assert _euclid_state(word, C, k, j) == (
                     r11 * t11 + r12 * t21, r21 * t11 + r22 * t21,
                     r11 * t12 + r12 * t22, r21 * t12 + r22 * t22), (word, k)
-            stack.extend((word + (d,), states) for d in range(1, C + 1))
     assert checked > 1000
+
+
+def test_k_loop_stops_at_the_first_k_where_the_floors_differ():
+    # a surviving prefix hands on one state per k before the first k at which
+    # 2^k lo and 2^k hi differ in integer part, and that k is within the
+    # bound from hi - lo = |det T| / (q_min q_max)
+    survivors = 0
+    for C in range(1, 8):
+        for word, states in _surviving_states(C):
+            survivors += 1
+            lo, hi = interval_bounds(word, C)
+            stop = next(k for k in itertools.count(1)
+                        if math.floor(lo * 2 ** k) != math.floor(hi * 2 ** k))
+            assert len(states) + 1 == stop, word
+            q_min_q_max = lo.denominator * hi.denominator
+            det = abs(_tables(C).det[len(word) % 2])
+            assert hi - lo == Fraction(det, q_min_q_max), word
+            assert 2 ** (stop - 1) * det < q_min_q_max, word  # stop <= ceil(log2(q q / det))
+    assert survivors == 751  # the prefixes run(1) .. run(7) visit and do not exclude
 
 
 def test_witness_q_on_known_surd():
