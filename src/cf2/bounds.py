@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .cf import CF, Digits, fold_word, primitive_word, rotation_start
+from .cf import CF, Digits, _canonical_cf, fold_word, primitive_word, rotation_start
 from .doubling import _double_periodic, double_cf, halve_cf
 from .equiv import ClassKey, class_key, key_of_cf
 from .surd import QuadraticSurd, double_surd, expand_surd
@@ -154,7 +154,7 @@ def _flagged_inputs(words: Iterable[Digits], pres: list[Digits],
         if marked:
             for m, pre in zip(mats, pres):
                 if m in marked:
-                    yield CF(0, pre, word)
+                    yield _canonical_cf(0, pre, word)
 
 
 def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[CF]:
@@ -176,7 +176,7 @@ def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[C
     def fails(word, pre, necklace, row1, row2) -> bool:
         key = (necklace, row2)
         if key not in violated:
-            cf = CF(0, pre, word)
+            cf = _canonical_cf(0, pre, word)
             _, _, period = _double_periodic(cf.a0, cf.pre, cf.period)
             violated[key] = (max(period) <= 2) != (classify_b2(cf) is not None)
         return violated[key]
@@ -224,7 +224,7 @@ def _survivors(C: int, words: Iterable[Digits], pres: list[Digits]) -> Iterator[
     def survives(word, pre, necklace, row1, row2) -> bool:
         for image, row in ((double_cf, row2), (halve_cf, row1)):
             if (necklace, row) not in image_b:
-                image_b[necklace, row] = _b_of(image(CF(0, pre, word)))
+                image_b[necklace, row] = _b_of(image(_canonical_cf(0, pre, word)))
             if image_b[necklace, row] > C:
                 return False
         return True

@@ -8,7 +8,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 Digits = tuple[int, ...]
-_INT = frozenset({int})
 
 
 class LiteralParseError(ValueError):
@@ -93,9 +92,8 @@ def _check_digit(d) -> None:
 
 def _validate(a0, body: Digits) -> None:
     """Raise on the first body digit `_check_digit` rejects, then on a non-int a0."""
-    if body and not (set(map(type, body)) <= _INT and min(body) >= 1):
-        for d in body:
-            _check_digit(d)
+    for d in body:
+        _check_digit(d)
     if not isinstance(a0, int):
         raise ValueError(f"integer part must be an int, got {a0!r}")
 

@@ -22,9 +22,20 @@ So at least two images keep d iff B is odd and A*C is even, that is iff
 d = 1 (mod 8): the condition for 2 to split in the quadratic order of
 discriminant d, where the Kronecker symbol (d/2) is 1 (Cohen, A Course in
 Computational Algebraic Number Theory, GTM 138, ch. 5).  The parities of
-A and C then name the two images.  A class holds a member equivalent to
-both of its halvings iff two of the three images stay in the class (see
-class_contains_self_similar), so only a class with d = 1 (mod 8) can.
+A and C then name the two images (_kept_images).
+
+The in-class images come in pairs.  Let d = 1 (mod 8) and L = Z*s + Z, an
+invertible ideal of the order O of discriminant d.  A row's image
+t = (a*s + b)/e has Z*t + Z = M/e, M = Z*(a*s + b) + Z*e one of the three
+index-2 sublattices of L, and t ~ s iff M = l*L for some l, so l is in O
+with N(l) = +-2.  As d is odd, O is maximal at 2, and 2*O = p*p' with p != p'
+its conjugate.  l*O, of norm 2, is p or p', so conj(l)*L != l*L (else p = p')
+is a second index-2 sublattice homothetic to L.  So 0 or 2 images are in the
+class, the two kept ones, and the first decides.  A member m*L has the
+in-class image l*m*L too, so every member has both kept images in the class
+or none.  A primitive form is odd at (1, 0), (0, 1) or (1, 1), so some member
+has A odd, hence C even and both halvings kept: a class holds a member
+equivalent to both its halvings iff any member's first kept image is in it.
 
 The scan reads this off its reduced states (P + sqrt(D))/Q: with
 r = isqrt(D), those with r - P < Q <= r + P and Q | D - P*P.  Their
@@ -125,12 +136,9 @@ def m_equiv_certificate(s: QuadraticSurd, m: int | Fraction):
 
 
 def self_similar_check(s: QuadraticSurd) -> bool:
-    """True iff s, s/2 and (s+1)/2 share one equivalence class; the halvings are
-    expanded only when both keep the discriminant of s (`_kept_images`)."""
-    if _kept_images(*s.minimal_polynomial()) != _IMAGES[1:]:
-        return False
-    key = class_key(s)
-    return all(class_key(linear_fractional(s, a, b, 0, d)) == key for _, a, b, d in _IMAGES[1:])
+    """True iff s, s/2 and (s+1)/2 share one equivalence class: the halvings are the
+    kept images of s (`_kept_images`), and the class holds them (module docstring)."""
+    return _kept_images(*s.minimal_polynomial()) == _IMAGES[1:] and class_contains_self_similar(s)
 
 
 def _kept_images(A: int, B: int, C: int) -> tuple:
@@ -143,21 +151,17 @@ def _kept_images(A: int, B: int, C: int) -> tuple:
 def class_contains_self_similar(s: QuadraticSurd, key: ClassKey | None = None) -> bool:
     """True iff the class of s has some member equivalent to both its halvings.
 
-    Member-independent test: of the three images 2s, s/2, (s+1)/2, at least
-    two stay in the class.  Each image enters the shared tail through a
-    distinct window case, and a preperiod can steer the doubling case to
-    any of the three, so two in-class images means some member keeps both
-    halvings in the class.
-
-    `key` is class_key(s), when the caller already has it.  Only the two images
-    that keep the discriminant of s can be in its class, so only they are expanded,
-    and the least rotation is taken only of a period as long as the key.
+    That is, iff the first image `_kept_images` names is in the class (module
+    docstring).  `key` is class_key(s), when the caller already has it.
     """
+    rows = _kept_images(*s.minimal_polynomial())
+    if not rows:
+        return False
     if key is None:
         key = class_key(s)
-    rows = _kept_images(*s.minimal_polynomial())
-    periods = (expand_surd(linear_fractional(s, a, b, 0, d)).period for _, a, b, d in rows)
-    return bool(rows) and all(len(p) == len(key) and least_rotation(p) == key for p in periods)
+    _, a, b, d = rows[0]
+    period = expand_surd(linear_fractional(s, a, b, 0, d)).period
+    return len(period) == len(key) and least_rotation(period) == key
 
 
 def two_of_three(beta: QuadraticSurd, target: ClassKey) -> set[Move]:
@@ -186,9 +190,10 @@ class ChainResult:
 def build_chain(alpha: QuadraticSurd, K: int) -> ChainResult:
     """beta with beta, 2*beta, ..., 2^K beta all in the class of alpha.
 
-    Descends K times from alpha, at each step replacing the current value
-    by whichever of value/2, (value+1)/2 stays in the class (preferring the
-    plain half when both do, which only happens at the first step).
+    Descends K times from alpha, with no expansion, by a halving among the
+    kept images, which are in the class (module docstring): at the top both
+    halvings, and the plain half is taken; below it the doubling, as 2*beta
+    is a translate of the member beta halves, and one halving.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
@@ -196,15 +201,10 @@ def build_chain(alpha: QuadraticSurd, K: int) -> ChainResult:
     if not self_similar_check(alpha):
         raise ValueError("alpha does not satisfy the self-similarity precondition")
     beta = alpha
-    for step in range(K):
-        halves = (linear_fractional(beta, a, b, 0, d) for move, a, b, d
-                  in _kept_images(*beta.minimal_polynomial()) if move is not Move.DOUBLE)
-        stay = [image for image in halves if class_key(image) == target]
-        if not stay:
-            raise RuntimeError("no equivalent halving; self-similarity violated")
-        if len(stay) == 2 and step > 0:
-            raise RuntimeError("both halvings equivalent below the top of the chain")
-        beta = stay[0]
+    for _ in range(K):
+        _, a, b, d = next(row for row in _kept_images(*beta.minimal_polynomial())
+                          if row[0] is not Move.DOUBLE)
+        beta = linear_fractional(beta, a, b, 0, d)
     _, a, b, d = _IMAGES[0]
     checks = []
     cur = beta

@@ -9,10 +9,12 @@ def workers(jobs: int | None, tasks: int) -> int:
     """Processes for `tasks` tasks: `jobs` (None: one per core), clamped to the cores and tasks.
 
     A fork-based pool starts all its processes at the first submit, so no
-    value may exceed what the machine and the work can use.
+    value may exceed what the machine and the work can use.  `jobs` below 1 raises.
     """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cores = os.cpu_count() or 1
-    return max(1, min(jobs or cores, cores, tasks))
+    return max(1, min(cores if jobs is None else jobs, cores, tasks))
 
 
 def pmap(fn, tasks: list, jobs: int | None) -> list:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cf2.cf
 from conftest import random_periodic_cf
 from cf2 import bounds
 from cf2.bounds import (
@@ -172,6 +173,19 @@ def test_class_memo_keeps_the_inputs_a_per_input_filter_keeps():
 def test_falsify_matches_per_input_reference():
     for args in ((2, 6), (3, 6), (4, 5, 1)):
         assert falsify_b_bound(*args) == _falsify_reference(*args), args
+
+
+def test_enumerated_inputs_are_built_unchecked(monkeypatch):
+    # bounds builds its digits itself, so they go through cf._canonical_cf, never CF(...)
+    expected = (verify_b2_exhaustive(6, 3), falsify_b_bound(3, 6), falsify_b_bound(4, 5, 1))
+
+    def no_check(*args):
+        raise AssertionError("CF(...) checked library-built digits")
+
+    monkeypatch.setattr(cf2.cf, "_validate", no_check)
+    with pytest.raises(AssertionError, match="checked"):
+        CF(0, (1,), (2,))
+    assert (verify_b2_exhaustive(6, 3), falsify_b_bound(3, 6), falsify_b_bound(4, 5, 1)) == expected
 
 
 @pytest.mark.slow

@@ -1,11 +1,14 @@
+import ast
 import itertools
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import cf2
 from conftest import child_env, random_surd
 from cf2.cf import CF, cf_of_rational, eval_finite, parse_cf, reciprocal
 from cf2.doubling import (
@@ -204,6 +207,16 @@ def test_results_hold_without_asserts():
         "1", "[]", "[0; (1, 3, 1)]", "[(1; 1, 3)]", "[2; (3, 1, 1)]",
         "(23 + sqrt(17))/32", "16 1/64", "206/297 67/91",
         "[0; 1, (1, 4, 1, 7)]", "[2; (1, 1, 3)]", "[-2; 1, 1, 2, 2]"]
+
+
+def test_src_has_no_assert():
+    """`python -O` covers only the paths it runs; no statement in src/ may be an assert."""
+    src = Path(cf2.__file__).resolve().parent
+    files = sorted(src.glob("*.py"))
+    assert files
+    for path in files:
+        nodes = ast.walk(ast.parse(path.read_text(), str(path)))
+        assert not [node.lineno for node in nodes if isinstance(node, ast.Assert)], path.name
 
 
 def test_double_cf_worked_examples():

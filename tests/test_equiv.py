@@ -230,6 +230,44 @@ def test_build_chain_examples():
         assert class_key(mul_pow2(r10.beta, k)) == class_key(QuadraticSurd(5, 33, 2))
 
 
+def _descend_by_keys(alpha, K):
+    """build_chain's beta by the key-checked descent: each step expands both
+    halvings and keeps the one in the class of alpha, the plain half at the top."""
+    target = class_key(alpha)
+    beta = alpha
+    for step in range(K):
+        stay = [image for image in (halve_surd(beta), halve_plus1_surd(beta))
+                if class_key(image) == target]
+        assert len(stay) == (2 if step == 0 else 1), (alpha, K, step)
+        beta = stay[0]
+    return beta
+
+
+def test_build_chain_matches_the_key_checked_descent(monkeypatch):
+    """build_chain descends by the parity rule with no expansion; its beta is the
+    key-checked descent's, and it expands alpha twice, one image and the K + 1
+    members 2^k beta."""
+    rng = random.Random(20)
+    alphas = [family_member(m) for m in range(3, 17, 2)]
+    alphas += [s for s in (QuadraticSurd(h.P, h.D, h.Q) for h in scan_self_similar(3000, 60))
+               if self_similar_check(s)]
+    for m in rng.choices((3, 5, 7, 9), k=200):  # members with random preperiods
+        pre = tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 5)))
+        member = surd_of_periodic_cf(CF(rng.randint(0, 3), pre, expand_surd(family_member(m)).period))
+        if self_similar_check(member):
+            alphas.append(member)
+    assert len(alphas) > 100
+    calls = []
+    expand = cf2.equiv.expand_surd
+    monkeypatch.setattr(cf2.equiv, "expand_surd", lambda s: calls.append(s) or expand(s))
+    for alpha in alphas:
+        for K in (0, 1, 3, 8, 14):
+            calls.clear()
+            beta = build_chain(alpha, K).beta
+            assert len(calls) == K + 4, (alpha, K)
+            assert beta == _descend_by_keys(alpha, K), (alpha, K)
+
+
 def test_build_chain_requires_self_similar():
     with pytest.raises(ValueError):
         build_chain(QuadraticSurd(1, 5, 2), 3)
@@ -415,6 +453,47 @@ def test_self_similar_check_matches_three_keys(s):
 def _discriminant(s):
     A, B, C = s.minimal_polynomial()
     return B * B - 4 * A * C
+
+
+@given(st.one_of(_surds(), _positive_surds()))
+@example(S17)
+@example(QuadraticSurd(1, 17, 4))
+@example(QuadraticSurd(1, 2089, 6))
+def test_in_class_images_are_both_kept_images_or_none(s):
+    """The pairing lemma (equiv docstring): when two images keep the discriminant
+    of s, both of them or neither are in its class, and no third one is."""
+    kept = cf2.equiv._kept_images(*s.minimal_polynomial())
+    if len(kept) == 2:
+        key = class_key(s)
+        in_class = tuple(row for row in cf2.equiv._IMAGES
+                         if class_key(linear_fractional(s, row[1], row[2], 0, row[3])) == key)
+        assert in_class in ((), kept)
+
+
+def test_one_verdict_per_discriminant():
+    """By the pairing lemma a class passes iff the order of discriminant d has an
+    element of norm +-2, so the classes of one d = 1 (mod 8) share a verdict;
+    checked on every reduced state with D <= 1200."""
+    verdicts: dict[int, dict] = {}  # d -> {class key: verdict}
+    for D in range(2, 1201):
+        r = isqrt(D)
+        if r * r == D:
+            continue
+        for P in range(1, r + 1):
+            for Q in range(r - P + 1, r + P + 1):
+                if (D - P * P) % Q:
+                    continue
+                s = QuadraticSurd(P, D, Q)
+                if _discriminant(s) % 8 == 1:
+                    classes = verdicts.setdefault(_discriminant(s), {})
+                    key = class_key(s)
+                    if key not in classes:
+                        classes[key] = class_contains_self_similar(s, key)
+    assert len(verdicts) == 133
+    assert sum(len(classes) > 1 for classes in verdicts.values()) == 51
+    assert {v for classes in verdicts.values() for v in classes.values()} == {True, False}
+    for d, classes in verdicts.items():
+        assert len(set(classes.values())) == 1, (d, classes)
 
 
 @given(_surds())

@@ -36,6 +36,21 @@ def test_workers_clamp():
     assert pmap(abs, [-3, 2, -1], 1) == [3, 2, 1]
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def test_jobs_below_one_raise(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            workers(jobs, 10)
+        with pytest.raises(ValueError, match="jobs"):
+            run(3, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            scan_self_similar(2000, 20, jobs=jobs)
+
+
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: maps in process, recording (max_workers, tasks)."""
 

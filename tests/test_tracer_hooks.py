@@ -54,11 +54,11 @@ def test_equiv_calls_surd_layers_through_module_globals(monkeypatch):
             return _f(*args)
         monkeypatch.setattr(cf2.equiv, name, counted)
     s = QuadraticSurd(3, 17, 2)  # in the self-similar class (1, 1, 3)
-    for check in (lambda: cf2.equiv.class_contains_self_similar(s),
-                  lambda: cf2.equiv.two_of_three(s, (1, 1, 3))):
-        calls.update(dict.fromkeys(calls, 0))
-        assert check()
-        assert calls["expand_surd"] >= 2 and calls["linear_fractional"] >= 2, calls
+    assert cf2.equiv.class_contains_self_similar(s)  # s and its first kept image
+    assert calls == {"expand_surd": 2, "linear_fractional": 1}, calls
+    calls.update(dict.fromkeys(calls, 0))
+    assert cf2.equiv.two_of_three(s, (1, 1, 3))
+    assert calls["expand_surd"] >= 2 and calls["linear_fractional"] >= 2, calls
 
 
 def test_convergent_callers_call_fold_word_through_module_globals(monkeypatch):
