@@ -51,12 +51,6 @@ def b_value(s: QuadraticSurd) -> int:
     return max(expand_surd(s).period)
 
 
-def truncated_digit_max(digits: Iterable[int], n: int) -> int:
-    """Lower bound for M from the first n body digits of a stream (not exact)."""
-    body = itertools.islice(digits, 1, n + 1)
-    return max(body)
-
-
 def lagrange_bounds(st: BMStats) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
     """Exact enclosing intervals for inf q||qx|| and liminf q||qx|| from M and B."""
     m_lo, m_hi = Fraction(1, st.M + 2), Fraction(1, st.M)

@@ -37,21 +37,37 @@ or none.  A primitive form is odd at (1, 0), (0, 1) or (1, 1), so some member
 has A odd, hence C even and both halvings kept: a class holds a member
 equivalent to both its halvings iff any member's first kept image is in it.
 
+So the verdict is one per d.  The first kept image is in the class iff its
+sublattice is l*L, N(l) = +-2, that is iff p or p' is principal, and p' =
+conj(p): iff O has an element of norm +-2.  This is read off d's principal
+cycle (_has_norm_two).  Write l = x + y*w, w = (1 + sqrt(d))/2: N(l) =
+x*x + x*y + (1 - d)/4*y*y is the principal form at (x, y).  (1) The
+representation is proper, as g = gcd(x, y) > 1 would give g*g | 2.
+(2) d = 1 (mod 8) is nonsquare, so d >= 17 and 2 < sqrt(d)/2, and by
+Lagrange's theorem on small represented numbers (Buchmann and Vollmer,
+Binary Quadratic Forms, 2007; Cohen, GTM 138, ch. 5) +-2 is the first
+coefficient of a reduced form in the principal cycle.  The reduced states
+(P + sqrt(d))/Q of that cycle are roots of its forms, of first coefficient
++-Q/2, and it holds (P + sqrt(d))/2, the root of x*x - P*x + (P*P - d)/4,
+for P the odd one of r and r - 1 (r = isqrt(d)).  So d passes iff the
+cycle has a state with Q = 4; conversely, that form represents +-2.
+
 The scan reads this off its reduced states (P + sqrt(D))/Q: with
 r = isqrt(D), those with r - P < Q <= r + P and Q | D - P*P.  Their
 primitive polynomial is (Q, -2P, (P*P - D)/Q)/g with content
 g = gcd(Q, 2P, (D - P*P)/Q), of discriminant d = 4D/g**2.  An odd d needs
 an even g, so an even Q, and then D = 4**e * u with 2**(e+1) || g and
 u = d * (g/2**(e+1))**2, which is d = 1 (mod 8) as odd squares are.
-Every other D, every odd Q and every state with 4D/g**2 != 1 (mod 8) is
-skipped without a walk; all states of a cycle share d, so they all fail.
+Every other D, every odd Q and every state whose d = 4D/g**2 is not 1 (mod 8)
+or fails (one verdict per d and worker) is skipped without a walk; all states
+of a cycle share d, so they all fail, and every class walked is a hit.
 So every Q in a passing cycle is even, and the scan needs no divisors of
 D - P*P: for each even Q <= 2r, Q | D - P*P says P = rho (mod Q) for a
 square root rho of D mod Q, read from a table of roots per Q, and
 r - P < Q leaves the one P = r - (r - rho) % Q, a state iff Q <= r + P
 (which rules out P <= 0 too).  A cycle is walked from the first of its
-states met, and its class is tested and named at its least (P, Q) with
-Q <= q_max, the state first in order of P, then Q.
+states met, and its class is named at its least (P, Q) with Q <= q_max, the
+state first in order of P, then Q.
 """
 
 from __future__ import annotations
@@ -148,20 +164,23 @@ def _kept_images(A: int, B: int, C: int) -> tuple:
     return tuple(row for row, kept in zip(_IMAGES, (not A & 1, not C & 1, (A + C) & 1)) if kept)
 
 
-def class_contains_self_similar(s: QuadraticSurd, key: ClassKey | None = None) -> bool:
+def _has_norm_two(d: int) -> bool:
+    """True iff the principal cycle of d = 1 (mod 8) has a state with Q = 4 (module docstring)."""
+    r = isqrt(d)
+    states: list[tuple[int, int]] = []
+    _cycle((r - 1) | 1, 2, d, r, states)
+    return any(q == 4 for _, q in states)
+
+
+def class_contains_self_similar(s: QuadraticSurd) -> bool:
     """True iff the class of s has some member equivalent to both its halvings.
 
-    That is, iff the first image `_kept_images` names is in the class (module
-    docstring).  `key` is class_key(s), when the caller already has it.
+    That is, iff its discriminant d = 1 (mod 8) and the order of discriminant d
+    has an element of norm +-2, read off d's principal cycle (module docstring).
     """
-    rows = _kept_images(*s.minimal_polynomial())
-    if not rows:
-        return False
-    if key is None:
-        key = class_key(s)
-    _, a, b, d = rows[0]
-    period = expand_surd(linear_fractional(s, a, b, 0, d)).period
-    return len(period) == len(key) and least_rotation(period) == key
+    A, B, C = s.minimal_polynomial()
+    d = B * B - 4 * A * C
+    return d & 7 == 1 and _has_norm_two(d)
 
 
 def two_of_three(beta: QuadraticSurd, target: ClassKey) -> set[Move]:
@@ -253,6 +272,7 @@ def _scan_range(args) -> list[ScanHit]:
     ds, q_max = args
     roots = _root_table(min(q_max, 2 * isqrt(ds.stop - 1)))
     seen_keys: set[ClassKey] = set()
+    verdicts: dict[int, bool] = {}  # d = 1 (mod 8) -> class_contains_self_similar
     hits: list[ScanHit] = []
     for D in ds:
         u = D
@@ -269,7 +289,10 @@ def _scan_range(args) -> list[ScanHit]:
                 P = r - (r - rho) % Q
                 if Q > r + P or (P, Q) in seen_states:
                     continue
-                if (4 * D // gcd(Q, 2 * P, (D - P * P) // Q) ** 2) & 7 != 1:  # so does its cycle
+                d = 4 * D // gcd(Q, 2 * P, (D - P * P) // Q) ** 2
+                if d & 7 == 1 and d not in verdicts:
+                    verdicts[d] = class_contains_self_similar(QuadraticSurd(P, D, Q))
+                if not verdicts.get(d):  # d fails, and so does the cycle
                     continue
                 states: list[tuple[int, int]] = []
                 digits = _cycle(P, Q, D, r, states)
@@ -279,8 +302,7 @@ def _scan_range(args) -> list[ScanHit]:
                     continue
                 seen_keys.add(key)
                 p, q = min((p, q) for p, q in states if q <= q_max)  # first in order of P, then Q
-                if class_contains_self_similar(QuadraticSurd(p, D, q), key):
-                    local.append(ScanHit(D, q, p, len(key), max(key), key))
+                local.append(ScanHit(D, q, p, len(key), max(key), key))
         hits.extend(sorted(local, key=lambda h: (h.Q, h.P)))
     return hits
 
@@ -293,8 +315,9 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     """All self-similar classes with a reduced representative (P + sqrt(D))/Q in range.
 
     Enumerates purely periodic states for each nonsquare D in [d_min, d_max]
-    with 1 <= Q <= q_max, one expansion per class, and keeps the classes
-    where some member is equivalent to both of its halvings.  Output is
+    with 1 <= Q <= q_max, and keeps the classes where some member is
+    equivalent to both of its halvings: one verdict per discriminant, before
+    any walk, and one cycle walk per class of a passing discriminant.  Output is
     deduplicated by class key and sorted by (D, Q, P); chunked workers
     merge in range order, so the result is independent of the job count.
     jobs=None starts one worker per _COST_PER_WORKER of cost begun, at most one per core.

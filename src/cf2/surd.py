@@ -138,10 +138,6 @@ def halve_plus1_surd(s: QuadraticSurd) -> QuadraticSurd:
     return linear_fractional(s, 1, 1, 0, 2)
 
 
-def recip_surd(s: QuadraticSurd) -> QuadraticSurd:
-    return linear_fractional(s, 0, 1, 1, 0)
-
-
 def mul_pow2(s: QuadraticSurd, k: int) -> QuadraticSurd:
     """2**k * s (k may be negative for halving)."""
     for _ in range(k):

@@ -23,8 +23,8 @@ from cf2.surd import (
     QuadraticSurd,
     SurdParseError,
     expand_surd,
+    linear_fractional,
     parse_surd,
-    recip_surd,
     surd_of_periodic_cf,
 )
 
@@ -228,7 +228,7 @@ def test_reciprocal_digits_match_surd_and_rational_oracles(raw):
     x = CF(a0, pre, period)
     flipped = CF(*_reciprocal_digits(a0, pre, period))
     if period:
-        assert flipped == expand_surd(recip_surd(surd_of_periodic_cf(x)))
+        assert flipped == expand_surd(linear_fractional(surd_of_periodic_cf(x), 0, 1, 1, 0))
     else:
         assert eval_finite(flipped) == 1 / eval_finite(x)
     assert reciprocal(x) == flipped

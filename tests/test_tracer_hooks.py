@@ -47,6 +47,7 @@ def test_traced_names_resolve():
 def test_equiv_calls_surd_layers_through_module_globals(monkeypatch):
     # The tracer wraps cf2.equiv.expand_surd and cf2.equiv.linear_fractional in
     # place; an image table of functions bound at import time would bypass them.
+    # class_contains_self_similar reads the principal cycle and calls neither.
     calls = {"expand_surd": 0, "linear_fractional": 0}
     for name in calls:
         def counted(*args, _f=getattr(cf2.equiv, name), _name=name):
@@ -54,10 +55,12 @@ def test_equiv_calls_surd_layers_through_module_globals(monkeypatch):
             return _f(*args)
         monkeypatch.setattr(cf2.equiv, name, counted)
     s = QuadraticSurd(3, 17, 2)  # in the self-similar class (1, 1, 3)
-    assert cf2.equiv.class_contains_self_similar(s)  # s and its first kept image
-    assert calls == {"expand_surd": 2, "linear_fractional": 1}, calls
-    calls.update(dict.fromkeys(calls, 0))
+    assert cf2.equiv.class_contains_self_similar(s)
+    assert calls == {"expand_surd": 0, "linear_fractional": 0}, calls
     assert cf2.equiv.two_of_three(s, (1, 1, 3))
+    assert calls["expand_surd"] >= 2 and calls["linear_fractional"] >= 2, calls
+    calls.update(dict.fromkeys(calls, 0))
+    assert cf2.equiv.build_chain(s, 2).checks == ((1, 1, 3),) * 3
     assert calls["expand_surd"] >= 2 and calls["linear_fractional"] >= 2, calls
 
 
