@@ -27,8 +27,8 @@ from typing import Callable, Iterable, Iterator
 
 from .cf import CF, Digits, _canonical_cf, fold_word, primitive_word, rotation_start
 from .doubling import _double_periodic, double_cf, halve_cf
-from .equiv import ClassKey, class_key, key_of_cf
-from .surd import QuadraticSurd, double_surd, expand_surd
+from .equiv import ClassKey, key_of_cf
+from .surd import QuadraticSurd, expand_surd
 
 KEY_311: ClassKey = (1, 1, 3)
 
@@ -58,13 +58,6 @@ def lagrange_bounds(st: BMStats) -> tuple[tuple[Fraction, Fraction], tuple[Fract
     return (m_lo, m_hi), (c_lo, c_hi)
 
 
-def golden_doubling_check(s: QuadraticSurd) -> bool:
-    """For s in the all-ones class, doubling must land in the all-fours class."""
-    if class_key(s) != (1,):
-        raise ValueError("s is not equivalent to the all-ones expansion")
-    return class_key(double_surd(s)) == (4,)
-
-
 class B2Shape(enum.Enum):
     TAIL_TWOS = "(2)"
     TAIL_TWO_ONE = "(2,1)"
@@ -86,14 +79,6 @@ def classify_b2(cf: CF) -> B2Shape | None:
     if cf.period == (2,):
         return B2Shape.TAIL_TWOS if qn == 1 and qn1 == 1 else None
     return B2Shape.TAIL_TWO_ONE if qn1 == 0 else None
-
-
-def check_b2_characterization(s: QuadraticSurd) -> bool:
-    """Whether (B(s) <= 2 and B(2s) <= 2) <=> classify_b2 matches, for this s."""
-    cf = expand_surd(s)
-    lhs = stats(cf).B <= 2 and b_value(double_surd(s)) <= 2
-    rhs = classify_b2(cf) is not None
-    return lhs == rhs
 
 
 def _words(alphabet: Iterable[int], max_len: int) -> Iterator[tuple[int, ...]]:

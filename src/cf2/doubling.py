@@ -227,12 +227,3 @@ def trio(s: QuadraticSurd, n_max: int = 60) -> TrioResult:
     common = sorted(set(runs) & set(half_cases) & set(plus_cases))
     cases = {n: (runs[n], half_cases[n], plus_cases[n]) for n in common}
     return TrioResult(double_cf(alpha), halve_cf(alpha), halve_plus1_cf(alpha), cases)
-
-
-def doubled_digit_prefix(digits: Sequence[int], count: int) -> list[int]:
-    """First `count` final digits of 2x from a finite digit prefix of x."""
-    *_, machine = _fed(digits)
-    final = machine.cleaned[:-1]
-    if len(final) < count:
-        raise ValueError("not enough input digits")
-    return final[:count]

@@ -75,7 +75,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .cf import CF, fold_word, least_rotation, rotation_start
@@ -138,17 +137,6 @@ def scaled_equiv_certificate(s: QuadraticSurd, e: int, f: int, h: int):
     a, b = r1 * q0 - r0 * q1, r0 * p1 - r1 * p0
     c, d = t1 * q0 - t0 * q1, t0 * p1 - t1 * p0
     return a, b, c, d, e * c // s.minimal_polynomial()[0]
-
-
-def m_equiv_certificate(s: QuadraticSurd, m: int | Fraction):
-    """Certificate that s ~ m*s (integer m), or s ~ (p/q)*s for a Fraction; None if not.
-
-    For integer m the returned (a, b, c, d, l) satisfies A*l = m*c,
-    B*l = m*d - a, C*l = -b and a*d - b*c = +-1 with gcd(l, m) = 1: a prime
-    dividing l and m divides a and b, hence a*d - b*c.
-    """
-    m = Fraction(m)
-    return scaled_equiv_certificate(s, m.numerator, 0, m.denominator)
 
 
 def self_similar_check(s: QuadraticSurd) -> bool:

@@ -11,7 +11,12 @@ The prefix tree is walked depth first.  A child's cylinder lies inside its
 parent's, so the digits of 2^k x the parent found certain are certain for
 the child too: each child resumes the parent's Euclid scan at every k
 instead of expanding both doubled endpoints from digit 0 (Gosper's carried
-homographic state, HAKMEM item 101).
+homographic state, HAKMEM item 101).  A surviving prefix decides its C
+children together (`_children`), so pending siblings hold their own
+states: O(C * depth * k) of them.  The scans of small k start from few
+distinct states, since multiplying by 2^k is a finite transducer on
+continued fractions (Raney, Math. Ann. 206, 1973); one memo per `run`
+answers them after the first.
 
 Each prefix's k loop ends by k = ceil(log2(q_min q_max / |det T|)) (`try_exclude`),
 so only the depth of the walk has a budget.
@@ -19,7 +24,6 @@ so only the depth of the walk has a budget.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -27,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .cf import cf_of_rational, fold_word
+from .cf import fold_word
 from .pool import pmap
 from .surd import QuadraticSurd, _is_reduced, _quotients, double_surd, linear_fractional
 
@@ -129,33 +133,54 @@ def interval_bounds(word, C: int) -> tuple[Fraction, Fraction]:
     return a, b
 
 
-def common_prefix_info(x: Fraction, y: Fraction) -> tuple[list[int], int | None]:
-    """Digits certainly shared by everything strictly between x and y.
+def _scan(C: int, i: int, pa: int, qa: int, pb: int, qb: int,
+          adjugate: tuple[int, int, int, int], det: int):
+    """One Euclid scan of the endpoint pair pa/qa, pb/qb from step i: (i, bound, R).
 
-    Returns (shared, next_min): the longest common prefix of the two
-    canonical expansions, dropped by one digit whenever either expansion
-    terminates within one digit past the match, and a lower bound for the
-    digit right after the shared prefix when both expansions provide one.
+    `bound` > 0 excludes at digit i.  Otherwise R is None when the floors
+    differ at digit 0, which ends the k loop, and else the matrix that the
+    children resume from at step i: R = S . adjugate / det, with S the pair
+    at step i and adjugate / det the inverse of the tail matrix T.
     """
-    if x == y:
-        raise ValueError("endpoints must differ")
-    dx, dy = list(cf_of_rational(x).digits()), list(cf_of_rational(y).digits())
-    L = 0
-    for a, b in zip(dx, dy):
+    while True:
+        a, ra = divmod(pa, qa)
+        b, rb = divmod(pb, qb)
         if a != b:
             break
-        L += 1
-    if len(dx) <= L + 1 or len(dy) <= L + 1:
-        shared = dx[:L - 1] if L >= 1 else []
-        pos = L - 1
-    else:
-        shared = dx[:L]
-        pos = L
-    if 0 <= pos < len(dx) and pos < len(dy):
-        next_min = min(dx[pos], dy[pos])
-    else:
-        next_min = None
-    return shared, next_min
+        if a > C and i:
+            return i, a, None
+        if not (ra and rb):
+            break
+        pa, qa, pb, qb = qa, ra, qb, rb
+        i += 1
+    if a != b:
+        if i == 0:
+            return 0, 0, None
+        if ra and rb and a > C and b > C:
+            return i, min(a, b), None
+    # Digits 0..i-1 are shared without terminating, and those past digit 0
+    # are at most C, so they hold on every cylinder inside this one.
+    a11, a12, a21, a22 = adjugate
+    return i, 0, ((pa * a11 + pb * a21) // det, (pa * a12 + pb * a22) // det,
+                  (qa * a11 + qb * a21) // det, (qa * a12 + qb * a22) // det)
+
+
+def _fresh(C: int, k: int, endpoints: tuple[int, int, int, int],
+           adjugate: tuple[int, int, int, int], det: int, found: list):
+    """Scan k, k + 1, ... from digit 0 on 2^k times the endpoints (p_min, q_min, p_max, q_max).
+
+    Appends each k's state (i, R) to `found` and returns (k, position, bound)
+    of the first exclusion, or None once the floors differ at digit 0.
+    """
+    pn, qn, px, qx = endpoints
+    while True:
+        i, bound, R = _scan(C, 0, pn << k, qn, px << k, qx, adjugate, det)
+        if bound:
+            return k, i, bound
+        if R is None:
+            return None
+        found.append((i, R))
+        k += 1
 
 
 def try_exclude(word, C: int, *, fold=None, tables=None, inherited=(),
@@ -164,22 +189,26 @@ def try_exclude(word, C: int, *, fold=None, tables=None, inherited=(),
 
     The endpoint pair at k is diag(2^k, 1) . M . T, with M the matrix of
     [0; word] and T the tail matrix.  Euclid runs on both endpoints at once
-    and reads the verdict of `common_prefix_info`:
+    (`_scan`).  A digit that both expansions share at position i >= 1 holds
+    for every x in the cylinder, and so does a lower bound at the first
+    position where they differ, unless an endpoint ends there:
     - a shared digit above C at position i >= 1 excludes;
     - at the first differing position i >= 1, the smaller of the two
       digits excludes when it is above C and neither endpoint ends there;
     - differing integer parts stop the k loop, by k = ceil(log2(q_min q_max / |det T|))
       as the columns p/q of M . T are |det T| / (q_min q_max) apart (det M = +-1).
 
-    `run` passes the convergents `fold` = fold_word((0,) + word), the
-    `_tables(C)` of the search and the parent's states, one per k: a step j
-    and R = A^-1 . diag(2^k, 1) . M_parent, with A the matrix of the first
-    j digits of 2^k x that the whole parent cylinder shares (past digit 0,
-    all at most C).  A child with last digit d resumes Euclid at step j on
+    The search calls this for its depth-2 roots; `_children` steps every
+    deeper prefix with the same scan.  `fold` = fold_word((0,) + word) and
+    `tables` = `_tables(C)` may be passed in.  `inherited` holds the
+    parent's states, one per k: a step j and R = (r11, r12, r21, r22) =
+    A^-1 . diag(2^k, 1) . M_parent, with A the matrix of the first j digits
+    of 2^k x that the whole parent cylinder shares (past digit 0, all at
+    most C).  A child with last digit d resumes Euclid at step j on
     R . [[d, 1], [1, 0]] . T, so a resumed k stops at digit 0 only if j = 0.
-    When `states` is a list and no witness is found, this prefix's states are
-    appended to it: the pair S at the step j where the scan stopped gives
-    R = S . adj(T) / det(T), exact because S = A^-1 . diag(2^k, 1) . M . T.
+    When `states` is a list and no witness is found, this prefix's states
+    are appended to it: the pair S at the step j where the scan stopped
+    gives R = S . adj(T) / det(T), exact because S = A^-1 . diag(2^k, 1) . M . T.
     """
     word = tuple(word)
     if tables is None:
@@ -187,83 +216,141 @@ def try_exclude(word, C: int, *, fold=None, tables=None, inherited=(),
     if fold is None:
         fold = fold_word((0,) + word)
     parity = len(word) % 2
-    pn, qn, px, qx = _endpoints(fold, tables.pair[parity])
+    adjugate, det = tables.adjugate[parity], tables.det[parity]
+    found: list = []
+    hit = None
     if inherited:
         w11, w12, w21, w22 = tables.child[parity][word[-1]]
-    found = []
-    resumable = len(inherited)
-    for k in itertools.count(1):
-        if k <= resumable:
-            i, r11, r12, r21, r22 = inherited[k - 1]
-            pa, qa = r11 * w11 + r12 * w21, r21 * w11 + r22 * w21
-            pb, qb = r11 * w12 + r12 * w22, r21 * w12 + r22 * w22
-        else:
-            i, pa, qa, pb, qb = 0, pn << k, qn, px << k, qx
-        while True:
-            a, ra = divmod(pa, qa)
-            b, rb = divmod(pb, qb)
-            if a != b:
-                break
-            if a > C and i:
-                return ExclusionWitness(word, k, i, a)
-            if not (ra and rb):
-                break
-            pa, qa, pb, qb = qa, ra, qb, rb
-            i += 1
-        if a != b:
-            if i == 0:
-                break
-            if ra and rb and a > C and b > C:
-                return ExclusionWitness(word, k, i, min(a, b))
-        # Digits 0..i-1 are shared without terminating, and those past digit 0
-        # are at most C, so they hold on every cylinder inside this one.
-        found.append((i, pa, qa, pb, qb))
+    for k, (j, (r11, r12, r21, r22)) in enumerate(inherited, 1):
+        i, bound, R = _scan(C, j, r11 * w11 + r12 * w21, r21 * w11 + r22 * w21,
+                            r11 * w12 + r12 * w22, r21 * w12 + r22 * w22, adjugate, det)
+        if bound:
+            hit = k, i, bound
+            break
+        if R is None:
+            break
+        found.append((i, R))
+    else:
+        hit = _fresh(C, len(inherited) + 1, _endpoints(fold, tables.pair[parity]),
+                     adjugate, det, found)
+    if hit is not None:
+        return ExclusionWitness(word, *hit)
     if states is not None:
-        a11, a12, a21, a22 = tables.adjugate[parity]
-        det = tables.det[parity]
-        states.extend((j, (pa * a11 + pb * a21) // det, (pa * a12 + pb * a22) // det,
-                       (qa * a11 + qb * a21) // det, (qa * a12 + qb * a22) // det)
-                      for j, pa, qa, pb, qb in found)
+        states.extend(found)
     return None
+
+
+_MEMO_K = 6  # resumed scans at k <= _MEMO_K are answered from the run's memo
+
+
+def _children(word, fold, states, C: int, tables: _Tables, memo: dict):
+    """`try_exclude` for all C children of a surviving prefix at once.
+
+    `states` are the prefix's own, one per k.  The loop runs over k outside
+    and over the children not yet decided inside, so a child excluded at
+    some k drops out of every later k.  The pair of child d at k is
+    R . [[d, 1], [1, 0]] . T = d . U + V, with U = R . [[1, 0], [0, 0]] . T
+    and V = R . [[0, 1], [1, 0]] . T made once per k.
+
+    A scan resumed at step j > 0 never reads digit 0, so it depends on j
+    only through the positions it reports.  For k <= _MEMO_K and j > 0,
+    `memo` maps (R, child parity) to C slots, each filled by the first
+    child scan that needs it with (i - j, bound, R') from `_scan`: one
+    lookup answers every child of every prefix that holds R.  Multiplying
+    by 2^k is a finite transducer on continued fractions (Raney, Math.
+    Ann. 206, 1973), so for small k the R are few, and fewer still the
+    distinct slots: `memo` also maps each slot to itself, so equal slots
+    share one tuple.  Children left after the inherited k scan the fresh
+    k from digit 0, as `try_exclude` does.
+
+    Returns (hits, found): hits[d] is (k, position, bound) for an excluded
+    child and None for a survivor, whose states are found[d] (index 0 unused).
+    """
+    parity = 1 - len(word) % 2
+    pair = tables.pair[parity]
+    t11, t12, t21, t22 = pair
+    adjugate, det = tables.adjugate[parity], tables.det[parity]
+    hits: list = [None] * (C + 1)
+    found: list[list] = [[] for _ in range(C + 1)]
+    alive = range(1, C + 1)
+    for k, (j, R) in enumerate(states, 1):
+        r11, r12, r21, r22 = R
+        ua, uqa, ub, uqb = r11 * t11, r21 * t11, r11 * t12, r21 * t12
+        va, vqa = r11 * t21 + r12 * t11, r21 * t21 + r22 * t11
+        vb, vqb = r11 * t22 + r12 * t12, r21 * t22 + r22 * t12
+        slots = None
+        if j and k <= _MEMO_K:
+            key = R, parity
+            slots = memo.get(key)
+            if slots is None:
+                slots = memo[key] = [None] * (C + 1)
+        left = []
+        for d in alive:
+            slot = None if slots is None else slots[d]
+            if slot is None:
+                i, bound, nxt = _scan(C, j, d * ua + va, d * uqa + vqa, d * ub + vb,
+                                      d * uqb + vqb, adjugate, det)
+                slot = i - j, bound, nxt
+                if slots is not None:
+                    slot = slots[d] = memo.setdefault(slot, slot)
+            offset, bound, nxt = slot
+            if bound:
+                hits[d] = k, j + offset, bound
+            elif nxt is not None:
+                found[d].append((j + offset, nxt))
+                left.append(d)
+        alive = left
+    p1, q1, p0, q0 = fold
+    for d in alive:
+        hits[d] = _fresh(C, len(states) + 1, _endpoints((d * p1 + p0, d * q1 + q0, p1, q1), pair),
+                         adjugate, det, found[d])
+    return hits, found
 
 
 def _walk(args):
     """Depth-first exclusion of one depth-2 root and its descendants.
 
-    Children are visited in increasing digit order, so each depth meets its
-    prefixes in the lexicographic order of a breadth-first search.  Only
-    the states of the prefixes on the current path and their pending
-    siblings are alive: O(depth * k) of them.  Returns one entry per depth
-    from 2 on, [frontier, excluded, witnesses] (witnesses only when
+    The root goes through `try_exclude`; each surviving prefix then decides
+    all its children at once (`_children`).  Children are visited in
+    increasing digit order, so each depth meets its prefixes in the
+    lexicographic order of a breadth-first search.  Only the states of the
+    prefixes on the current path and of their pending siblings are alive:
+    O(C * depth * k) of them, beside the run's memo.  Returns one entry per
+    depth from 2 on, [frontier, excluded, witnesses] (witnesses only when
     collected), the largest witness k, and whether max_depth cut off a
     surviving prefix.
     """
-    root, C, max_depth, collect, tables = args
-    levels: list[list] = []
+    root, C, max_depth, collect, tables, memo = args
+    fold = fold_word((0,) + root)
+    states: list = []
+    wit = try_exclude(root, C, fold=fold, tables=tables, states=states)
+    if wit is not None:
+        return [[1, 1, [wit] if collect else []]], wit.k, False
+    levels: list[list] = [[1, 0, []]]
     K = 0
     cut = False
-    stack = [(root, fold_word((0,) + root), ())]
+    stack = [(root, fold, states)]
     while stack:
-        word, fold, inherited = stack.pop()
-        if max_depth is not None and len(word) > max_depth:
+        word, fold, states = stack.pop()
+        if max_depth is not None and len(word) >= max_depth:
             cut = True
             continue
-        if len(word) - 2 == len(levels):
+        if len(word) - 1 == len(levels):
             levels.append([0, 0, []])
-        level = levels[len(word) - 2]
-        level[0] += 1
-        states: list = []
-        wit = try_exclude(word, C, fold=fold, tables=tables, inherited=inherited, states=states)
-        if wit is None:
-            p1, q1, p0, q0 = fold
-            stack.extend((word + (d,), (d * p1 + p0, d * q1 + q0, p1, q1), states)
-                         for d in range(C, 0, -1))
-        else:
-            level[1] += 1
-            if wit.k > K:
-                K = wit.k
-            if collect:
-                level[2].append(wit)
+        level = levels[len(word) - 1]
+        level[0] += C
+        hits, found = _children(word, fold, states, C, tables, memo)
+        p1, q1, p0, q0 = fold
+        for d in range(1, C + 1):
+            hit = hits[d]
+            if hit is not None:
+                level[1] += 1
+                if hit[0] > K:
+                    K = hit[0]
+                if collect:
+                    level[2].append(ExclusionWitness(word + (d,), *hit))
+        stack.extend((word + (d,), (d * p1 + p0, d * q1 + q0, p1, q1), found[d])
+                     for d in range(C, 0, -1) if hits[d] is None)
     return levels, K, cut
 
 
@@ -282,7 +369,8 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = 1,
         raise ValueError("max_depth must be >= 2, the depth of the roots")
     start = time.monotonic()
     tables = _tables(C)
-    tasks = [((d1, d2), C, max_depth, collect_witnesses, tables)
+    memo: dict = {}  # `_children`'s; worker processes get a copy per task
+    tasks = [((d1, d2), C, max_depth, collect_witnesses, tables, memo)
              for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
     parts = pmap(_walk, tasks, jobs)
     levels: list[list] = []

@@ -238,24 +238,6 @@ def is_purely_periodic(s: QuadraticSurd) -> bool:
     return _is_reduced(s.P, s.Q, isqrt(s.D))
 
 
-def algebraic_integer_shape_check(s: QuadraticSurd) -> bool:
-    """Expansion of an algebraic integer surd is [a0; (w..., 2*a0 - trace)] with a palindromic front.
-
-    Requires a monic minimal polynomial; checks the palindrome and the final
-    period digit against twice the integer part minus the trace.
-    """
-    A, B, _ = s.minimal_polynomial()
-    if A != 1:
-        raise ValueError("not an algebraic integer (leading coefficient != 1)")
-    cf = expand_surd(s)
-    if cf.pre:
-        return False
-    w = cf.period
-    if list(w[:-1]) != list(reversed(w[:-1])):
-        return False
-    return w[-1] == 2 * cf.a0 + B
-
-
 # -- text form ---------------------------------------------------------------
 
 

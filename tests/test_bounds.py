@@ -13,18 +13,16 @@ from cf2.bounds import (
     FalsifyResult,
     WhitelistHit,
     b_value,
-    check_b2_characterization,
     classify_b2,
     falsify_b_bound,
-    golden_doubling_check,
     lagrange_bounds,
     stats,
     verify_b2_exhaustive,
 )
 from cf2.cf import CF, least_rotation, parse_cf
 from cf2.doubling import double_cf, halve_cf, halve_plus1_cf
-from cf2.equiv import key_of_cf
-from cf2.surd import QuadraticSurd, double_surd, surd_of_periodic_cf
+from cf2.equiv import class_key, key_of_cf
+from cf2.surd import QuadraticSurd, double_surd, expand_surd, surd_of_periodic_cf
 
 
 def test_stats_examples():
@@ -65,6 +63,13 @@ def test_lagrange_bounds():
     assert (mlo, mhi) == (Fraction(1, 3), Fraction(1, 1))
 
 
+def golden_doubling_check(s: QuadraticSurd) -> bool:
+    """For s in the all-ones class, doubling must land in the all-fours class."""
+    if class_key(s) != (1,):
+        raise ValueError("s is not equivalent to the all-ones expansion")
+    return class_key(double_surd(s)) == (4,)
+
+
 def test_golden_doubling():
     assert golden_doubling_check(QuadraticSurd(-1, 5, 2))
     assert golden_doubling_check(QuadraticSurd(1, 5, 2))
@@ -83,6 +88,14 @@ def test_classify_b2_examples():
     # sqrt(2) = [1; (2)]: junction parities q_0 = 1 odd, q_{-1} = 0 even
     assert classify_b2(parse_cf("[1; (2)]")) is None
     assert b_value(double_surd(QuadraticSurd(0, 2, 1))) == 4  # 2*sqrt(2) = [2; (1, 4)]
+
+
+def check_b2_characterization(s: QuadraticSurd) -> bool:
+    """Whether (B(s) <= 2 and B(2s) <= 2) <=> classify_b2 matches, for this s."""
+    cf = expand_surd(s)
+    lhs = stats(cf).B <= 2 and b_value(double_surd(s)) <= 2
+    rhs = classify_b2(cf) is not None
+    return lhs == rhs
 
 
 def test_check_b2_characterization_fixtures():

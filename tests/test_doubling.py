@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -21,7 +22,6 @@ from cf2.doubling import (
     classify_windows,
     double_cf,
     double_stream,
-    doubled_digit_prefix,
     halve_cf,
     halve_plus1_cf,
     production_bounds_check,
@@ -134,6 +134,15 @@ def test_stream_cleanup_and_finality():
 def test_stream_rejects_finite_and_bad_digits():
     with pytest.raises(ValueError):
         list(double_stream(iter([1, 2, 2, 2])))
+
+
+def doubled_digit_prefix(digits: Sequence[int], count: int) -> list[int]:
+    """First `count` final digits of 2x from a finite digit prefix of x."""
+    *_, machine = _fed(digits)
+    final = machine.cleaned[:-1]
+    if len(final) < count:
+        raise ValueError("not enough input digits")
+    return final[:count]
 
 
 def test_zero_body_digit_rejected_by_every_driver():

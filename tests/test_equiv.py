@@ -2,6 +2,7 @@ import concurrent.futures
 import os
 import random
 import tracemalloc
+from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
@@ -18,7 +19,6 @@ from cf2.equiv import (
     class_key,
     family_chain,
     family_member,
-    m_equiv_certificate,
     scaled_equiv_certificate,
     scan_self_similar,
     self_similar_check,
@@ -73,6 +73,17 @@ def test_class_key_equivalence_relation():
         assert keys[i] == keys[i]
         for j in range(i + 1, len(surds)):
             assert (keys[i] == keys[j]) == (keys[j] == keys[i])
+
+
+def m_equiv_certificate(s: QuadraticSurd, m: int | Fraction):
+    """Certificate that s ~ m*s (integer m), or s ~ (p/q)*s for a Fraction; None if not.
+
+    For integer m the returned (a, b, c, d, l) satisfies A*l = m*c,
+    B*l = m*d - a, C*l = -b and a*d - b*c = +-1 with gcd(l, m) = 1: a prime
+    dividing l and m divides a and b, hence a*d - b*c.
+    """
+    m = Fraction(m)
+    return scaled_equiv_certificate(s, m.numerator, 0, m.denominator)
 
 
 def test_m_certificate_half_transform_fixture():

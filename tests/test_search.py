@@ -13,9 +13,10 @@ from cf2.search import (
     ExclusionWitness,
     SearchCapExceeded,
     SearchReport,
+    _children,
     _find_large_digit,
     _tables,
-    common_prefix_info,
+    _walk,
     interval_bounds,
     run,
     try_exclude,
@@ -192,6 +193,35 @@ def test_witness_soundness_via_surd_oracle():
 # -- slow oracles for the depth-first search ---------------------------------
 
 
+def common_prefix_info(x: Fraction, y: Fraction) -> tuple[list[int], int | None]:
+    """Digits certainly shared by everything strictly between x and y.
+
+    Returns (shared, next_min): the longest common prefix of the two
+    canonical expansions, dropped by one digit whenever either expansion
+    terminates within one digit past the match, and a lower bound for the
+    digit right after the shared prefix when both expansions provide one.
+    """
+    if x == y:
+        raise ValueError("endpoints must differ")
+    dx, dy = list(cf_of_rational(x).digits()), list(cf_of_rational(y).digits())
+    L = 0
+    for a, b in zip(dx, dy):
+        if a != b:
+            break
+        L += 1
+    if len(dx) <= L + 1 or len(dy) <= L + 1:
+        shared = dx[:L - 1] if L >= 1 else []
+        pos = L - 1
+    else:
+        shared = dx[:L]
+        pos = L
+    if 0 <= pos < len(dx) and pos < len(dy):
+        next_min = min(dx[pos], dy[pos])
+    else:
+        next_min = None
+    return shared, next_min
+
+
 def _fraction_exclude(word, C):
     """try_exclude from Fractions: common_prefix_info on 2^k times the interval bounds."""
     lo, hi = interval_bounds(word, C)
@@ -240,7 +270,7 @@ def test_try_exclude_matches_fraction_oracle():
     assert visited == 2159
 
 
-@pytest.mark.parametrize("C", range(1, 7))
+@pytest.mark.parametrize("C", range(1, 9))
 @pytest.mark.parametrize("max_depth", [None, 2, 4])
 def test_depth_first_run_matches_breadth_first_oracle(C, max_depth):
     expected = _bfs_run(C, max_depth)
@@ -284,7 +314,7 @@ def test_resume_states_divide_exactly():
         for word, states in _surviving_states(C):
             checked += len(states)
             t11, t12, t21, t22 = _tables(C).pair[len(word) % 2]
-            for k, (j, r11, r12, r21, r22) in enumerate(states, 1):
+            for k, (j, (r11, r12, r21, r22)) in enumerate(states, 1):
                 assert _euclid_state(word, C, k, j) == (
                     r11 * t11 + r12 * t21, r21 * t11 + r22 * t21,
                     r11 * t12 + r12 * t22, r21 * t12 + r22 * t22), (word, k)
@@ -308,6 +338,54 @@ def test_k_loop_stops_at_the_first_k_where_the_floors_differ():
             assert hi - lo == Fraction(det, q_min_q_max), word
             assert 2 ** (stop - 1) * det < q_min_q_max, word  # stop <= ceil(log2(q q / det))
     assert survivors == 751  # the prefixes run(1) .. run(7) visit and do not exclude
+
+
+def test_memo_keys_are_resumed_states_of_small_k():
+    # the memo maps (R, child parity) to C + 1 slots, and each distinct slot to
+    # itself; every R is a state at some k <= 6, so |det R| = 2^k
+    C = 8
+    tables = _tables(C)
+    memo = {}
+    for root in itertools.product(range(1, C + 1), repeat=2):
+        _walk((root, C, None, False, tables, memo))
+    keys = [key for key in memo if len(key) == 2]
+    assert len(keys) > 100
+    for key in keys:
+        (r11, r12, r21, r22), parity = key
+        det = abs(r11 * r22 - r12 * r21)
+        assert parity in (0, 1) and det in {2 ** k for k in range(1, 7)}, key
+        assert len(memo[key]) == C + 1 and memo[key][0] is None, key
+    slots = {id(slot) for key in keys for slot in memo[key] if slot is not None}
+    assert {id(memo[key]) for key in memo if len(key) == 3} == slots
+
+
+def test_children_resuming_at_digit_0_match_try_exclude():
+    # no prefix of run(C), C <= 10, inherits a state with j = 0, so build them:
+    # (0, diag(2^k, 1) . M) shares no digit for any k, and a child resuming there
+    # scans its fresh pair, so its k loop ends inside the inherited k
+    ended = excluded = 0
+    for C in (3, 5, 8):
+        tables = _tables(C)
+        for word in itertools.product(range(1, C + 1), repeat=2):
+            fold = fold_word((0,) + word)
+            p1, q1, p0, q0 = fold
+            states = [(0, (p1 << k, p0 << k, q1, q0)) for k in range(1, 41)]
+            memo = {}
+            hits, found = _children(word, fold, states, C, tables, memo)
+            assert memo == {}  # j = 0 is never memoised
+            for d in range(1, C + 1):
+                child = word + (d,)
+                resumed, fresh = [], []
+                wit = try_exclude(child, C, tables=tables, inherited=states, states=resumed)
+                assert wit == try_exclude(child, C, states=fresh), child
+                if wit is None:
+                    assert hits[d] is None and found[d] == resumed == fresh, child
+                    assert len(resumed) < len(states), child
+                    ended += 1
+                else:
+                    assert ExclusionWitness(child, *hits[d]) == wit, child
+                    excluded += 1
+    assert ended > 50 and excluded > 100
 
 
 def test_witness_q_on_known_surd():

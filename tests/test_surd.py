@@ -11,7 +11,6 @@ from conftest import random_surd
 from cf2.cf import CF, parse_cf
 from cf2.surd import (
     QuadraticSurd,
-    algebraic_integer_shape_check,
     double_surd,
     _expansion_raw,
     expand_surd,
@@ -204,6 +203,24 @@ def test_conjugate_and_trace():
     conj = S17.conjugate()
     assert conj.cmp(0) < 0
     assert S17.trace() == Fraction(3)
+
+
+def algebraic_integer_shape_check(s: QuadraticSurd) -> bool:
+    """Expansion of an algebraic integer surd is [a0; (w..., 2*a0 - trace)] with a palindromic front.
+
+    Requires a monic minimal polynomial; checks the palindrome and the final
+    period digit against twice the integer part minus the trace.
+    """
+    A, B, _ = s.minimal_polynomial()
+    if A != 1:
+        raise ValueError("not an algebraic integer (leading coefficient != 1)")
+    cf = expand_surd(s)
+    if cf.pre:
+        return False
+    w = cf.period
+    if list(w[:-1]) != list(reversed(w[:-1])):
+        return False
+    return w[-1] == 2 * cf.a0 + B
 
 
 def test_algebraic_integer_shape():
