@@ -90,13 +90,11 @@ class _Tables:
     A 2x2 matrix is the tuple (m11, m12, m21, m22).  `pair[parity]` is T,
     whose columns are the closing tails of the lower and the upper endpoint
     of a prefix with len(word) % 2 == parity; `adjugate[parity]` and
-    `det[parity]` invert it; `child[parity][d]` is [[d, 1], [1, 0]] . T for
-    a child of that parity whose last digit is d.
+    `det[parity]` invert it.
     """
     pair: tuple[tuple[int, int, int, int], ...]
     adjugate: tuple[tuple[int, int, int, int], ...]
     det: tuple[int, ...]
-    child: tuple[tuple[tuple[int, int, int, int] | None, ...], ...]
 
 
 def _tables(C: int) -> _Tables:
@@ -107,10 +105,7 @@ def _tables(C: int) -> _Tables:
     pair = ((tn, un, td, ud), (un, tn, ud, td))
     adjugate = tuple((t22, -t12, -t21, t11) for t11, t12, t21, t22 in pair)
     det = tuple(t11 * t22 - t12 * t21 for t11, t12, t21, t22 in pair)
-    child = tuple((None,) + tuple((d * t11 + t21, d * t12 + t22, t11, t12)
-                                  for d in range(1, C + 1))
-                  for t11, t12, t21, t22 in pair)
-    return _Tables(pair, adjugate, det, child)
+    return _Tables(pair, adjugate, det)
 
 
 def _endpoints(fold: tuple[int, int, int, int],
@@ -183,7 +178,7 @@ def _fresh(C: int, k: int, endpoints: tuple[int, int, int, int],
         k += 1
 
 
-def try_exclude(word, C: int, *, fold=None, tables=None, inherited=(),
+def try_exclude(word, C: int, *, fold=None, tables=None,
                 states: list | None = None) -> ExclusionWitness | None:
     """Search k = 1, 2, ... for a digit of 2^k x forced above C on the cylinder.
 
@@ -200,15 +195,14 @@ def try_exclude(word, C: int, *, fold=None, tables=None, inherited=(),
 
     The search calls this for its depth-2 roots; `_children` steps every
     deeper prefix with the same scan.  `fold` = fold_word((0,) + word) and
-    `tables` = `_tables(C)` may be passed in.  `inherited` holds the
-    parent's states, one per k: a step j and R = (r11, r12, r21, r22) =
-    A^-1 . diag(2^k, 1) . M_parent, with A the matrix of the first j digits
-    of 2^k x that the whole parent cylinder shares (past digit 0, all at
-    most C).  A child with last digit d resumes Euclid at step j on
-    R . [[d, 1], [1, 0]] . T, so a resumed k stops at digit 0 only if j = 0.
-    When `states` is a list and no witness is found, this prefix's states
-    are appended to it: the pair S at the step j where the scan stopped
-    gives R = S . adj(T) / det(T), exact because S = A^-1 . diag(2^k, 1) . M . T.
+    `tables` = `_tables(C)` may be passed in.  When `states` is a list and
+    no witness is found, this prefix's states are appended to it, one per
+    k: the step j where the scan stopped and R = (r11, r12, r21, r22) =
+    A^-1 . diag(2^k, 1) . M, with A the matrix of the first j digits of
+    2^k x that the whole cylinder shares (past digit 0, all at most C).
+    R = S . adj(T) / det(T) is exact, since the pair S at step j is
+    A^-1 . diag(2^k, 1) . M . T.  A child with last digit d resumes Euclid
+    at step j on R . [[d, 1], [1, 0]] . T.
     """
     word = tuple(word)
     if tables is None:
@@ -216,23 +210,9 @@ def try_exclude(word, C: int, *, fold=None, tables=None, inherited=(),
     if fold is None:
         fold = fold_word((0,) + word)
     parity = len(word) % 2
-    adjugate, det = tables.adjugate[parity], tables.det[parity]
     found: list = []
-    hit = None
-    if inherited:
-        w11, w12, w21, w22 = tables.child[parity][word[-1]]
-    for k, (j, (r11, r12, r21, r22)) in enumerate(inherited, 1):
-        i, bound, R = _scan(C, j, r11 * w11 + r12 * w21, r21 * w11 + r22 * w21,
-                            r11 * w12 + r12 * w22, r21 * w12 + r22 * w22, adjugate, det)
-        if bound:
-            hit = k, i, bound
-            break
-        if R is None:
-            break
-        found.append((i, R))
-    else:
-        hit = _fresh(C, len(inherited) + 1, _endpoints(fold, tables.pair[parity]),
-                     adjugate, det, found)
+    hit = _fresh(C, 1, _endpoints(fold, tables.pair[parity]),
+                 tables.adjugate[parity], tables.det[parity], found)
     if hit is not None:
         return ExclusionWitness(word, *hit)
     if states is not None:
@@ -243,7 +223,7 @@ def try_exclude(word, C: int, *, fold=None, tables=None, inherited=(),
 _MEMO_K = 6  # resumed scans at k <= _MEMO_K are answered from the run's memo
 
 
-def _children(word, fold, states, C: int, tables: _Tables, memo: dict):
+def _children(word, fold, states, C: int, tables: _Tables, memo: dict, shared: dict):
     """`try_exclude` for all C children of a surviving prefix at once.
 
     `states` are the prefix's own, one per k.  The loop runs over k outside
@@ -259,9 +239,9 @@ def _children(word, fold, states, C: int, tables: _Tables, memo: dict):
     lookup answers every child of every prefix that holds R.  Multiplying
     by 2^k is a finite transducer on continued fractions (Raney, Math.
     Ann. 206, 1973), so for small k the R are few, and fewer still the
-    distinct slots: `memo` also maps each slot to itself, so equal slots
-    share one tuple.  Children left after the inherited k scan the fresh
-    k from digit 0, as `try_exclude` does.
+    distinct slots: `shared` maps each filled slot to itself, so equal
+    slots share one tuple.  Children left after the inherited k scan the
+    fresh k from digit 0, as `try_exclude` does.
 
     Returns (hits, found): hits[d] is (k, position, bound) for an excluded
     child and None for a survivor, whose states are found[d] (index 0 unused).
@@ -292,7 +272,7 @@ def _children(word, fold, states, C: int, tables: _Tables, memo: dict):
                                       d * uqb + vqb, adjugate, det)
                 slot = i - j, bound, nxt
                 if slots is not None:
-                    slot = slots[d] = memo.setdefault(slot, slot)
+                    slot = slots[d] = shared.setdefault(slot, slot)
             offset, bound, nxt = slot
             if bound:
                 hits[d] = k, j + offset, bound
@@ -320,7 +300,7 @@ def _walk(args):
     collected), the largest witness k, and whether max_depth cut off a
     surviving prefix.
     """
-    root, C, max_depth, collect, tables, memo = args
+    root, C, max_depth, collect, tables, memo, shared = args
     fold = fold_word((0,) + root)
     states: list = []
     wit = try_exclude(root, C, fold=fold, tables=tables, states=states)
@@ -339,7 +319,7 @@ def _walk(args):
             levels.append([0, 0, []])
         level = levels[len(word) - 1]
         level[0] += C
-        hits, found = _children(word, fold, states, C, tables, memo)
+        hits, found = _children(word, fold, states, C, tables, memo, shared)
         p1, q1, p0, q0 = fold
         for d in range(1, C + 1):
             hit = hits[d]
@@ -369,8 +349,9 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = 1,
         raise ValueError("max_depth must be >= 2, the depth of the roots")
     start = time.monotonic()
     tables = _tables(C)
-    memo: dict = {}  # `_children`'s; worker processes get a copy per task
-    tasks = [((d1, d2), C, max_depth, collect_witnesses, tables, memo)
+    memo: dict = {}  # `_children`'s, with `shared`; worker processes get a copy per task
+    shared: dict = {}
+    tasks = [((d1, d2), C, max_depth, collect_witnesses, tables, memo, shared)
              for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
     parts = pmap(_walk, tasks, jobs)
     levels: list[list] = []

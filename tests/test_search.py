@@ -294,16 +294,25 @@ def _euclid_state(word, C, k, j):
 
 
 def _surviving_states(C):
-    """(word, states) for each prefix run(C) visits and does not exclude, depth first."""
+    """(word, states) for each prefix run(C) visits and does not exclude, depth first.
+
+    Roots go through `try_exclude` and deeper prefixes through `_children`
+    with one memo, as in `_walk`, so these are the states the walk hands on.
+    """
     tables = _tables(C)
-    stack = [((d1, d2), ()) for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
-    while stack:
-        word, inherited = stack.pop()
+    memo, shared = {}, {}
+    for root in itertools.product(range(1, C + 1), repeat=2):
         states = []
-        if try_exclude(word, C, tables=tables, inherited=inherited, states=states):
+        if try_exclude(root, C, tables=tables, states=states):
             continue
-        yield word, states
-        stack.extend((word + (d,), states) for d in range(1, C + 1))
+        stack = [(root, fold_word((0,) + root), states)]
+        while stack:
+            word, fold, states = stack.pop()
+            yield word, states
+            hits, found = _children(word, fold, states, C, tables, memo, shared)
+            p1, q1, p0, q0 = fold
+            stack.extend((word + (d,), (d * p1 + p0, d * q1 + q0, p1, q1), found[d])
+                         for d in range(1, C + 1) if hits[d] is None)
 
 
 def test_resume_states_divide_exactly():
@@ -341,22 +350,22 @@ def test_k_loop_stops_at_the_first_k_where_the_floors_differ():
 
 
 def test_memo_keys_are_resumed_states_of_small_k():
-    # the memo maps (R, child parity) to C + 1 slots, and each distinct slot to
-    # itself; every R is a state at some k <= 6, so |det R| = 2^k
+    # the memo maps (R, child parity) to C + 1 slots, and `shared` maps each
+    # distinct slot to itself; every R is a state at some k <= 6, so |det R| = 2^k
     C = 8
     tables = _tables(C)
-    memo = {}
+    memo, shared = {}, {}
     for root in itertools.product(range(1, C + 1), repeat=2):
-        _walk((root, C, None, False, tables, memo))
-    keys = [key for key in memo if len(key) == 2]
-    assert len(keys) > 100
-    for key in keys:
+        _walk((root, C, None, False, tables, memo, shared))
+    assert len(memo) > 100
+    for key, slots in memo.items():
         (r11, r12, r21, r22), parity = key
         det = abs(r11 * r22 - r12 * r21)
         assert parity in (0, 1) and det in {2 ** k for k in range(1, 7)}, key
-        assert len(memo[key]) == C + 1 and memo[key][0] is None, key
-    slots = {id(slot) for key in keys for slot in memo[key] if slot is not None}
-    assert {id(memo[key]) for key in memo if len(key) == 3} == slots
+        assert len(slots) == C + 1 and slots[0] is None, key
+    filled = {id(slot) for slots in memo.values() for slot in slots if slot is not None}
+    assert {id(slot) for slot in shared.values()} == filled
+    assert all(key is slot for key, slot in shared.items())
 
 
 def test_children_resuming_at_digit_0_match_try_exclude():
@@ -370,17 +379,16 @@ def test_children_resuming_at_digit_0_match_try_exclude():
             fold = fold_word((0,) + word)
             p1, q1, p0, q0 = fold
             states = [(0, (p1 << k, p0 << k, q1, q0)) for k in range(1, 41)]
-            memo = {}
-            hits, found = _children(word, fold, states, C, tables, memo)
-            assert memo == {}  # j = 0 is never memoised
+            memo, shared = {}, {}
+            hits, found = _children(word, fold, states, C, tables, memo, shared)
+            assert memo == shared == {}  # j = 0 is never memoised
             for d in range(1, C + 1):
                 child = word + (d,)
-                resumed, fresh = [], []
-                wit = try_exclude(child, C, tables=tables, inherited=states, states=resumed)
-                assert wit == try_exclude(child, C, states=fresh), child
+                fresh = []
+                wit = try_exclude(child, C, states=fresh)
                 if wit is None:
-                    assert hits[d] is None and found[d] == resumed == fresh, child
-                    assert len(resumed) < len(states), child
+                    assert hits[d] is None and found[d] == fresh, child
+                    assert len(found[d]) < len(states), child
                     ended += 1
                 else:
                     assert ExclusionWitness(child, *hits[d]) == wit, child
