@@ -7,16 +7,17 @@ canonical expansions forces digits of 2^k x for every x in the cylinder;
 a forced digit above C excludes the whole prefix.  An empty frontier proves
 that some 2^k x always carries a digit above C.
 
-The prefix tree is walked depth first.  A child's cylinder lies inside its
-parent's, so the digits of 2^k x the parent found certain are certain for
-the child too: each child resumes the parent's Euclid scan at every k
-instead of expanding both doubled endpoints from digit 0 (Gosper's carried
-homographic state, HAKMEM item 101).  A surviving prefix decides its C
-children together (`_children`), so pending siblings hold their own
-states: O(C * depth * k) of them.  The scans of small k start from few
-distinct states, since multiplying by 2^k is a finite transducer on
-continued fractions (Raney, Math. Ann. 206, 1973); one memo per `run`
-answers them after the first.
+The prefix tree is walked depth first, one subtree per first digit.  A
+child's cylinder lies inside its parent's, so the digits of 2^k x the
+parent found certain are certain for the child too: each child resumes the
+parent's Euclid scan at every k instead of expanding both doubled endpoints
+from digit 0 (Gosper's carried homographic state, HAKMEM item 101), and
+past the parent's last k it resumes at digit 0.  A surviving prefix
+decides its C children together in one k loop (`_children`), so pending
+siblings hold their own states: O(C * depth * k) of them.  The scans of
+small k start from few distinct states, since multiplying by 2^k is a
+finite transducer on continued fractions (Raney, Math. Ann. 206, 1973);
+one memo per `run` answers them after the first.
 
 Each prefix's k loop ends by k = ceil(log2(q_min q_max / |det T|)) (`try_exclude`),
 so only the depth of the walk has a budget.
@@ -28,6 +29,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 from typing import NamedTuple
 
@@ -61,11 +63,14 @@ class DepthStats:
 class SearchReport:
     C: int
     terminated: bool
-    max_depth_reached: int
     K: int
     depths: list[DepthStats] = field(default_factory=list)
     seconds: float = field(default=0.0, compare=False)  # wall time: == compares results only
     witnesses: list[ExclusionWitness] = field(default_factory=list)  # empty unless collected
+
+    @property
+    def max_depth_reached(self) -> int:
+        return self.depths[-1].n
 
     def to_json(self, witnesses: bool = False) -> str:
         """The report as one JSON object; `witnesses` adds the list of them."""
@@ -160,26 +165,7 @@ def _scan(C: int, i: int, pa: int, qa: int, pb: int, qb: int,
                   (qa * a11 + qb * a21) // det, (qa * a12 + qb * a22) // det)
 
 
-def _fresh(C: int, k: int, endpoints: tuple[int, int, int, int],
-           adjugate: tuple[int, int, int, int], det: int, found: list):
-    """Scan k, k + 1, ... from digit 0 on 2^k times the endpoints (p_min, q_min, p_max, q_max).
-
-    Appends each k's state (i, R) to `found` and returns (k, position, bound)
-    of the first exclusion, or None once the floors differ at digit 0.
-    """
-    pn, qn, px, qx = endpoints
-    while True:
-        i, bound, R = _scan(C, 0, pn << k, qn, px << k, qx, adjugate, det)
-        if bound:
-            return k, i, bound
-        if R is None:
-            return None
-        found.append((i, R))
-        k += 1
-
-
-def try_exclude(word, C: int, *, fold=None, tables=None,
-                states: list | None = None) -> ExclusionWitness | None:
+def try_exclude(word, C: int) -> ExclusionWitness | None:
     """Search k = 1, 2, ... for a digit of 2^k x forced above C on the cylinder.
 
     The endpoint pair at k is diag(2^k, 1) . M . T, with M the matrix of
@@ -193,31 +179,20 @@ def try_exclude(word, C: int, *, fold=None, tables=None,
     - differing integer parts stop the k loop, by k = ceil(log2(q_min q_max / |det T|))
       as the columns p/q of M . T are |det T| / (q_min q_max) apart (det M = +-1).
 
-    The search calls this for its depth-2 roots; `_children` steps every
-    deeper prefix with the same scan.  `fold` = fold_word((0,) + word) and
-    `tables` = `_tables(C)` may be passed in.  When `states` is a list and
-    no witness is found, this prefix's states are appended to it, one per
-    k: the step j where the scan stopped and R = (r11, r12, r21, r22) =
-    A^-1 . diag(2^k, 1) . M, with A the matrix of the first j digits of
-    2^k x that the whole cylinder shares (past digit 0, all at most C).
-    R = S . adj(T) / det(T) is exact, since the pair S at step j is
-    A^-1 . diag(2^k, 1) . M . T.  A child with last digit d resumes Euclid
-    at step j on R . [[d, 1], [1, 0]] . T.
+    This is the standalone reference for one prefix; the search steps every
+    prefix with the same scan in `_children`.
     """
     word = tuple(word)
-    if tables is None:
-        tables = _tables(C)
-    if fold is None:
-        fold = fold_word((0,) + word)
+    tables = _tables(C)
     parity = len(word) % 2
-    found: list = []
-    hit = _fresh(C, 1, _endpoints(fold, tables.pair[parity]),
-                 tables.adjugate[parity], tables.det[parity], found)
-    if hit is not None:
-        return ExclusionWitness(word, *hit)
-    if states is not None:
-        states.extend(found)
-    return None
+    pn, qn, px, qx = _endpoints(fold_word((0,) + word), tables.pair[parity])
+    for k in count(1):
+        i, bound, R = _scan(C, 0, pn << k, qn, px << k, qx,
+                            tables.adjugate[parity], tables.det[parity])
+        if bound:
+            return ExclusionWitness(word, k, i, bound)
+        if R is None:
+            return None
 
 
 _MEMO_K = 6  # resumed scans at k <= _MEMO_K are answered from the run's memo
@@ -226,9 +201,18 @@ _MEMO_K = 6  # resumed scans at k <= _MEMO_K are answered from the run's memo
 def _children(word, fold, states, C: int, tables: _Tables, memo: dict, shared: dict):
     """`try_exclude` for all C children of a surviving prefix at once.
 
-    `states` are the prefix's own, one per k.  The loop runs over k outside
-    and over the children not yet decided inside, so a child excluded at
-    some k drops out of every later k.  The pair of child d at k is
+    `fold` = fold_word((0,) + word) is the prefix's matrix M, and `states`
+    its own states, one per k: the step j where its scan stopped and
+    R = (r11, r12, r21, r22) = A^-1 . diag(2^k, 1) . M, with A the matrix
+    of the first j digits of 2^k x that the whole cylinder shares (past
+    digit 0, all at most C).  R = S . adj(T) / det(T) is exact, since the
+    pair S at step j is A^-1 . diag(2^k, 1) . M . T.  Past the inherited k
+    the state is (0, diag(2^k, 1) . M), which shares no digit, so a child
+    resuming there scans from digit 0.
+
+    The loop runs over k outside and over the children not yet decided
+    inside, so a child excluded at some k drops out of every later k, and
+    the loop ends once every child is decided.  The pair of child d at k is
     R . [[d, 1], [1, 0]] . T = d . U + V, with U = R . [[1, 0], [0, 0]] . T
     and V = R . [[0, 1], [1, 0]] . T made once per k.
 
@@ -240,20 +224,22 @@ def _children(word, fold, states, C: int, tables: _Tables, memo: dict, shared: d
     by 2^k is a finite transducer on continued fractions (Raney, Math.
     Ann. 206, 1973), so for small k the R are few, and fewer still the
     distinct slots: `shared` maps each filled slot to itself, so equal
-    slots share one tuple.  Children left after the inherited k scan the
-    fresh k from digit 0, as `try_exclude` does.
+    slots share one tuple.
 
     Returns (hits, found): hits[d] is (k, position, bound) for an excluded
     child and None for a survivor, whose states are found[d] (index 0 unused).
     """
     parity = 1 - len(word) % 2
-    pair = tables.pair[parity]
-    t11, t12, t21, t22 = pair
+    t11, t12, t21, t22 = tables.pair[parity]
     adjugate, det = tables.adjugate[parity], tables.det[parity]
+    p1, q1, p0, q0 = fold
     hits: list = [None] * (C + 1)
     found: list[list] = [[] for _ in range(C + 1)]
     alive = range(1, C + 1)
-    for k, (j, R) in enumerate(states, 1):
+    k = 0
+    while alive:
+        k += 1
+        j, R = states[k - 1] if k <= len(states) else (0, (p1 << k, p0 << k, q1, q0))
         r11, r12, r21, r22 = R
         ua, uqa, ub, uqb = r11 * t11, r21 * t11, r11 * t12, r21 * t12
         va, vqa = r11 * t21 + r12 * t11, r21 * t21 + r22 * t11
@@ -280,36 +266,27 @@ def _children(word, fold, states, C: int, tables: _Tables, memo: dict, shared: d
                 found[d].append((j + offset, nxt))
                 left.append(d)
         alive = left
-    p1, q1, p0, q0 = fold
-    for d in alive:
-        hits[d] = _fresh(C, len(states) + 1, _endpoints((d * p1 + p0, d * q1 + q0, p1, q1), pair),
-                         adjugate, det, found[d])
     return hits, found
 
 
 def _walk(args):
-    """Depth-first exclusion of one depth-2 root and its descendants.
+    """Depth-first exclusion of the prefixes that start with the digit d1.
 
-    The root goes through `try_exclude`; each surviving prefix then decides
-    all its children at once (`_children`).  Children are visited in
-    increasing digit order, so each depth meets its prefixes in the
-    lexicographic order of a breadth-first search.  Only the states of the
-    prefixes on the current path and of their pending siblings are alive:
-    O(C * depth * k) of them, beside the run's memo.  Returns one entry per
-    depth from 2 on, [frontier, excluded, witnesses] (witnesses only when
-    collected), the largest witness k, and whether max_depth cut off a
-    surviving prefix.
+    The walk starts at the prefix (d1,), which holds no state; each
+    surviving prefix decides all its children at once (`_children`).
+    Children are visited in increasing digit order, so each depth meets its
+    prefixes in the lexicographic order of a breadth-first search.  Only the
+    states of the prefixes on the current path and of their pending siblings
+    are alive: O(C * depth * k) of them, beside the run's memo.  Returns one
+    entry per depth from 2 on, [frontier, excluded, witnesses] (witnesses
+    only when collected), the largest witness k, and whether max_depth cut
+    off a surviving prefix.
     """
-    root, C, max_depth, collect, tables, memo, shared = args
-    fold = fold_word((0,) + root)
-    states: list = []
-    wit = try_exclude(root, C, fold=fold, tables=tables, states=states)
-    if wit is not None:
-        return [[1, 1, [wit] if collect else []]], wit.k, False
-    levels: list[list] = [[1, 0, []]]
+    d1, C, max_depth, collect, tables, memo, shared = args
+    levels: list[list] = []
     K = 0
     cut = False
-    stack = [(root, fold, states)]
+    stack = [((d1,), fold_word((0, d1)), [])]
     while stack:
         word, fold, states = stack.pop()
         if max_depth is not None and len(word) >= max_depth:
@@ -336,12 +313,12 @@ def _walk(args):
 
 def run(C: int, max_depth: int | None = None, jobs: int | None = 1,
         collect_witnesses: bool = False):
-    """Prefix exclusion for the bound C, walked depth first from the C^2 depth-2 roots.
+    """Prefix exclusion for the bound C, walked depth first from the C depth-1 prefixes.
 
     Returns a SearchReport, whose witnesses are listed when requested.  The report and
     the witness order are those of a breadth-first search in lexicographic order, for
-    any worker count: each root's subtree is one task, and the per-depth results are
-    merged in root order.  The k loop ends by itself, so `max_depth` is the one budget.
+    any worker count: each first digit's subtree is one task, and the per-depth results
+    are merged in digit order.  The k loop ends by itself, so `max_depth` is the one budget.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -351,8 +328,8 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = 1,
     tables = _tables(C)
     memo: dict = {}  # `_children`'s, with `shared`; worker processes get a copy per task
     shared: dict = {}
-    tasks = [((d1, d2), C, max_depth, collect_witnesses, tables, memo, shared)
-             for d1 in range(1, C + 1) for d2 in range(1, C + 1)]
+    tasks = [(d1, C, max_depth, collect_witnesses, tables, memo, shared)
+             for d1 in range(1, C + 1)]
     parts = pmap(_walk, tasks, jobs)
     levels: list[list] = []
     for part, _, _ in parts:
@@ -364,7 +341,7 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = 1,
             levels[n][2] += found
     depths = [DepthStats(n + 2, frontier, excluded)
               for n, (frontier, excluded, _) in enumerate(levels)]
-    return SearchReport(C, not any(cut for _, _, cut in parts), len(depths) + 1,
+    return SearchReport(C, not any(cut for _, _, cut in parts),
                         max(K for _, K, _ in parts), depths, time.monotonic() - start,
                         [wit for _, _, found in levels for wit in found])
 

@@ -185,24 +185,20 @@ def _cycle(P: int, Q: int, D: int, r: int,
                      "use expand --digits N for a prefix")
 
 
-def _expansion_raw(P: int, D: int, Q: int, states: list[tuple[int, int]] | None = None
-                   ) -> tuple[list[int], int]:
+def _expansion_raw(P: int, D: int, Q: int) -> tuple[list[int], int]:
     """Digits up to the end of the first cycle, and the index where the cycle starts.
 
     By Galois' theorem a complete quotient is purely periodic exactly when it
-    is reduced, so the cycle starts at the first reduced state.  The visited
-    (P, Q) states are appended to `states` if given.
+    is reduced, so the cycle starts at the first reduced state.
     """
     r = isqrt(D)
     digits: list[int] = []
     for P, Q, a in _quotients(P, D, Q, r):
         if _is_reduced(P, Q, r):
             break
-        if states is not None:
-            states.append((P, Q))
         digits.append(a)
     j = len(digits)
-    digits += _cycle(P, Q, D, r, states)
+    digits += _cycle(P, Q, D, r)
     return digits, j
 
 

@@ -255,7 +255,7 @@ def _bfs_run(C, max_depth=None, exclude=try_exclude):
         words = [w + (d,) for w, wit in zip(words, results) if wit is None
                  for d in range(1, C + 1)]
         depth += 1
-    return SearchReport(C, terminated, depth - 1, K, depths, witnesses=witnesses)
+    return SearchReport(C, terminated, K, depths, witnesses=witnesses)
 
 
 def test_try_exclude_matches_fraction_oracle():
@@ -296,19 +296,18 @@ def _euclid_state(word, C, k, j):
 def _surviving_states(C):
     """(word, states) for each prefix run(C) visits and does not exclude, depth first.
 
-    Roots go through `try_exclude` and deeper prefixes through `_children`
-    with one memo, as in `_walk`, so these are the states the walk hands on.
+    Each walk starts at a first digit (d1,) with no states and steps every
+    prefix through `_children` with one memo, as `_walk` does, so these are
+    the states the walk hands on; words of length 1 are not visited.
     """
     tables = _tables(C)
     memo, shared = {}, {}
-    for root in itertools.product(range(1, C + 1), repeat=2):
-        states = []
-        if try_exclude(root, C, tables=tables, states=states):
-            continue
-        stack = [(root, fold_word((0,) + root), states)]
+    for d1 in range(1, C + 1):
+        stack = [((d1,), fold_word((0, d1)), [])]
         while stack:
             word, fold, states = stack.pop()
-            yield word, states
+            if len(word) >= 2:
+                yield word, states
             hits, found = _children(word, fold, states, C, tables, memo, shared)
             p1, q1, p0, q0 = fold
             stack.extend((word + (d,), (d * p1 + p0, d * q1 + q0, p1, q1), found[d])
@@ -355,8 +354,8 @@ def test_memo_keys_are_resumed_states_of_small_k():
     C = 8
     tables = _tables(C)
     memo, shared = {}, {}
-    for root in itertools.product(range(1, C + 1), repeat=2):
-        _walk((root, C, None, False, tables, memo, shared))
+    for d1 in range(1, C + 1):
+        _walk((d1, C, None, False, tables, memo, shared))
     assert len(memo) > 100
     for key, slots in memo.items():
         (r11, r12, r21, r22), parity = key
@@ -369,31 +368,42 @@ def test_memo_keys_are_resumed_states_of_small_k():
 
 
 def test_children_resuming_at_digit_0_match_try_exclude():
-    # no prefix of run(C), C <= 10, inherits a state with j = 0, so build them:
-    # (0, diag(2^k, 1) . M) shares no digit for any k, and a child resuming there
-    # scans its fresh pair, so its k loop ends inside the inherited k
+    # a prefix with no states hands its children (0, diag(2^k, 1) . M) at every
+    # k, which shares no digit, so each child scans its fresh pair from digit 0
     ended = excluded = 0
     for C in (3, 5, 8):
         tables = _tables(C)
         for word in itertools.product(range(1, C + 1), repeat=2):
             fold = fold_word((0,) + word)
-            p1, q1, p0, q0 = fold
-            states = [(0, (p1 << k, p0 << k, q1, q0)) for k in range(1, 41)]
             memo, shared = {}, {}
-            hits, found = _children(word, fold, states, C, tables, memo, shared)
+            hits, found = _children(word, fold, [], C, tables, memo, shared)
             assert memo == shared == {}  # j = 0 is never memoised
             for d in range(1, C + 1):
                 child = word + (d,)
-                fresh = []
-                wit = try_exclude(child, C, states=fresh)
+                wit = try_exclude(child, C)
                 if wit is None:
-                    assert hits[d] is None and found[d] == fresh, child
-                    assert len(found[d]) < len(states), child
+                    assert hits[d] is None, child
+                    t11, t12, t21, t22 = tables.pair[len(child) % 2]
+                    for k, (j, (r11, r12, r21, r22)) in enumerate(found[d], 1):
+                        assert _euclid_state(child, C, k, j) == (
+                            r11 * t11 + r12 * t21, r21 * t11 + r22 * t21,
+                            r11 * t12 + r12 * t22, r21 * t12 + r22 * t22), (child, k)
                     ended += 1
                 else:
                     assert ExclusionWitness(child, *hits[d]) == wit, child
                     excluded += 1
     assert ended > 50 and excluded > 100
+
+
+def test_depth_2_row_matches_try_exclude_on_every_root():
+    # the walk steps the roots through `_children` from their first digit, so
+    # check them against the standalone scan beyond the C of the BFS oracle
+    for C in range(1, 13):
+        report = run(C, max_depth=2, collect_witnesses=True)
+        found = [wit for word in itertools.product(range(1, C + 1), repeat=2)
+                 if (wit := try_exclude(word, C)) is not None]
+        assert report.depths[0] == DepthStats(2, C * C, len(found)), C
+        assert report.witnesses == found, C
 
 
 def test_witness_q_on_known_surd():

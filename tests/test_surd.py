@@ -11,8 +11,10 @@ from conftest import random_surd
 from cf2.cf import CF, parse_cf
 from cf2.surd import (
     QuadraticSurd,
+    _cycle,
     double_surd,
     _expansion_raw,
+    _quotients,
     expand_surd,
     halve_plus1_surd,
     halve_surd,
@@ -86,11 +88,20 @@ def test_expansion_known_vectors():
     assert str(expand_surd(QuadraticSurd(-1, 17, 8))) == "[0; 2, (1, 1, 3)]"
 
 
-def test_expansion_state_trace():
+def _cycle_states(s, start):
+    """The (P, Q) states of the cycle of s, walked by `_cycle` from the state at `start`."""
+    r = isqrt(s.D)
+    P, Q, _ = next(itertools.islice(_quotients(s.P, s.D, s.Q, r), start, None))
     states = []
-    _, start = _expansion_raw(S17.P, S17.D, S17.Q, states)
-    assert states == [(3, 2), (3, 4), (1, 4)]
+    _cycle(P, Q, s.D, r, states)
+    return states
+
+
+def test_expansion_state_trace():
+    _, start = _expansion_raw(S17.P, S17.D, S17.Q)
     assert start == 0
+    states = _cycle_states(S17, start)
+    assert states == [(3, 2), (3, 4), (1, 4)]
     # D - R^2 = S_i * S_{i-1} along the cycle
     d = 17
     ring = states + [states[0]]
@@ -102,11 +113,9 @@ def test_cycle_state_bounds():
     rng = random.Random(11)
     for _ in range(60):
         s = random_surd(rng, d_max=10**5)
-        states = []
-        _, start = _expansion_raw(s.P, s.D, s.Q, states)
-        d = s.D
-        r = isqrt(d)
-        for P, Q in states[start:]:
+        _, start = _expansion_raw(s.P, s.D, s.Q)
+        r = isqrt(s.D)
+        for P, Q in _cycle_states(s, start):
             assert 1 <= P <= r
             assert 1 <= Q <= P + r <= 2 * r
 
@@ -305,9 +314,10 @@ def _surds(draw):
 @example(QuadraticSurd(-7, 13, -3))
 def test_expansion_matches_dict_cycle_detection(s):
     digits, start, states = _dict_expansion(s.P, s.D, s.Q)
-    got_states = []
-    assert _expansion_raw(s.P, s.D, s.Q, got_states) == (digits, start)
-    assert got_states == states
+    assert _expansion_raw(s.P, s.D, s.Q) == (digits, start)
+    r = isqrt(s.D)
+    pre = [(P, Q) for P, Q, _ in itertools.islice(_quotients(s.P, s.D, s.Q, r), start)]
+    assert pre + _cycle_states(s, start) == states
     assert expand_surd(s).digit_prefix(len(digits)) == digits
     assert list(itertools.islice(s.digits(), len(digits))) == digits
     assert (start == 0) == is_purely_periodic(s)
