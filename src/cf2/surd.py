@@ -116,8 +116,6 @@ def linear_fractional(s: QuadraticSurd, a: int, b: int, c: int, d: int) -> Quadr
         raise ValueError("transform is singular (result would be rational)")
     P, D, Q = s.P, s.D, s.Q
     cpd = c * P + d * Q
-    if c == 0 and d == 0:
-        raise ValueError("zero denominator")
     t = det * Q
     p2 = (a * P + b * Q) * cpd - a * c * D
     q2 = cpd * cpd - c * c * D
@@ -164,25 +162,89 @@ def _is_reduced(P: int, Q: int, r: int) -> bool:
     return 0 < P <= r and r - P < Q <= r + P
 
 
-_PERIOD_BUDGET = 10**6  # most digits `_cycle` walks; a period can have about sqrt(D)
+_PERIOD_BUDGET = 10**6  # longest period `_cycle` returns, and most steps per walk; about sqrt(D)
+
+
+def _budget_error() -> ValueError:
+    return ValueError(f"period longer than the budget of {_PERIOD_BUDGET} digits; "
+                      "use expand --digits N for a prefix")
 
 
 def _cycle(P: int, Q: int, D: int, r: int,
            states: list[tuple[int, int]] | None = None) -> list[int]:
-    """Digit cycle of the reduced state (P, Q), appending each state to `states` if given."""
+    """Digit cycle of the reduced state (P, Q), appending each state to `states` if given.
+
+    Without `states`, a cycle that reads the same backwards is walked about
+    half way.  Write alpha_i = (P_i, Q_i) for the i-th state, Q_{-1} for
+    (D - P_0**2)/Q_0, and a_i for the digits.  Since Q_i*Q_{i-1} = D - P_i**2,
+    beta_i = -1/alpha_i' = (P_i + sqrt(D))/Q_{i-1} = (P_i, Q_{i-1}), and it is
+    reduced.  Conjugating alpha_{i-1} = a_{i-1} + 1/alpha_i gives
+    beta_i = a_{i-1} + 1/beta_{i-1} with beta_{i-1} > 1: the expansion of beta_i
+    runs the cycle backwards, digit a_{i-1}, next state beta_{i-1}.
+
+    Call m a reflection if alpha_i = beta_{m-i} for every i.  One i suffices,
+    since both sides then expand the same way; so alpha_0 = beta_0 (Q_{-1} = Q_0)
+    is m = 0, alpha_i = beta_{i+1} (P_{i+1} = P_i) is m = 2i + 1, and
+    alpha_{i+1} = beta_{i+1} (Q_{i+1} = Q_i) is m = 2i + 2: the step i -> i + 1
+    shows every m up to 2i + 2.  Reading digits off alpha_i = beta_{m-i} gives
+    a_i = a_{m-1-i}.  If m and n are reflections, alpha_i = beta_{m-i} =
+    alpha_{n-m+i}, so n - m is a multiple of the period L; and m + L is one.
+    So the reflections are exactly m = m1 (mod L), with 0 <= m1 < L.
+
+    The walk from alpha_0 stops at m1 and fills a_j = a_{m1-1-j} up to index
+    m1 - 1.  It resumes at index m1 from alpha_{m1} = beta_0 = (P_0, Q_{-1}) and
+    stops at m2 = m1 + L, the next reflection; m1 < L puts m2 past 2*m1, so the
+    steps from index m1 on show it.  It fills a_j = a_{m2-1-j} up to index
+    L - 1.  That is about L/2 steps in all.  A cycle with no reflection closes
+    at (P_0, Q_0) after L steps.  Either way a period longer than the budget
+    raises, and no walk takes more steps than the budget.  With `states`, every
+    state is walked: mirroring the states costs more than the steps it saves
+    on the scan's short cycles.
+    """
     digits: list[int] = []
-    P0, Q0 = P, Q
-    for _ in range(_PERIOD_BUDGET):
-        if states is not None:
+    if states is not None:
+        P0, Q0 = P, Q
+        for _ in range(_PERIOD_BUDGET):
             states.append((P, Q))
+            a = (P + r) // Q
+            digits.append(a)
+            P = a * Q - P
+            Q = (D - P * P) // Q
+            if P == P0 and Q == Q0:
+                return digits
+        raise _budget_error()
+    Qb = (D - P * P) // Q  # Q_{-1}
+    m1 = 0 if Qb == Q else _reflection(P, Q, D, r, 0, _PERIOD_BUDGET, digits)
+    if m1 is None:
+        return digits
+    digits += digits[:m1 - len(digits)][::-1]
+    # from step (m1 + budget + 1) // 2 on, every reflection gives L > budget
+    m2 = _reflection(P, Qb, D, r, m1, (m1 + _PERIOD_BUDGET + 1) // 2, digits)
+    if m2 - m1 > _PERIOD_BUDGET:
+        raise _budget_error()
+    digits += digits[m1:m2 - len(digits)][::-1]
+    return digits
+
+
+def _reflection(P: int, Q: int, D: int, r: int, start: int, stop: int,
+                digits: list[int]) -> int | None:
+    """Walk from the state (P, Q) at index `start`, appending its digits, to the first
+    reflection m (`_cycle`); None if the walk closes at (P, Q) first.  Steps `start`
+    to `stop` - 1 at most; raise past them."""
+    P0, Q0 = P, Q
+    for i in range(start, stop):
         a = (P + r) // Q
         digits.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
+        P1 = a * Q - P
+        if P1 == P:
+            return 2 * i + 1
+        Q1 = (D - P1 * P1) // Q
+        if Q1 == Q:
+            return 2 * i + 2
+        P, Q = P1, Q1
         if P == P0 and Q == Q0:
-            return digits
-    raise ValueError(f"period longer than the budget of {_PERIOD_BUDGET} digits; "
-                     "use expand --digits N for a prefix")
+            return None
+    raise _budget_error()
 
 
 def _expansion_raw(P: int, D: int, Q: int) -> tuple[list[int], int]:

@@ -131,6 +131,95 @@ def test_period_budget_bounds_the_cycle(monkeypatch):
         expand_surd(s)
 
 
+def test_period_budget_bounds_a_cycle_with_no_reflection(monkeypatch):
+    P, Q, D = 3, 7, 79  # period 6, and its digit word is no rotation of its reverse
+    digits = _plain_cycle(P, Q, D, isqrt(D))[0]
+    assert digits == [1, 1, 2, 3, 5, 1] and not _is_symmetric(digits)
+    monkeypatch.setattr(cf2.surd, "_PERIOD_BUDGET", 6)
+    assert _cycle(P, Q, D, isqrt(D)) == digits
+    monkeypatch.setattr(cf2.surd, "_PERIOD_BUDGET", 5)
+    with pytest.raises(ValueError, match="budget of 5 digits"):
+        _cycle(P, Q, D, isqrt(D))
+    with pytest.raises(ValueError, match="budget of 5 digits"):
+        _cycle(P, Q, D, isqrt(D), [])
+
+
+def _plain_cycle(P, Q, D, r):
+    """Digits and states of the cycle of the reduced state (P, Q), one step per digit."""
+    digits, states, start = [], [], (P, Q)
+    while True:
+        states.append((P, Q))
+        a = (P + r) // Q
+        digits.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if (P, Q) == start:
+            return digits, states
+
+
+def _is_symmetric(digits):
+    """True iff the digit cycle is a rotation of its reverse."""
+    word = "," + ",".join(map(str, digits)) + ","
+    back = "," + ",".join(map(str, reversed(digits))) + ","
+    return back in word + word[1:]
+
+
+def _first_reflection(digits):
+    """Least m >= 0 with a_i = a_{m-1-i} for every i (indices mod the period), or None."""
+    L = len(digits)
+    return next((m for m in range(L) if all(digits[i] == digits[(m - 1 - i) % L] for i in range(L))),
+                None)
+
+
+def _reduced_states(d_max):
+    """Every reduced (P, Q, D, isqrt(D)) with Q | D - P*P and nonsquare D <= d_max."""
+    for D in range(2, d_max + 1):
+        r = isqrt(D)
+        if r * r == D:
+            continue
+        for P in range(1, r + 1):
+            for Q in range(r - P + 1, r + P + 1):
+                if (D - P * P) % Q == 0:
+                    yield P, Q, D, r
+
+
+@pytest.mark.parametrize("P, Q, D, m1, digits", [
+    (1, 2, 5, 0, [1]),               # period 1, the golden ratio
+    (1, 1, 3, 1, [2, 1]),            # period 2: P_1 = P_0 always, so m1 = 1
+    (2, 3, 13, 0, [1, 1, 6, 1, 1]),  # m1 = 0: Q_{-1} = Q_0, a palindrome
+    (1, 4, 13, 3, [1, 6, 1, 1, 1]),  # odd m1: P_2 = P_1
+    (1, 3, 13, 2, [1, 1, 1, 6, 1]),  # even m1: Q_1 = Q_0
+    (3, 7, 79, None, [1, 1, 2, 3, 5, 1]),  # no reflection: the walk closes at (P_0, Q_0)
+])
+def test_half_walk_edge_cases(P, Q, D, m1, digits):
+    r = isqrt(D)
+    plain_digits, plain_states = _plain_cycle(P, Q, D, r)
+    assert plain_digits == digits and _first_reflection(digits) == m1
+    assert _cycle(P, Q, D, r) == digits
+    states = []
+    assert _cycle(P, Q, D, r, states) == digits and states == plain_states
+
+
+def _check_cycles_match_plain_walk(d_max):
+    kinds = set()
+    for P, Q, D, r in _reduced_states(d_max):
+        digits, plain_states = _plain_cycle(P, Q, D, r)
+        assert _cycle(P, Q, D, r) == digits, (P, Q, D)
+        states = []
+        assert _cycle(P, Q, D, r, states) == digits and states == plain_states, (P, Q, D)
+        kinds.add(_is_symmetric(digits))
+    assert kinds == {True, False}
+
+
+def test_cycle_matches_plain_walk():
+    _check_cycles_match_plain_walk(2_000)
+
+
+@pytest.mark.slow
+def test_cycle_matches_plain_walk_slow():
+    _check_cycles_match_plain_walk(10_000)
+
+
 def test_floor_matches_exact_comparison():
     rng = random.Random(5)
     for _ in range(300):
@@ -206,6 +295,8 @@ def test_linear_fractional_vectors():
 def test_linear_fractional_rejects_singular():
     with pytest.raises(ValueError):
         linear_fractional(S17, 2, 0, 2, 0)
+    with pytest.raises(ValueError, match="singular"):
+        linear_fractional(S17, 2, 3, 0, 0)
 
 
 def test_conjugate_and_trace():
