@@ -259,7 +259,6 @@ def _root_table(q_hi: int) -> dict[int, list[tuple[int, ...]]]:
 def _scan_range(args) -> list[ScanHit]:
     ds, q_max = args
     roots = _root_table(min(q_max, 2 * isqrt(ds.stop - 1)))
-    seen_keys: set[ClassKey] = set()
     verdicts: dict[int, bool] = {}  # d = 1 (mod 8) -> class_contains_self_similar
     hits: list[ScanHit] = []
     for D in ds:
@@ -286,9 +285,6 @@ def _scan_range(args) -> list[ScanHit]:
                 digits = _cycle(P, Q, D, r, states)
                 seen_states.update(states)
                 key = least_rotation(tuple(digits))
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
                 p, q = min((p, q) for p, q in states if q <= q_max)  # first in order of P, then Q
                 local.append(ScanHit(D, q, p, len(key), max(key), key))
         hits.extend(sorted(local, key=lambda h: (h.Q, h.P)))
@@ -320,6 +316,8 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
         cost = step * sum(isqrt(D) + min(q_max, 2 * isqrt(D)) // 2 for D in ds[::step])
         jobs = -(-cost // _COST_PER_WORKER)
     tasks = [(chunk, q_max) for chunk in chunks(ds, jobs)]
+    # the one dedup by class key: at one D the states of a class lie on one
+    # cycle, which `seen_states` walks once, so a key repeats only at another D
     seen: set[ClassKey] = set()
     hits = []
     for h in itertools.chain.from_iterable(pmap(_scan_range, tasks, jobs)):

@@ -15,9 +15,11 @@ from digit 0 (Gosper's carried homographic state, HAKMEM item 101), and
 past the parent's last k it resumes at digit 0.  A surviving prefix
 decides its C children together in one k loop (`_children`), so pending
 siblings hold their own states: O(C * depth * k) of them.  The scans of
-small k start from few distinct states, since multiplying by 2^k is a
+small k start from few distinct states R, since multiplying by 2^k is a
 finite transducer on continued fractions (Raney, Math. Ann. 206, 1973);
-one memo per `run` answers them after the first.
+one memo per `run`, keyed by R alone, answers them after the first.  Every
+prefix closes its two endpoints with the one tail matrix of `_tables`; the
+scan treats the two alike, so no state records which is the lower one.
 
 Each prefix's k loop ends by k = ceil(log2(q_min q_max / |det T|)) (`try_exclude`),
 so only the depth of the walk has a budget.
@@ -88,34 +90,26 @@ class SearchReport:
         return json.dumps(out)
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """Integer matrices shared by every prefix of one search, indexed by prefix parity.
+_Matrix = tuple[int, int, int, int]  # (m11, m12, m21, m22)
 
-    A 2x2 matrix is the tuple (m11, m12, m21, m22).  `pair[parity]` is T,
-    whose columns are the closing tails of the lower and the upper endpoint
-    of a prefix with len(word) % 2 == parity; `adjugate[parity]` and
-    `det[parity]` invert it.
+
+def _tables(C: int) -> tuple[_Matrix, _Matrix, int]:
+    """(T, adj T, det T) for the tail matrix T shared by every prefix of one search.
+
+    The columns of T are the closing tails [C; 1, C, 1, C+1] and [1; C, 1, C+1],
+    so a prefix with matrix M has its cylinder between the two columns of M . T,
+    the lower one first for a prefix of even length and last for an odd one.
+    No scan reads which is lower: swapping the columns of T swaps the two
+    endpoints, which `_scan` treats alike, and leaves every state R = S . T^-1.
     """
-    pair: tuple[tuple[int, int, int, int], ...]
-    adjugate: tuple[tuple[int, int, int, int], ...]
-    det: tuple[int, ...]
-
-
-def _tables(C: int) -> _Tables:
-    # [C; 1, C, 1, C+1] closes the lower endpoint of an even-length prefix and
-    # [1; C, 1, C+1] its upper one; an odd length swaps them
     tn, td, _, _ = fold_word((C, 1, C, 1, C + 1))
     un, ud, _, _ = fold_word((1, C, 1, C + 1))
-    pair = ((tn, un, td, ud), (un, tn, ud, td))
-    adjugate = tuple((t22, -t12, -t21, t11) for t11, t12, t21, t22 in pair)
-    det = tuple(t11 * t22 - t12 * t21 for t11, t12, t21, t22 in pair)
-    return _Tables(pair, adjugate, det)
+    return (tn, un, td, ud), (ud, -un, -td, tn), tn * ud - un * td
 
 
-def _endpoints(fold: tuple[int, int, int, int],
-               pair: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """(p_min, q_min, p_max, q_max): the prefix matrix of `fold` times the tail matrix `pair`."""
+def _endpoints(fold: _Matrix, pair: _Matrix) -> _Matrix:
+    """(p_a, q_a, p_b, q_b), the two endpoints in no fixed order: the prefix matrix
+    of `fold` times the tail matrix `pair`."""
     p1, q1, p0, q0 = fold
     t11, t12, t21, t22 = pair
     return p1 * t11 + p0 * t21, q1 * t11 + q0 * t21, p1 * t12 + p0 * t22, q1 * t12 + q0 * t22
@@ -126,15 +120,14 @@ def interval_bounds(word, C: int) -> tuple[Fraction, Fraction]:
     word = tuple(word)
     if not word or any(d < 1 or d > C for d in word):
         raise ValueError("prefix digits must lie in [1, C]")
-    pn, qn, px, qx = _endpoints(fold_word((0,) + word), _tables(C).pair[len(word) % 2])
-    a, b = Fraction(pn, qn), Fraction(px, qx)
+    pa, qa, pb, qb = _endpoints(fold_word((0,) + word), _tables(C)[0])
+    a, b = sorted((Fraction(pa, qa), Fraction(pb, qb)))
     if a >= b:
         raise RuntimeError(f"empty cylinder interval for prefix {word}")
     return a, b
 
 
-def _scan(C: int, i: int, pa: int, qa: int, pb: int, qb: int,
-          adjugate: tuple[int, int, int, int], det: int):
+def _scan(C: int, i: int, pa: int, qa: int, pb: int, qb: int, adjugate: _Matrix, det: int):
     """One Euclid scan of the endpoint pair pa/qa, pb/qb from step i: (i, bound, R).
 
     `bound` > 0 excludes at digit i.  Otherwise R is None when the floors
@@ -183,12 +176,10 @@ def try_exclude(word, C: int) -> ExclusionWitness | None:
     prefix with the same scan in `_children`.
     """
     word = tuple(word)
-    tables = _tables(C)
-    parity = len(word) % 2
-    pn, qn, px, qx = _endpoints(fold_word((0,) + word), tables.pair[parity])
+    pair, adjugate, det = _tables(C)
+    pa, qa, pb, qb = _endpoints(fold_word((0,) + word), pair)
     for k in count(1):
-        i, bound, R = _scan(C, 0, pn << k, qn, px << k, qx,
-                            tables.adjugate[parity], tables.det[parity])
+        i, bound, R = _scan(C, 0, pa << k, qa, pb << k, qb, adjugate, det)
         if bound:
             return ExclusionWitness(word, k, i, bound)
         if R is None:
@@ -198,11 +189,13 @@ def try_exclude(word, C: int) -> ExclusionWitness | None:
 _MEMO_K = 6  # resumed scans at k <= _MEMO_K are answered from the run's memo
 
 
-def _children(word, fold, states, C: int, tables: _Tables, memo: dict, shared: dict):
+def _children(fold, states, C: int, tables: tuple[_Matrix, _Matrix, int], memo: dict,
+              shared: dict):
     """`try_exclude` for all C children of a surviving prefix at once.
 
-    `fold` = fold_word((0,) + word) is the prefix's matrix M, and `states`
-    its own states, one per k: the step j where its scan stopped and
+    `fold` is the prefix's matrix M = fold_word((0,) + word), `tables` is
+    `_tables(C)`, and `states` the prefix's own states, one per k: the step
+    j where its scan stopped and
     R = (r11, r12, r21, r22) = A^-1 . diag(2^k, 1) . M, with A the matrix
     of the first j digits of 2^k x that the whole cylinder shares (past
     digit 0, all at most C).  R = S . adj(T) / det(T) is exact, since the
@@ -214,13 +207,14 @@ def _children(word, fold, states, C: int, tables: _Tables, memo: dict, shared: d
     inside, so a child excluded at some k drops out of every later k, and
     the loop ends once every child is decided.  The pair of child d at k is
     R . [[d, 1], [1, 0]] . T = d . U + V, with U = R . [[1, 0], [0, 0]] . T
-    and V = R . [[0, 1], [1, 0]] . T made once per k.
+    and V = R . [[0, 1], [1, 0]] . T made once per k.  One T serves every
+    depth: which column is the lower endpoint changes R nowhere (`_tables`).
 
     A scan resumed at step j > 0 never reads digit 0, so it depends on j
     only through the positions it reports.  For k <= _MEMO_K and j > 0,
-    `memo` maps (R, child parity) to C slots, each filled by the first
-    child scan that needs it with (i - j, bound, R') from `_scan`: one
-    lookup answers every child of every prefix that holds R.  Multiplying
+    `memo` maps R to C slots, each filled by the first child scan that
+    needs it with (i - j, bound, R') from `_scan`: one lookup answers every
+    child of every prefix that holds R, at any depth.  Multiplying
     by 2^k is a finite transducer on continued fractions (Raney, Math.
     Ann. 206, 1973), so for small k the R are few, and fewer still the
     distinct slots: `shared` maps each filled slot to itself, so equal
@@ -229,9 +223,7 @@ def _children(word, fold, states, C: int, tables: _Tables, memo: dict, shared: d
     Returns (hits, found): hits[d] is (k, position, bound) for an excluded
     child and None for a survivor, whose states are found[d] (index 0 unused).
     """
-    parity = 1 - len(word) % 2
-    t11, t12, t21, t22 = tables.pair[parity]
-    adjugate, det = tables.adjugate[parity], tables.det[parity]
+    (t11, t12, t21, t22), adjugate, det = tables
     p1, q1, p0, q0 = fold
     hits: list = [None] * (C + 1)
     found: list[list] = [[] for _ in range(C + 1)]
@@ -246,10 +238,9 @@ def _children(word, fold, states, C: int, tables: _Tables, memo: dict, shared: d
         vb, vqb = r11 * t22 + r12 * t12, r21 * t22 + r22 * t12
         slots = None
         if j and k <= _MEMO_K:
-            key = R, parity
-            slots = memo.get(key)
+            slots = memo.get(R)
             if slots is None:
-                slots = memo[key] = [None] * (C + 1)
+                slots = memo[R] = [None] * (C + 1)
         left = []
         for d in alive:
             slot = None if slots is None else slots[d]
@@ -296,7 +287,7 @@ def _walk(args):
             levels.append([0, 0, []])
         level = levels[len(word) - 1]
         level[0] += C
-        hits, found = _children(word, fold, states, C, tables, memo, shared)
+        hits, found = _children(fold, states, C, tables, memo, shared)
         p1, q1, p0, q0 = fold
         for d in range(1, C + 1):
             hit = hits[d]
@@ -350,9 +341,7 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = 1,
 
 
 class SearchCapExceeded(RuntimeError):
-    def __init__(self, k_reached: int):
-        super().__init__(f"no witness found for k <= {k_reached}")
-        self.k_reached = k_reached
+    """`witness_q` found no witness for any k up to its `k_cap`."""
 
 
 @dataclass(frozen=True)
@@ -437,4 +426,4 @@ def witness_q(s: QuadraticSurd, threshold: Fraction = Fraction(1, 15),
             value = _rational_upper_bound(product, threshold)
             return DyadicWitness(q, value, k, n)
         beta = double_surd(beta)
-    raise SearchCapExceeded(k_cap)
+    raise SearchCapExceeded(f"no witness found for k <= {k_cap}")

@@ -74,10 +74,6 @@ class QuadraticSurd:
     def conjugate(self) -> "QuadraticSurd":
         return QuadraticSurd(-self.P, self.D, -self.Q)
 
-    def trace(self) -> Fraction:
-        A, B, _ = self.minimal_polynomial()
-        return Fraction(-B, A)
-
     def cmp(self, r: Fraction | int) -> int:
         """Sign of self - r (never zero; the value is irrational)."""
         r = Fraction(r)

@@ -15,6 +15,7 @@ from cf2.search import (
     SearchReport,
     _children,
     _find_large_digit,
+    _scan,
     _tables,
     _walk,
     interval_bounds,
@@ -282,7 +283,7 @@ def test_depth_first_run_matches_breadth_first_oracle(C, max_depth):
 def _euclid_state(word, C, k, j):
     """The endpoint pair of 2^k times the cylinder of `word` after j shared Euclid steps."""
     p1, q1, p0, q0 = fold_word((0,) + word)
-    t11, t12, t21, t22 = _tables(C).pair[len(word) % 2]
+    t11, t12, t21, t22 = _tables(C)[0]
     pa, qa = (p1 * t11 + p0 * t21) << k, q1 * t11 + q0 * t21
     pb, qb = (p1 * t12 + p0 * t22) << k, q1 * t12 + q0 * t22
     for step in range(j):
@@ -308,7 +309,7 @@ def _surviving_states(C):
             word, fold, states = stack.pop()
             if len(word) >= 2:
                 yield word, states
-            hits, found = _children(word, fold, states, C, tables, memo, shared)
+            hits, found = _children(fold, states, C, tables, memo, shared)
             p1, q1, p0, q0 = fold
             stack.extend((word + (d,), (d * p1 + p0, d * q1 + q0, p1, q1), found[d])
                          for d in range(1, C + 1) if hits[d] is None)
@@ -321,12 +322,34 @@ def test_resume_states_divide_exactly():
     for C in range(1, 8):
         for word, states in _surviving_states(C):
             checked += len(states)
-            t11, t12, t21, t22 = _tables(C).pair[len(word) % 2]
+            t11, t12, t21, t22 = _tables(C)[0]
             for k, (j, (r11, r12, r21, r22)) in enumerate(states, 1):
                 assert _euclid_state(word, C, k, j) == (
                     r11 * t11 + r12 * t21, r21 * t11 + r22 * t21,
                     r11 * t12 + r12 * t22, r21 * t12 + r22 * t22), (word, k)
     assert checked > 1000
+
+
+def test_scan_reads_no_order_of_the_endpoints():
+    # the lower endpoint of a prefix is the first column of M . T at an even
+    # length and the second at an odd one; swapping the columns of T (T . J)
+    # swaps the endpoints, which `_scan` treats alike, and keeps every state
+    # R = S . T^-1 = (S . J) . (T . J)^-1, so one T serves every depth
+    scans = 0
+    for C in range(1, 8):
+        (t11, t12, t21, t22), adjugate, det = _tables(C)
+        swapped = (t21, -t11, -t22, t12)  # adj(T . J), with T . J = (t12, t11, t22, t21)
+        for word, states in _surviving_states(C):
+            for j, (r11, r12, r21, r22) in states:
+                for d in range(1, C + 1):
+                    # R . [[d, 1], [1, 0]] . T, the pair of child d in `_children`
+                    m11, m21 = d * r11 + r12, d * r21 + r22
+                    pa, qa = m11 * t11 + r11 * t21, m21 * t11 + r21 * t21
+                    pb, qb = m11 * t12 + r11 * t22, m21 * t12 + r21 * t22
+                    assert _scan(C, j, pa, qa, pb, qb, adjugate, det) == \
+                        _scan(C, j, pb, qb, pa, qa, swapped, -det), (word, d, j)
+                    scans += 1
+    assert scans == 42801
 
 
 def test_k_loop_stops_at_the_first_k_where_the_floors_differ():
@@ -342,15 +365,15 @@ def test_k_loop_stops_at_the_first_k_where_the_floors_differ():
                         if math.floor(lo * 2 ** k) != math.floor(hi * 2 ** k))
             assert len(states) + 1 == stop, word
             q_min_q_max = lo.denominator * hi.denominator
-            det = abs(_tables(C).det[len(word) % 2])
+            det = abs(_tables(C)[2])
             assert hi - lo == Fraction(det, q_min_q_max), word
             assert 2 ** (stop - 1) * det < q_min_q_max, word  # stop <= ceil(log2(q q / det))
     assert survivors == 751  # the prefixes run(1) .. run(7) visit and do not exclude
 
 
 def test_memo_keys_are_resumed_states_of_small_k():
-    # the memo maps (R, child parity) to C + 1 slots, and `shared` maps each
-    # distinct slot to itself; every R is a state at some k <= 6, so |det R| = 2^k
+    # the memo maps R to C + 1 slots, and `shared` maps each distinct slot to
+    # itself; every R is a state at some k <= 6, so |det R| = 2^k
     C = 8
     tables = _tables(C)
     memo, shared = {}, {}
@@ -358,9 +381,9 @@ def test_memo_keys_are_resumed_states_of_small_k():
         _walk((d1, C, None, False, tables, memo, shared))
     assert len(memo) > 100
     for key, slots in memo.items():
-        (r11, r12, r21, r22), parity = key
+        r11, r12, r21, r22 = key
         det = abs(r11 * r22 - r12 * r21)
-        assert parity in (0, 1) and det in {2 ** k for k in range(1, 7)}, key
+        assert det in {2 ** k for k in range(1, 7)}, key
         assert len(slots) == C + 1 and slots[0] is None, key
     filled = {id(slot) for slots in memo.values() for slot in slots if slot is not None}
     assert {id(slot) for slot in shared.values()} == filled
@@ -376,14 +399,14 @@ def test_children_resuming_at_digit_0_match_try_exclude():
         for word in itertools.product(range(1, C + 1), repeat=2):
             fold = fold_word((0,) + word)
             memo, shared = {}, {}
-            hits, found = _children(word, fold, [], C, tables, memo, shared)
+            hits, found = _children(fold, [], C, tables, memo, shared)
             assert memo == shared == {}  # j = 0 is never memoised
             for d in range(1, C + 1):
                 child = word + (d,)
                 wit = try_exclude(child, C)
                 if wit is None:
                     assert hits[d] is None, child
-                    t11, t12, t21, t22 = tables.pair[len(child) % 2]
+                    t11, t12, t21, t22 = tables[0]
                     for k, (j, (r11, r12, r21, r22)) in enumerate(found[d], 1):
                         assert _euclid_state(child, C, k, j) == (
                             r11 * t11 + r12 * t21, r21 * t11 + r22 * t21,

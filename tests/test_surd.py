@@ -299,10 +299,9 @@ def test_linear_fractional_rejects_singular():
         linear_fractional(S17, 2, 3, 0, 0)
 
 
-def test_conjugate_and_trace():
+def test_conjugate():
     conj = S17.conjugate()
     assert conj.cmp(0) < 0
-    assert S17.trace() == Fraction(3)
 
 
 def algebraic_integer_shape_check(s: QuadraticSurd) -> bool:
