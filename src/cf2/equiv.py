@@ -54,20 +54,19 @@ cycle has a state with Q = 4; conversely, that form represents +-2.
 
 The scan reads this off its reduced states (P + sqrt(D))/Q: with
 r = isqrt(D), those with r - P < Q <= r + P and Q | D - P*P.  Their
-primitive polynomial is (Q, -2P, (P*P - D)/Q)/g with content
-g = gcd(Q, 2P, (D - P*P)/Q), of discriminant d = 4D/g**2.  An odd d needs
-an even g, so an even Q, and then D = 4**e * u with 2**(e+1) || g and
-u = d * (g/2**(e+1))**2, which is d = 1 (mod 8) as odd squares are.
-Every other D, every odd Q and every state whose d = 4D/g**2 is not 1 (mod 8)
-or fails (one verdict per d and worker) is skipped without a walk; all states
-of a cycle share d, so they all fail, and every class walked is a hit.
-So every Q in a passing cycle is even, and the scan needs no divisors of
-D - P*P: for each even Q <= 2r, Q | D - P*P says P = rho (mod Q) for a
-square root rho of D mod Q, read from a table of roots per Q, and
-r - P < Q leaves the one P = r - (r - rho) % Q, a state iff Q <= r + P
-(which rules out P <= 0 too).  A cycle is walked from the first of its
-states met, and its class is named at its least (P, Q) with Q <= q_max, the
-state first in order of P, then Q.
+primitive polynomial is (Q, -2P, -c)/g, c = (D - P*P)/Q, of content
+g = gcd(Q, 2P, c) and discriminant d = 4D/g**2, so only g = 2m gives
+d = 1 (mod 8), and then d = D/m**2.  For m >= 2, m divides P, Q and c, so
+m*m | D = P*P + Q*c, and (P/m + sqrt(D/m**2))/(Q/m) is the same surd, a
+reduced state of content 2 with Q/m <= Q: if D/m**2 >= d_min the scan met
+its class there first.  So at D it walks the states of content 2 if
+D = 1 (mod 8) passes, and those of content 2m if e = D/m**2 < d_min passes,
+for D = m*m*e listed from e and m (_scaled_discriminants; none unless
+d_min > 17).  A cycle shares g, so it is walked or skipped whole, and with
+d_min = 2 each walk is a new class (D = d*m*m >= d) and a hit.  For each
+even Q <= 2r, Q | D - P*P says P = rho (mod Q) for a root rho of D mod Q,
+from a table per Q; r - P < Q leaves one P = r - (r - rho) % Q, a state iff
+Q <= r + P.  A class is named at its least state (P, Q) with Q <= q_max.
 """
 
 from __future__ import annotations
@@ -79,7 +78,8 @@ from math import gcd, isqrt
 
 from .cf import CF, fold_word, least_rotation, rotation_start
 from .pool import chunks, pmap
-from .surd import QuadraticSurd, _cycle, expand_surd, linear_fractional
+from .surd import (_PERIOD_BUDGET, QuadraticSurd, _cycle, _reflection, expand_surd,
+                   linear_fractional)
 
 ClassKey = tuple[int, ...]
 
@@ -153,11 +153,20 @@ def _kept_images(A: int, B: int, C: int) -> tuple:
 
 
 def _has_norm_two(d: int) -> bool:
-    """True iff the principal cycle of d = 1 (mod 8) has a state with Q = 4 (module docstring)."""
+    """True iff the principal cycle of d = 1 (mod 8) has a state with Q = 4 (module docstring).
+
+    Read off the half walk of `surd._cycle`, by its stepping loop `_reflection`,
+    stopped at the first Q = 4.  From alpha_0 = (P, 2) the first step keeps P
+    (a_0 = P), so m = 1 is a reflection, Q_i = Q_{L-i} for the period L, and
+    the walk from alpha_1 = (P, (d - P*P)/2) to the next reflection, m = L + 1,
+    meets every Q of the cycle but Q_0 = 2.  A reduced state with Q = 4 has
+    r - 4 < P <= r.
+    """
     r = isqrt(d)
-    states: list[tuple[int, int]] = []
-    _cycle((r - 1) | 1, 2, d, r, states)
-    return any(q == 4 for _, q in states)
+    P = (r - 1) | 1
+    Q = (d - P * P) // 2
+    return Q == 4 or _reflection(P, Q, d, r, 1, (_PERIOD_BUDGET + 2) // 2, [],
+                                 (range(r - 3, r + 1), 4)) is None
 
 
 def class_contains_self_similar(s: QuadraticSurd) -> bool:
@@ -256,17 +265,42 @@ def _root_table(q_hi: int) -> dict[int, list[tuple[int, ...]]]:
     return roots
 
 
+def _scaled_discriminants(ds: range, d_min: int, passes) -> dict[int, tuple[int, ...]]:
+    """D in ds -> the e < d_min with D = m*m*e, m >= 2, e = 1 (mod 8) nonsquare and passes(e).
+
+    Found from the e and m, not by dividing D: each m with 17*m*m <= max(ds) takes
+    the e of its window [min(ds)/m**2, max(ds)/m**2] below d_min.
+    """
+    scaled: dict[int, tuple[int, ...]] = {}
+    lo, hi = ds.start, ds.stop - 1
+    for m in range(max(2, isqrt(lo // d_min)), isqrt(hi // 17) + 1):
+        e0 = max(17, -(-lo // (m * m)))
+        for e in range(e0 + (1 - e0) % 8, min(d_min, hi // (m * m) + 1), 8):
+            if isqrt(e) ** 2 != e and passes(e):
+                scaled[m * m * e] = scaled.get(m * m * e, ()) + (e,)
+    return scaled
+
+
 def _scan_range(args) -> list[ScanHit]:
-    ds, q_max = args
+    ds, q_max, d_min = args
     roots = _root_table(min(q_max, 2 * isqrt(ds.stop - 1)))
     verdicts: dict[int, bool] = {}  # d = 1 (mod 8) -> class_contains_self_similar
+
+    def passes(d: int) -> bool:
+        if d not in verdicts:
+            verdicts[d] = class_contains_self_similar(QuadraticSurd((isqrt(d) - 1) | 1, d, 2))
+        return verdicts[d]
+
+    scaled = _scaled_discriminants(ds, d_min, passes)
     hits: list[ScanHit] = []
     for D in ds:
-        u = D
-        while not u & 3:
-            u >>= 2
         r = isqrt(D)
-        if u & 7 != 1 or r * r == D:  # only D = 4**e * u, u = 1 (mod 8), can pass
+        if r * r == D:
+            continue
+        walked = scaled.get(D, ())  # the d = 4D/g**2 whose states are walked at D
+        if D & 7 == 1 and passes(D):
+            walked += (D,)
+        if not walked:
             continue
         seen_states: set[tuple[int, int]] = set()
         local: list[ScanHit] = []
@@ -276,11 +310,8 @@ def _scan_range(args) -> list[ScanHit]:
                 P = r - (r - rho) % Q
                 if Q > r + P or (P, Q) in seen_states:
                     continue
-                d = 4 * D // gcd(Q, 2 * P, (D - P * P) // Q) ** 2
-                if d & 7 == 1 and d not in verdicts:
-                    verdicts[d] = class_contains_self_similar(QuadraticSurd(P, D, Q))
-                if not verdicts.get(d):  # d fails, and so does the cycle
-                    continue
+                if 4 * D // gcd(Q, 2 * P, (D - P * P) // Q) ** 2 not in walked:
+                    continue  # d fails, or the class was met at D/m**2 >= d_min
                 states: list[tuple[int, int]] = []
                 digits = _cycle(P, Q, D, r, states)
                 seen_states.update(states)
@@ -301,7 +332,10 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     Enumerates purely periodic states for each nonsquare D in [d_min, d_max]
     with 1 <= Q <= q_max, and keeps the classes where some member is
     equivalent to both of its halvings: one verdict per discriminant, before
-    any walk, and one cycle walk per class of a passing discriminant.  Output is
+    any walk, and one cycle walk per class.  The states walked are those whose
+    class can pass and was not met at a smaller D of the range (module
+    docstring): the Q loop runs only at D = 1 (mod 8) whose own verdict passes,
+    and at D = m*m*e with m >= 2 and a passing e < d_min.  Output is
     deduplicated by class key and sorted by (D, Q, P); chunked workers
     merge in range order, so the result is independent of the job count.
     jobs=None starts one worker per _COST_PER_WORKER of cost begun, at most one per core.
@@ -315,9 +349,10 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
         step = -(-len(ds) // 1024)  # per D: min(q_max, 2r) // 2 Q tried, cycles about r long walked
         cost = step * sum(isqrt(D) + min(q_max, 2 * isqrt(D)) // 2 for D in ds[::step])
         jobs = -(-cost // _COST_PER_WORKER)
-    tasks = [(chunk, q_max) for chunk in chunks(ds, jobs)]
+    tasks = [(chunk, q_max, ds.start) for chunk in chunks(ds, jobs)]
     # the one dedup by class key: at one D the states of a class lie on one
-    # cycle, which `seen_states` walks once, so a key repeats only at another D
+    # cycle, which `seen_states` walks once, so a key repeats only at another D,
+    # and only at a D = m*m*e of two m when d_min > 17
     seen: set[ClassKey] = set()
     hits = []
     for h in itertools.chain.from_iterable(pmap(_scan_range, tasks, jobs)):

@@ -223,11 +223,12 @@ def _cycle(P: int, Q: int, D: int, r: int,
 
 
 def _reflection(P: int, Q: int, D: int, r: int, start: int, stop: int,
-                digits: list[int]) -> int | None:
+                digits: list[int], until: tuple | None = None) -> int | None:
     """Walk from the state (P, Q) at index `start`, appending its digits, to the first
-    reflection m (`_cycle`); None if the walk closes at (P, Q) first.  Steps `start`
-    to `stop` - 1 at most; raise past them."""
-    P0, Q0 = P, Q
+    reflection m (`_cycle`); None if the walk first reaches a state of `until`, a pair
+    (Ps, Q') that names the states (p, Q') with p in Ps, by default its start, ((P,), Q).
+    Steps `start` to `stop` - 1 at most; raise past them."""
+    Ps, Q0 = until or ((P,), Q)
     for i in range(start, stop):
         a = (P + r) // Q
         digits.append(a)
@@ -238,7 +239,7 @@ def _reflection(P: int, Q: int, D: int, r: int, start: int, stop: int,
         if Q1 == Q:
             return 2 * i + 2
         P, Q = P1, Q1
-        if P == P0 and Q == Q0:
+        if Q == Q0 and P in Ps:
             return None
     raise _budget_error()
 

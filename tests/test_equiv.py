@@ -31,6 +31,7 @@ from cf2.surd import (
     halve_plus1_surd,
     halve_surd,
     linear_fractional,
+    _cycle,
     mul_pow2,
     surd_of_periodic_cf,
 )
@@ -532,6 +533,29 @@ def test_principal_cycle_verdict_matches_first_image_rule():
     assert (tested, passed) == (2429, 1258)
 
 
+def _whole_cycle_verdict(d):
+    """_has_norm_two by a walk of d's whole principal cycle that keeps every state."""
+    r = isqrt(d)
+    states = []
+    _cycle((r - 1) | 1, 2, d, r, states)
+    return any(q == 4 for _, q in states)
+
+
+def test_half_walk_verdict_matches_whole_cycle():
+    """_has_norm_two stops at the first Q = 4 of the half walk from (P + sqrt(d))/2;
+    the walk of the whole principal cycle agrees on every nonsquare d = 1 (mod 8)
+    up to 20,000."""
+    passed = tested = 0
+    for d in range(17, 20_001, 8):
+        if isqrt(d) ** 2 == d:
+            continue
+        expected = _whole_cycle_verdict(d)
+        assert cf2.equiv._has_norm_two(d) == expected, d
+        tested += 1
+        passed += expected
+    assert (tested, passed) == (2429, 1258)
+
+
 @given(_surds())
 def test_image_table_matches_surd_arithmetic(s):
     """Each row (move, a, b, d) of the image table is the surd map of its move,
@@ -645,6 +669,103 @@ def test_scan_matches_brute_force_on_random_windows(window):
         assert scan_self_similar(d_min - 1, q_max) == below
     expected = _self_similar_hits(_brute_force_window(d_min, d_max, q_max))
     assert scan_self_similar(d_max, q_max, d_min=d_min) == expected
+
+
+def _own_verdict(D):
+    """The verdict of D as a discriminant: D = 1 (mod 8) and D's principal state passes."""
+    return D % 8 == 1 and class_contains_self_similar(QuadraticSurd((isqrt(D) - 1) | 1, D, 2))
+
+
+def test_scan_window_reports_classes_of_d_below_d_min():
+    """A class whose discriminant e lies below d_min is reported at its first
+    D = m*m*e in the window, where the states have content 2m; such a D may fail
+    its own verdict, as 6 of the 43 hits on [100, 600] do."""
+    expected = _self_similar_hits(_brute_force_window(100, 600, 20))
+    assert scan_self_similar(600, 20, d_min=100) == expected
+    failing = [h.D for h in expected if not _own_verdict(h.D)]
+    assert (len(expected), len(failing)) == (43, 6)
+    assert {132, 164, 228} <= set(failing)
+
+
+def _per_state_scan(d_max, q_max, d_min=2):
+    """scan_self_similar by the per-state rule: at every D = 4**e * u with
+    u = 1 (mod 8), each even-Q state takes the verdict of its own d = 4D/g**2,
+    every cycle of a passing d is walked, and the merge drops the classes
+    already met at a smaller D."""
+    roots = cf2.equiv._root_table(min(q_max, 2 * isqrt(d_max)))
+    verdicts = {}
+    seen_keys = set()
+    hits = []
+    for D in range(d_min, d_max + 1):
+        u = D
+        while u % 4 == 0:
+            u //= 4
+        r = isqrt(D)
+        if u % 8 != 1 or r * r == D:
+            continue
+        seen_states = set()
+        local = []
+        for Q in range(2, min(q_max, 2 * r) + 1, 2):
+            for rho in roots[Q][D % Q]:
+                P = r - (r - rho) % Q
+                if Q > r + P or (P, Q) in seen_states:
+                    continue
+                d = 4 * D // gcd(Q, 2 * P, (D - P * P) // Q) ** 2
+                if d % 8 == 1 and d not in verdicts:
+                    verdicts[d] = class_contains_self_similar(QuadraticSurd(P, D, Q))
+                if not verdicts.get(d):
+                    continue
+                states = []
+                key = least_rotation(tuple(_cycle(P, Q, D, r, states)))
+                seen_states.update(states)
+                p, q = min((p, q) for p, q in states if q <= q_max)
+                local.append(ScanHit(D, q, p, len(key), max(key), key))
+        for h in sorted(local, key=lambda h: (h.Q, h.P)):
+            if h.key not in seen_keys:
+                seen_keys.add(h.key)
+                hits.append(h)
+    return hits
+
+
+@pytest.mark.parametrize("d_max, q_max, d_min", [
+    (20_000, 200, 2), (20_000, 50, 5000), (10**6 + 200, 200, 10**6)])
+def test_scan_matches_the_per_state_rule(d_max, q_max, d_min):
+    """The scan loops only at a D whose own verdict passes, or at a D = m*m*e with
+    a passing e < d_min, and skips a state of content 2m >= 4 whose D/m**2 >= d_min;
+    the per-state rule walks every cycle of a passing d and merges.  Equal hits."""
+    expected = _per_state_scan(d_max, q_max, d_min)
+    assert expected
+    for jobs in (1, 2):
+        assert scan_self_similar(d_max, q_max, d_min=d_min, jobs=jobs) == expected, jobs
+
+
+def test_scan_walks_one_cycle_per_hit(monkeypatch):
+    """With d_min = 2 every class walk is a hit, the Q loop runs only at a D whose
+    own verdict passes, and the verdicts stay one per d = 1 (mod 8)."""
+    walks = []
+    verdicts = []
+    looped = set()
+    cycle, verdict, gcd_ = cf2.equiv._cycle, cf2.equiv.class_contains_self_similar, cf2.equiv.gcd
+
+    def counted_cycle(P, Q, D, r, states=None):
+        if states is not None:
+            walks.append(D)
+        return cycle(P, Q, D, r, states)
+
+    def recorded_gcd(q, two_p, c):  # the content of a state met in the Q loop
+        looped.add(two_p * two_p // 4 + q * c)
+        return gcd_(q, two_p, c)
+
+    monkeypatch.setattr(cf2.equiv, "_cycle", counted_cycle)
+    monkeypatch.setattr(cf2.equiv, "class_contains_self_similar",
+                        lambda s: verdicts.append(verdict(s)) or verdicts[-1])
+    monkeypatch.setattr(cf2.equiv, "gcd", recorded_gcd)
+    hits = scan_self_similar(10_000, 200)
+    assert len(walks) == len(hits) == 738
+    assert (len(verdicts), sum(verdicts)) == (1200, 654)
+    assert len(looped) == 654
+    monkeypatch.undo()
+    assert all(_own_verdict(D) for D in looped)
 
 
 def test_scan_matches_brute_force_where_q_max_passes_2_isqrt_d():
