@@ -56,17 +56,18 @@ The scan reads this off its reduced states (P + sqrt(D))/Q: with
 r = isqrt(D), those with r - P < Q <= r + P and Q | D - P*P.  Their
 primitive polynomial is (Q, -2P, -c)/g, c = (D - P*P)/Q, of content
 g = gcd(Q, 2P, c) and discriminant d = 4D/g**2, so only g = 2m gives
-d = 1 (mod 8), and then d = D/m**2.  For m >= 2, m divides P, Q and c, so
-m*m | D = P*P + Q*c, and (P/m + sqrt(D/m**2))/(Q/m) is the same surd, a
-reduced state of content 2 with Q/m <= Q: if D/m**2 >= d_min the scan met
-its class there first.  So at D it walks the states of content 2 if
-D = 1 (mod 8) passes, and those of content 2m if e = D/m**2 < d_min passes,
-for D = m*m*e listed from e and m (_scaled_discriminants; none unless
-d_min > 17).  A cycle shares g, so it is walked or skipped whole, and with
-d_min = 2 each walk is a new class (D = d*m*m >= d) and a hit.  For each
-even Q <= 2r, Q | D - P*P says P = rho (mod Q) for a root rho of D mod Q,
-from a table per Q; r - P < Q leaves one P = r - (r - rho) % Q, a state iff
-Q <= r + P.  A class is named at its least state (P, Q) with Q <= q_max.
+d = 1 (mod 8), and then D = m*m*d: m divides P, Q and c, and it is the
+state (P/m + sqrt(d))/(Q/m) at d.  So a class of discriminant d has its
+states (m*P, m*Q) at D = m*m*d, one per state (P, Q) at d, and the least
+such D >= d_min holds its least Q: if none is <= q_max there, none is at a
+larger m.  The scan walks each class there only: at D the states of
+content 2 if D = 1 (mod 8) passes, and those of content 2m if
+e = D/m**2 < d_min passes and (m-1)**2 * e < d_min (_scaled_discriminants).
+A cycle shares g, so it is walked or skipped whole, and each walk is a hit.
+For each even Q <= 2r, Q | D - P*P says P = rho (mod Q) for a root rho of
+D mod Q, from a table per Q; r - P < Q leaves one P = r - (r - rho) % Q, a
+state iff Q <= r + P.  A class is named at its least state (P, Q) with
+Q <= q_max.
 """
 
 from __future__ import annotations
@@ -266,16 +267,16 @@ def _root_table(q_hi: int) -> dict[int, list[tuple[int, ...]]]:
 
 
 def _scaled_discriminants(ds: range, d_min: int, passes) -> dict[int, tuple[int, ...]]:
-    """D in ds -> the e < d_min with D = m*m*e, m >= 2, e = 1 (mod 8) nonsquare and passes(e).
+    """D in ds -> the passing nonsquare e = 1 (mod 8) with D = m*m*e, m least with D >= d_min > e.
 
-    Found from the e and m, not by dividing D: each m with 17*m*m <= max(ds) takes
-    the e of its window [min(ds)/m**2, max(ds)/m**2] below d_min.
+    Found from e and m, not by dividing D: each m with 17*m*m <= max(ds) takes
+    the e in [min(ds), max(ds)] / m**2 with (m-1)**2 * e < d_min.
     """
     scaled: dict[int, tuple[int, ...]] = {}
     lo, hi = ds.start, ds.stop - 1
     for m in range(max(2, isqrt(lo // d_min)), isqrt(hi // 17) + 1):
         e0 = max(17, -(-lo // (m * m)))
-        for e in range(e0 + (1 - e0) % 8, min(d_min, hi // (m * m) + 1), 8):
+        for e in range(e0 + (1 - e0) % 8, min(-(-d_min // (m - 1) ** 2), hi // (m * m) + 1), 8):
             if isqrt(e) ** 2 != e and passes(e):
                 scaled[m * m * e] = scaled.get(m * m * e, ()) + (e,)
     return scaled
@@ -303,7 +304,6 @@ def _scan_range(args) -> list[ScanHit]:
         if not walked:
             continue
         seen_states: set[tuple[int, int]] = set()
-        local: list[ScanHit] = []
         for Q in range(2, min(q_max, 2 * r) + 1, 2):
             for rho in roots[Q][D % Q]:
                 # reduced (value > 1, conjugate in (-1, 0)) iff r - P < Q <= r + P
@@ -317,12 +317,11 @@ def _scan_range(args) -> list[ScanHit]:
                 seen_states.update(states)
                 key = least_rotation(tuple(digits))
                 p, q = min((p, q) for p, q in states if q <= q_max)  # first in order of P, then Q
-                local.append(ScanHit(D, q, p, len(key), max(key), key))
-        hits.extend(sorted(local, key=lambda h: (h.Q, h.P)))
-    return hits
+                hits.append(ScanHit(D, q, p, len(key), max(key), key))
+    return sorted(hits, key=lambda h: (h.D, h.Q, h.P))
 
 
-_COST_PER_WORKER = 1_500_000  # cost (below) per worker at jobs=None; on less, a second one loses
+_COST_PER_WORKER = 3_500_000  # cost (below) per worker at jobs=None; on less, a second one loses
 
 
 def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
@@ -332,12 +331,12 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     Enumerates purely periodic states for each nonsquare D in [d_min, d_max]
     with 1 <= Q <= q_max, and keeps the classes where some member is
     equivalent to both of its halvings: one verdict per discriminant, before
-    any walk, and one cycle walk per class.  The states walked are those whose
-    class can pass and was not met at a smaller D of the range (module
-    docstring): the Q loop runs only at D = 1 (mod 8) whose own verdict passes,
-    and at D = m*m*e with m >= 2 and a passing e < d_min.  Output is
-    deduplicated by class key and sorted by (D, Q, P); chunked workers
-    merge in range order, so the result is independent of the job count.
+    any walk.  The states walked are those whose class can pass and was not
+    met at a smaller D of the range (module docstring): the Q loop runs only
+    at D = 1 (mod 8) whose own verdict passes, and at D = m*m*e with a
+    passing e < d_min and m least with D >= d_min, so each class is walked
+    once, at the first D where it occurs.  Output is sorted by (D, Q, P),
+    chunks joined in range order, for any job count.
     jobs=None starts one worker per _COST_PER_WORKER of cost begun, at most one per core.
     """
     if q_max < 1:
@@ -350,13 +349,4 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
         cost = step * sum(isqrt(D) + min(q_max, 2 * isqrt(D)) // 2 for D in ds[::step])
         jobs = -(-cost // _COST_PER_WORKER)
     tasks = [(chunk, q_max, ds.start) for chunk in chunks(ds, jobs)]
-    # the one dedup by class key: at one D the states of a class lie on one
-    # cycle, which `seen_states` walks once, so a key repeats only at another D,
-    # and only at a D = m*m*e of two m when d_min > 17
-    seen: set[ClassKey] = set()
-    hits = []
-    for h in itertools.chain.from_iterable(pmap(_scan_range, tasks, jobs)):
-        if h.key not in seen:
-            seen.add(h.key)
-            hits.append(h)
-    return hits
+    return list(itertools.chain.from_iterable(pmap(_scan_range, tasks, jobs)))

@@ -17,9 +17,9 @@ decides its C children together in one k loop (`_children`), so pending
 siblings hold their own states: O(C * depth * k) of them.  The scans of
 small k start from few distinct states R, since multiplying by 2^k is a
 finite transducer on continued fractions (Raney, Math. Ann. 206, 1973);
-one memo per `run`, keyed by R alone, answers them after the first.  Every
-prefix closes its two endpoints with the one tail matrix of `_tables`; the
-scan treats the two alike, so no state records which is the lower one.
+a memo keyed by R alone answers them after the first, one per `run` at
+jobs=1, else one per task.  Every prefix closes both endpoints with the
+one tail matrix of `_tables`, and the scan treats the two alike.
 
 Each prefix's k loop ends by k = ceil(log2(q_min q_max / |det T|)) (`try_exclude`),
 so only the depth of the walk has a budget.
@@ -186,7 +186,7 @@ def try_exclude(word, C: int) -> ExclusionWitness | None:
             return None
 
 
-_MEMO_K = 6  # resumed scans at k <= _MEMO_K are answered from the run's memo
+_MEMO_K = 6  # resumed scans at k <= _MEMO_K are answered from the memo
 
 
 def _children(fold, states, C: int, tables: tuple[_Matrix, _Matrix, int], memo: dict,
@@ -268,7 +268,7 @@ def _walk(args):
     Children are visited in increasing digit order, so each depth meets its
     prefixes in the lexicographic order of a breadth-first search.  Only the
     states of the prefixes on the current path and of their pending siblings
-    are alive: O(C * depth * k) of them, beside the run's memo.  Returns one
+    are alive: O(C * depth * k) of them, beside the memo.  Returns one
     entry per depth from 2 on, [frontier, excluded, witnesses] (witnesses
     only when collected), the largest witness k, and whether max_depth cut
     off a surviving prefix.
@@ -317,7 +317,7 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = 1,
         raise ValueError("max_depth must be >= 2, the depth of the roots")
     start = time.monotonic()
     tables = _tables(C)
-    memo: dict = {}  # `_children`'s, with `shared`; worker processes get a copy per task
+    memo: dict = {}  # `_children`'s, with `shared`: one per run at jobs=1, else an empty one per task
     shared: dict = {}
     tasks = [(d1, C, max_depth, collect_witnesses, tables, memo, shared)
              for d1 in range(1, C + 1)]

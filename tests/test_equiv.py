@@ -3,6 +3,7 @@ import os
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 import pytest
@@ -358,10 +359,13 @@ def test_scan_default_workers_follow_the_cost(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert scan_self_similar(10_000, 200, jobs=None) == serial
-    scan_self_similar(1_000_999, 6, d_min=1_000_000, jobs=None)  # cost about 1000 * (1000 + 3)
-    # costs past 1.5e6: more D, late windows (the Q term decides at q_max 2000), a small q_max; or jobs=2
+    # costs below 3.5e6: 12,000 and 19,000 D (1,731,420 and 3,296,234), 3,000 late D, a small q_max
+    for d_min, d_max, q_max in ((2, 12_000, 200), (2, 19_000, 200), (1_000_000, 1_002_999, 200),
+                                (1_000_000, 1_000_999, 6)):
+        scan_self_similar(d_max, q_max, d_min=d_min, jobs=None)
+    # costs past 3.5e6: more D, late windows (the Q term decides at q_max 2000), a small q_max; or jobs=2
     for d_min, d_max, q_max, jobs in ((2, 20_000, 200, None), (1_000_000, 1_003_999, 200, None),
-                                      (1_000_000, 1_000_999, 2_000, None), (2, 30_000, 6, None),
+                                      (1_000_000, 1_001_999, 2_000, None), (2, 30_000, 6, None),
                                       (2, 10_000, 200, 2)):
         with pytest.raises(AssertionError, match="pool"):
             scan_self_similar(d_max, q_max, d_min=d_min, jobs=jobs)
@@ -766,6 +770,65 @@ def test_scan_walks_one_cycle_per_hit(monkeypatch):
     assert len(looped) == 654
     monkeypatch.undo()
     assert all(_own_verdict(D) for D in looped)
+
+
+@pytest.mark.parametrize("d_max, q_max, d_min, count", [
+    (20_000, 50, 5000, 1483), (600, 20, 100, 43), (4000, 40, 1000, 295)])
+def test_scan_walks_one_cycle_per_hit_in_any_window(monkeypatch, d_max, q_max, d_min, count):
+    """A class of a passing e < d_min is walked only at its least D = m*m*e >= d_min,
+    so every walk is a hit in any window (walking it at every m made 1,782, 49 and
+    349 walks), and the chunks share no class."""
+    walks = []
+    cycle = cf2.equiv._cycle
+
+    def counted_cycle(P, Q, D, r, states=None):
+        if states is not None:
+            walks.append(D)
+        return cycle(P, Q, D, r, states)
+
+    monkeypatch.setattr(cf2.equiv, "_cycle", counted_cycle)
+    hits = scan_self_similar(d_max, q_max, d_min=d_min)
+    assert len(walks) == len(hits) == count
+    for found in (hits, scan_self_similar(d_max, q_max, d_min=d_min, jobs=2)):
+        assert len({h.key for h in found}) == len(found) == count
+
+
+def _scaled_by_division(ds, d_min, passes):
+    """_scaled_discriminants by trial division of each D in ds by m*m, m >= 2."""
+    scaled = {}
+    for D in ds:
+        for m in range(2, isqrt(D // 17) + 1):
+            e = D // (m * m)
+            if (D % (m * m) == 0 and e < d_min and (m - 1) ** 2 * e < d_min and e % 8 == 1
+                    and isqrt(e) ** 2 != e and passes(e)):
+                scaled[D] = scaled.get(D, ()) + (e,)
+    return scaled
+
+
+@pytest.mark.parametrize("d_min, windows, count", [
+    (100, [(100, 3000), (100, 164), (537, 1201), (2900, 6001)], 10),
+    (1000, [(1000, 12_000), (4321, 9000), (10_001, 20_000)], 70),
+    (5000, [(5000, 20_000), (7777, 13_000), (19_000, 30_000)], 466)])
+def test_scaled_discriminants_list_each_e_at_its_least_m(d_min, windows, count):
+    """Windows that start inside the range, as chunks do: each passing nonsquare
+    e = 1 (mod 8) below d_min is listed at its least D = m*m*e >= d_min, if that D
+    lies in the window, and nowhere else."""
+    passes = cache(_own_verdict)
+    listed = 0
+    for lo, hi in windows:
+        ds = range(lo, hi + 1)
+        scaled = cf2.equiv._scaled_discriminants(ds, d_min, passes)
+        assert scaled == _scaled_by_division(ds, d_min, passes), (lo, hi)
+        for e in range(17, d_min, 8):
+            if isqrt(e) ** 2 == e or not passes(e):
+                continue
+            m = 2
+            while m * m * e < d_min:
+                m += 1
+            at = [D for D, es in scaled.items() if e in es]
+            assert at == ([m * m * e] if m * m * e in ds else []), (lo, hi, e)
+            listed += len(at)
+    assert listed == count
 
 
 def test_scan_matches_brute_force_where_q_max_passes_2_isqrt_d():
