@@ -61,8 +61,8 @@ state (P/m + sqrt(d))/(Q/m) at d.  So a class of discriminant d has its
 states (m*P, m*Q) at D = m*m*d, one per state (P, Q) at d, and the least
 such D >= d_min holds its least Q: if none is <= q_max there, none is at a
 larger m.  The scan walks each class there only: at D the states of
-content 2 if D = 1 (mod 8) passes, and those of content 2m if
-e = D/m**2 < d_min passes and (m-1)**2 * e < d_min (_scaled_discriminants).
+content 2m, m >= 1, if d = D/m**2 passes and (m-1)**2 * d < d_min
+(_walked_discriminants).
 A cycle shares g, so it is walked or skipped whole, and each walk is a hit.
 For each even Q <= 2r, Q | D - P*P says P = rho (mod Q) for a root rho of
 D mod Q, from a table per Q; r - P < Q leaves one P = r - (r - rho) % Q, a
@@ -266,43 +266,30 @@ def _root_table(q_hi: int) -> dict[int, list[tuple[int, ...]]]:
     return roots
 
 
-def _scaled_discriminants(ds: range, d_min: int, passes) -> dict[int, tuple[int, ...]]:
-    """D in ds -> the passing nonsquare e = 1 (mod 8) with D = m*m*e, m least with D >= d_min > e.
+def _walked_discriminants(ds: range, d_min: int) -> dict[int, tuple[int, ...]]:
+    """D in ds -> the passing nonsquare d = 1 (mod 8) with D = m*m*d, m least with D >= d_min.
 
-    Found from e and m, not by dividing D: each m with 17*m*m <= max(ds) takes
-    the e in [min(ds), max(ds)] / m**2 with (m-1)**2 * e < d_min.
+    Found from d and m, not by dividing D: each m with 17*m*m <= max(ds) takes
+    the d in [min(ds), max(ds)] / m**2 with (m-1)**2 * d < d_min, every d at m = 1.
     """
-    scaled: dict[int, tuple[int, ...]] = {}
+    walked: dict[int, tuple[int, ...]] = {}
     lo, hi = ds.start, ds.stop - 1
-    for m in range(max(2, isqrt(lo // d_min)), isqrt(hi // 17) + 1):
-        e0 = max(17, -(-lo // (m * m)))
-        for e in range(e0 + (1 - e0) % 8, min(-(-d_min // (m - 1) ** 2), hi // (m * m) + 1), 8):
-            if isqrt(e) ** 2 != e and passes(e):
-                scaled[m * m * e] = scaled.get(m * m * e, ()) + (e,)
-    return scaled
+    for m in range(1, isqrt(hi // 17) + 1):
+        d0 = max(17, -(-lo // (m * m)))
+        d1 = hi // (m * m) + 1 if m == 1 else min(-(-d_min // (m - 1) ** 2), hi // (m * m) + 1)
+        for d in range(d0 + (1 - d0) % 8, d1, 8):
+            r = isqrt(d)
+            if r * r != d and class_contains_self_similar(QuadraticSurd((r - 1) | 1, d, 2)):
+                walked[m * m * d] = walked.get(m * m * d, ()) + (d,)
+    return walked
 
 
 def _scan_range(args) -> list[ScanHit]:
     ds, q_max, d_min = args
     roots = _root_table(min(q_max, 2 * isqrt(ds.stop - 1)))
-    verdicts: dict[int, bool] = {}  # d = 1 (mod 8) -> class_contains_self_similar
-
-    def passes(d: int) -> bool:
-        if d not in verdicts:
-            verdicts[d] = class_contains_self_similar(QuadraticSurd((isqrt(d) - 1) | 1, d, 2))
-        return verdicts[d]
-
-    scaled = _scaled_discriminants(ds, d_min, passes)
     hits: list[ScanHit] = []
-    for D in ds:
+    for D, walked in sorted(_walked_discriminants(ds, d_min).items()):  # walked: d = 4D/g**2
         r = isqrt(D)
-        if r * r == D:
-            continue
-        walked = scaled.get(D, ())  # the d = 4D/g**2 whose states are walked at D
-        if D & 7 == 1 and passes(D):
-            walked += (D,)
-        if not walked:
-            continue
         seen_states: set[tuple[int, int]] = set()
         for Q in range(2, min(q_max, 2 * r) + 1, 2):
             for rho in roots[Q][D % Q]:
@@ -333,10 +320,10 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     equivalent to both of its halvings: one verdict per discriminant, before
     any walk.  The states walked are those whose class can pass and was not
     met at a smaller D of the range (module docstring): the Q loop runs only
-    at D = 1 (mod 8) whose own verdict passes, and at D = m*m*e with a
-    passing e < d_min and m least with D >= d_min, so each class is walked
-    once, at the first D where it occurs.  Output is sorted by (D, Q, P),
-    chunks joined in range order, for any job count.
+    at D = m*m*d with a passing d and m least with D >= d_min, m = 1 when
+    d >= d_min, so each class is walked once, at the first D where it
+    occurs.  Output is sorted by (D, Q, P), chunks joined in range order,
+    for any job count.
     jobs=None starts one worker per _COST_PER_WORKER of cost begun, at most one per core.
     """
     if q_max < 1:

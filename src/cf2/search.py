@@ -398,7 +398,9 @@ def witness_q(s: QuadraticSurd, threshold: Fraction = Fraction(1, 15),
               k_cap: int = 64) -> DyadicWitness:
     """A positive integer q with q * |q|_2 * ||q*s|| strictly below threshold.
 
-    Scans k = 0, 1, 2, ... for a body digit of 2^k s at least 1/threshold;
+    Scans k = 0, 1, 2, ... for a body digit of 2^k s at least 1/threshold,
+    reading the body digits of each 2^k s up to the one that closes its cycle
+    or up to _WITNESS_DIGIT_CAP of them, then moving on to k + 1;
     with a_n(2^k s) >= 1/threshold the integer q = 2^k q_{n-1} works.  The
     product is verified by exact surd arithmetic and the returned value is
     a certified rational upper bound that is itself below the threshold.

@@ -261,15 +261,11 @@ def _expansion_raw(P: int, D: int, Q: int) -> tuple[list[int], int]:
     return digits, j
 
 
-def _cf_of_raw(digits: list[int], j: int) -> CF:
-    if j == 0:
-        return _canonical_cf(digits[0], (), tuple(digits[1:]) + (digits[0],))
-    return _canonical_cf(digits[0], tuple(digits[1:j]), tuple(digits[j:]))
-
-
 def expand_surd(s: QuadraticSurd) -> CF:
     """Eventually periodic continued fraction of the surd (exact)."""
-    return _cf_of_raw(*_expansion_raw(s.P, s.D, s.Q))
+    digits, j = _expansion_raw(s.P, s.D, s.Q)
+    i = max(j, 1)  # a cycle from a0 (j = 0) is read from a1, with a0 closing it
+    return _canonical_cf(digits[0], tuple(digits[1:i]), tuple(digits[i:]) + tuple(digits[j:i]))
 
 
 def surd_of_periodic_cf(cf: CF) -> QuadraticSurd:

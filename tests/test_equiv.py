@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cf2.equiv
+import cf2.pool
 from conftest import random_surd
 from cf2.cf import CF, least_rotation
 from cf2.equiv import (
@@ -794,12 +795,12 @@ def test_scan_walks_one_cycle_per_hit_in_any_window(monkeypatch, d_max, q_max, d
 
 
 def _scaled_by_division(ds, d_min, passes):
-    """_scaled_discriminants by trial division of each D in ds by m*m, m >= 2."""
+    """_walked_discriminants by trial division of each D in ds by m*m, m >= 1."""
     scaled = {}
     for D in ds:
-        for m in range(2, isqrt(D // 17) + 1):
+        for m in range(1, isqrt(D // 17) + 1):
             e = D // (m * m)
-            if (D % (m * m) == 0 and e < d_min and (m - 1) ** 2 * e < d_min and e % 8 == 1
+            if (D % (m * m) == 0 and (m - 1) ** 2 * e < d_min and e % 8 == 1
                     and isqrt(e) ** 2 != e and passes(e)):
                 scaled[D] = scaled.get(D, ()) + (e,)
     return scaled
@@ -810,14 +811,15 @@ def _scaled_by_division(ds, d_min, passes):
     (1000, [(1000, 12_000), (4321, 9000), (10_001, 20_000)], 70),
     (5000, [(5000, 20_000), (7777, 13_000), (19_000, 30_000)], 466)])
 def test_scaled_discriminants_list_each_e_at_its_least_m(d_min, windows, count):
-    """Windows that start inside the range, as chunks do: each passing nonsquare
-    e = 1 (mod 8) below d_min is listed at its least D = m*m*e >= d_min, if that D
-    lies in the window, and nowhere else."""
+    """Windows that start inside the range, as chunks do: D itself is listed when
+    D = 1 (mod 8) passes, and each passing nonsquare e = 1 (mod 8) below d_min is
+    listed at its least D = m*m*e >= d_min, if that D lies in the window, and
+    nowhere else."""
     passes = cache(_own_verdict)
     listed = 0
     for lo, hi in windows:
         ds = range(lo, hi + 1)
-        scaled = cf2.equiv._scaled_discriminants(ds, d_min, passes)
+        scaled = cf2.equiv._walked_discriminants(ds, d_min)
         assert scaled == _scaled_by_division(ds, d_min, passes), (lo, hi)
         for e in range(17, d_min, 8):
             if isqrt(e) ** 2 == e or not passes(e):
@@ -829,6 +831,24 @@ def test_scaled_discriminants_list_each_e_at_its_least_m(d_min, windows, count):
             assert at == ([m * m * e] if m * m * e in ds else []), (lo, hi, e)
             listed += len(at)
     assert listed == count
+
+
+@pytest.mark.parametrize("d_max, q_max, d_min, count", [
+    (10_000, 200, 2, 1200), (20_000, 50, 5000, 2429), (60_000, 300, 20_000, 6763)])
+def test_scan_decides_each_d_once_per_pass(monkeypatch, d_max, q_max, d_min, count):
+    """Each nonsquare d = 1 (mod 8) sits at one D of the whole range, d itself if
+    d >= d_min, else its least m*m*d >= d_min, so a serial scan, and the chunks of a
+    two-job scan together, decide each such d once: no verdict memo is needed."""
+    verdicts = []
+    verdict = cf2.equiv.class_contains_self_similar
+    monkeypatch.setattr(cf2.equiv, "class_contains_self_similar",
+                        lambda s: verdicts.append(s.D) or verdict(s))
+    scan_self_similar(d_max, q_max, d_min=d_min)
+    assert len(verdicts) == len(set(verdicts)) == count
+    verdicts.clear()
+    for chunk in cf2.pool.chunks(range(d_min, d_max + 1), 2):
+        cf2.equiv._scan_range((chunk, q_max, d_min))
+    assert len(verdicts) == len(set(verdicts)) == count
 
 
 def test_scan_matches_brute_force_where_q_max_passes_2_isqrt_d():
