@@ -12,14 +12,17 @@ child's cylinder lies inside its parent's, so the digits of 2^k x the
 parent found certain are certain for the child too: each child resumes the
 parent's Euclid scan at every k instead of expanding both doubled endpoints
 from digit 0 (Gosper's carried homographic state, HAKMEM item 101), and
-past the parent's last k it resumes at digit 0.  A surviving prefix
-decides its C children together in one k loop (`_children`), so pending
-siblings hold their own states: O(C * depth * k) of them.  The scans of
-small k start from few distinct states R, since multiplying by 2^k is a
-finite transducer on continued fractions (Raney, Math. Ann. 206, 1973);
-a memo keyed by R alone answers them after the first, one per `run` at
-jobs=1, else one per task.  Every prefix closes both endpoints with the
-one tail matrix of `_tables`, and the scan treats the two alike.
+past the parent's last k it resumes at digit 0.  A state is (j, S): the
+step j where the scan stopped and the endpoint pair S there, as `_scan`
+leaves it.  A surviving prefix decides its C children together in one k
+loop (`_children`), so pending siblings hold their own states:
+O(C * depth * k) of them.  The children's pairs come from the matrix
+R = S . T^-1, made only at a k where some child scans.  The scans of small
+k start from few distinct states, since multiplying by 2^k is a finite
+transducer on continued fractions (Raney, Math. Ann. 206, 1973); a memo
+keyed by S alone answers them after the first, one per `run` at jobs=1,
+else one per task.  Every prefix closes both endpoints with the one tail
+matrix T of `_tables`, and the scan treats the two alike.
 
 Each prefix's k loop ends by k = ceil(log2(q_min q_max / |det T|)) (`try_exclude`),
 so only the depth of the walk has a budget.
@@ -100,40 +103,42 @@ def _tables(C: int) -> tuple[_Matrix, _Matrix, int]:
     so a prefix with matrix M has its cylinder between the two columns of M . T,
     the lower one first for a prefix of even length and last for an odd one.
     No scan reads which is lower: swapping the columns of T swaps the two
-    endpoints, which `_scan` treats alike, and leaves every state R = S . T^-1.
+    endpoints, which `_scan` treats alike and hands back in the order they
+    came, and leaves R = S . T^-1, made from a pair S by `_children`, unchanged.
     """
     tn, td, _, _ = fold_word((C, 1, C, 1, C + 1))
     un, ud, _, _ = fold_word((1, C, 1, C + 1))
     return (tn, un, td, ud), (ud, -un, -td, tn), tn * ud - un * td
 
 
-def _endpoints(fold: _Matrix, pair: _Matrix) -> _Matrix:
-    """(p_a, q_a, p_b, q_b), the two endpoints in no fixed order: the prefix matrix
-    of `fold` times the tail matrix `pair`."""
-    p1, q1, p0, q0 = fold
-    t11, t12, t21, t22 = pair
-    return p1 * t11 + p0 * t21, q1 * t11 + q0 * t21, p1 * t12 + p0 * t22, q1 * t12 + q0 * t22
+def _cylinder(word, C: int) -> tuple[tuple[int, ...], _Matrix]:
+    """(word, (p_a, q_a, p_b, q_b)): the checked prefix and its two endpoints in
+    no fixed order, the columns of M . T with M the matrix of [0; word]."""
+    word = tuple(word)
+    if not word or any(d < 1 or d > C for d in word):
+        raise ValueError("prefix digits must lie in [1, C]")
+    p1, q1, p0, q0 = fold_word((0,) + word)
+    t11, t12, t21, t22 = _tables(C)[0]
+    return word, (p1 * t11 + p0 * t21, q1 * t11 + q0 * t21,
+                  p1 * t12 + p0 * t22, q1 * t12 + q0 * t22)
 
 
 def interval_bounds(word, C: int) -> tuple[Fraction, Fraction]:
     """Rational bounds enclosing every x = [0; word, b, b, ...] with digits in [1, C]."""
-    word = tuple(word)
-    if not word or any(d < 1 or d > C for d in word):
-        raise ValueError("prefix digits must lie in [1, C]")
-    pa, qa, pb, qb = _endpoints(fold_word((0,) + word), _tables(C)[0])
+    word, (pa, qa, pb, qb) = _cylinder(word, C)
     a, b = sorted((Fraction(pa, qa), Fraction(pb, qb)))
     if a >= b:
         raise RuntimeError(f"empty cylinder interval for prefix {word}")
     return a, b
 
 
-def _scan(C: int, i: int, pa: int, qa: int, pb: int, qb: int, adjugate: _Matrix, det: int):
-    """One Euclid scan of the endpoint pair pa/qa, pb/qb from step i: (i, bound, R).
+def _scan(C: int, i: int, pa: int, qa: int, pb: int, qb: int):
+    """One Euclid scan of the endpoint pair pa/qa, pb/qb from step i: (i, bound, S).
 
-    `bound` > 0 excludes at digit i.  Otherwise R is None when the floors
-    differ at digit 0, which ends the k loop, and else the matrix that the
-    children resume from at step i: R = S . adjugate / det, with S the pair
-    at step i and adjugate / det the inverse of the tail matrix T.
+    `bound` > 0 excludes at digit i.  Otherwise S is None when the floors
+    differ at digit 0, which ends the k loop, and else the pair
+    (pa, qa, pb, qb) at step i, in the order it came in, that the children
+    resume from at step i.
     """
     while True:
         a, ra = divmod(pa, qa)
@@ -153,9 +158,7 @@ def _scan(C: int, i: int, pa: int, qa: int, pb: int, qb: int, adjugate: _Matrix,
             return i, min(a, b), None
     # Digits 0..i-1 are shared without terminating, and those past digit 0
     # are at most C, so they hold on every cylinder inside this one.
-    a11, a12, a21, a22 = adjugate
-    return i, 0, ((pa * a11 + pb * a21) // det, (pa * a12 + pb * a22) // det,
-                  (qa * a11 + qb * a21) // det, (qa * a12 + qb * a22) // det)
+    return i, 0, (pa, qa, pb, qb)
 
 
 def try_exclude(word, C: int) -> ExclusionWitness | None:
@@ -175,14 +178,12 @@ def try_exclude(word, C: int) -> ExclusionWitness | None:
     This is the standalone reference for one prefix; the search steps every
     prefix with the same scan in `_children`.
     """
-    word = tuple(word)
-    pair, adjugate, det = _tables(C)
-    pa, qa, pb, qb = _endpoints(fold_word((0,) + word), pair)
+    word, (pa, qa, pb, qb) = _cylinder(word, C)
     for k in count(1):
-        i, bound, R = _scan(C, 0, pa << k, qa, pb << k, qb, adjugate, det)
+        i, bound, S = _scan(C, 0, pa << k, qa, pb << k, qb)
         if bound:
             return ExclusionWitness(word, k, i, bound)
-        if R is None:
+        if S is None:
             return None
 
 
@@ -194,36 +195,39 @@ def _children(fold, states, C: int, tables: tuple[_Matrix, _Matrix, int], memo: 
     """`try_exclude` for all C children of a surviving prefix at once.
 
     `fold` is the prefix's matrix M = fold_word((0,) + word), `tables` is
-    `_tables(C)`, and `states` the prefix's own states, one per k: the step
-    j where its scan stopped and
-    R = (r11, r12, r21, r22) = A^-1 . diag(2^k, 1) . M, with A the matrix
-    of the first j digits of 2^k x that the whole cylinder shares (past
-    digit 0, all at most C).  R = S . adj(T) / det(T) is exact, since the
-    pair S at step j is A^-1 . diag(2^k, 1) . M . T.  Past the inherited k
-    the state is (0, diag(2^k, 1) . M), which shares no digit, so a child
-    resuming there scans from digit 0.
+    `_tables(C)`, and `states` the prefix's own states, one per k: (j, S),
+    the step j where its scan stopped and the endpoint pair
+    S = (pa, qa, pb, qb) = A^-1 . diag(2^k, 1) . M . T there, with A the
+    matrix of the first j digits of 2^k x that the whole cylinder shares
+    (past digit 0, all at most C).  Past the inherited k the state is
+    (0, diag(2^k, 1) . M . T), which shares no digit, so a child resuming
+    there scans from digit 0.
 
     The loop runs over k outside and over the children not yet decided
     inside, so a child excluded at some k drops out of every later k, and
     the loop ends once every child is decided.  The pair of child d at k is
-    R . [[d, 1], [1, 0]] . T = d . U + V, with U = R . [[1, 0], [0, 0]] . T
-    and V = R . [[0, 1], [1, 0]] . T made once per k.  One T serves every
-    depth: which column is the lower endpoint changes R nowhere (`_tables`).
+    R . [[d, 1], [1, 0]] . T = d . U + V, with R = A^-1 . diag(2^k, 1) . M
+    = S . adj(T) / det(T), exact, and U = R . [[1, 0], [0, 0]] . T and
+    V = R . [[0, 1], [1, 0]] . T.  R, U and V are made once per k, at the
+    first child that scans, so a k whose children the memo answers makes
+    none; past the inherited k, R = diag(2^k, 1) . M needs no division.
+    One T serves every depth: which column is the lower endpoint changes R
+    nowhere (`_tables`).
 
     A scan resumed at step j > 0 never reads digit 0, so it depends on j
     only through the positions it reports.  For k <= _MEMO_K and j > 0,
-    `memo` maps R to C slots, each filled by the first child scan that
-    needs it with (i - j, bound, R') from `_scan`: one lookup answers every
-    child of every prefix that holds R, at any depth.  Multiplying
-    by 2^k is a finite transducer on continued fractions (Raney, Math.
-    Ann. 206, 1973), so for small k the R are few, and fewer still the
-    distinct slots: `shared` maps each filled slot to itself, so equal
-    slots share one tuple.
+    `memo` maps S to C slots, each filled by the first child scan that
+    needs it with (i - j, bound, S') from `_scan`: one lookup answers every
+    child of every prefix that holds S, at any depth.  S and R determine
+    each other for the one T of a run.  Multiplying by 2^k is a finite
+    transducer on continued fractions (Raney, Math. Ann. 206, 1973), so
+    for small k the states are few, and fewer still the distinct slots:
+    `shared` maps each filled slot to itself, so equal slots share one tuple.
 
     Returns (hits, found): hits[d] is (k, position, bound) for an excluded
     child and None for a survivor, whose states are found[d] (index 0 unused).
     """
-    (t11, t12, t21, t22), adjugate, det = tables
+    (t11, t12, t21, t22), (a11, a12, a21, a22), det = tables
     p1, q1, p0, q0 = fold
     hits: list = [None] * (C + 1)
     found: list[list] = [[] for _ in range(C + 1)]
@@ -231,22 +235,32 @@ def _children(fold, states, C: int, tables: tuple[_Matrix, _Matrix, int], memo: 
     k = 0
     while alive:
         k += 1
-        j, R = states[k - 1] if k <= len(states) else (0, (p1 << k, p0 << k, q1, q0))
-        r11, r12, r21, r22 = R
-        ua, uqa, ub, uqb = r11 * t11, r21 * t11, r11 * t12, r21 * t12
-        va, vqa = r11 * t21 + r12 * t11, r21 * t21 + r22 * t11
-        vb, vqb = r11 * t22 + r12 * t12, r21 * t22 + r22 * t12
+        if k <= len(states):
+            j, S = states[k - 1]
+            R = None
+        else:
+            j, R = 0, (p1 << k, p0 << k, q1, q0)
         slots = None
         if j and k <= _MEMO_K:
-            slots = memo.get(R)
+            slots = memo.get(S)
             if slots is None:
-                slots = memo[R] = [None] * (C + 1)
+                slots = memo[S] = [None] * (C + 1)
+        ua = None
         left = []
         for d in alive:
             slot = None if slots is None else slots[d]
             if slot is None:
+                if ua is None:
+                    if R is None:
+                        pa, qa, pb, qb = S
+                        R = ((pa * a11 + pb * a21) // det, (pa * a12 + pb * a22) // det,
+                             (qa * a11 + qb * a21) // det, (qa * a12 + qb * a22) // det)
+                    r11, r12, r21, r22 = R
+                    ua, uqa, ub, uqb = r11 * t11, r21 * t11, r11 * t12, r21 * t12
+                    va, vqa = r11 * t21 + r12 * t11, r21 * t21 + r22 * t11
+                    vb, vqb = r11 * t22 + r12 * t12, r21 * t22 + r22 * t12
                 i, bound, nxt = _scan(C, j, d * ua + va, d * uqa + vqa, d * ub + vb,
-                                      d * uqb + vqb, adjugate, det)
+                                      d * uqb + vqb)
                 slot = i - j, bound, nxt
                 if slots is not None:
                     slot = slots[d] = shared.setdefault(slot, slot)

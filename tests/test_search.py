@@ -46,6 +46,14 @@ def test_interval_bounds_rejects_out_of_range():
         interval_bounds((1, 3), 2)
 
 
+@pytest.mark.parametrize("word", [(3,), ()])
+def test_try_exclude_and_interval_bounds_reject_the_same_words(word):
+    # the search's reference and the bounds share one check of the prefix
+    for reject in (try_exclude, interval_bounds):
+        with pytest.raises(ValueError, match=r"prefix digits must lie in \[1, C\]"):
+            reject(word, 2)
+
+
 def _alternating_lex_key(word):
     # larger digit at an odd position means a smaller value
     return tuple(-d if i % 2 == 0 else d for i, d in enumerate(word))
@@ -315,39 +323,76 @@ def _surviving_states(C):
                          for d in range(1, C + 1) if hits[d] is None)
 
 
+def _resume_matrix(S, adjugate, det):
+    """R = S . adjugate / det for the pair S = (pa, qa, pb, qb), checked exact."""
+    pa, qa, pb, qb = S
+    a11, a12, a21, a22 = adjugate
+    products = (pa * a11 + pb * a21, pa * a12 + pb * a22,
+                qa * a11 + qb * a21, qa * a12 + qb * a22)
+    assert all(x % det == 0 for x in products), (S, det)
+    return tuple(x // det for x in products)
+
+
 def test_resume_states_divide_exactly():
-    # every state run hands to a child is A^-1 diag(2^k, 1) M exactly: times T
-    # it gives back the endpoint pair after its j certain digits
+    # every state (j, S) run hands to a child is the endpoint pair after its
+    # j certain digits, as Euclid on the doubled endpoints gives it
     checked = 0
     for C in range(1, 8):
         for word, states in _surviving_states(C):
             checked += len(states)
-            t11, t12, t21, t22 = _tables(C)[0]
-            for k, (j, (r11, r12, r21, r22)) in enumerate(states, 1):
-                assert _euclid_state(word, C, k, j) == (
-                    r11 * t11 + r12 * t21, r21 * t11 + r22 * t21,
-                    r11 * t12 + r12 * t22, r21 * t12 + r22 * t22), (word, k)
+            for k, (j, S) in enumerate(states, 1):
+                assert _euclid_state(word, C, k, j) == S, (word, k)
+    assert checked > 1000
+
+
+def test_resume_matrices_are_the_shared_digits_inverted():
+    # det T divides S . adj(T) for every state (j, S) run(1..7) hands on, and
+    # the quotient R is A^-1 . diag(2^k, 1) . M, with M the matrix of [0; word]
+    # and A that of the first j digits of 2^k x, read off the lower endpoint
+    checked = 0
+    for C in range(1, 8):
+        _, adjugate, det = _tables(C)
+        for word, states in _surviving_states(C):
+            m11, m21, m12, m22 = fold_word((0,) + word)
+            lo = interval_bounds(word, C)[0]
+            for k, (j, S) in enumerate(states, 1):
+                digits = list(itertools.islice(cf_of_rational(lo * 2 ** k).digits(), j))
+                a11, a21, a12, a22 = fold_word(digits)
+                sign = a11 * a22 - a12 * a21  # det A = +-1, so A^-1 = sign . adj(A)
+                n11, n12, n21, n22 = m11 << k, m12 << k, m21, m22
+                assert _resume_matrix(S, adjugate, det) == (
+                    sign * (a22 * n11 - a12 * n21), sign * (a22 * n12 - a12 * n22),
+                    sign * (a11 * n21 - a21 * n11), sign * (a11 * n22 - a21 * n12)), (word, k)
+                checked += 1
     assert checked > 1000
 
 
 def test_scan_reads_no_order_of_the_endpoints():
     # the lower endpoint of a prefix is the first column of M . T at an even
     # length and the second at an odd one; swapping the columns of T (T . J)
-    # swaps the endpoints, which `_scan` treats alike, and keeps every state
-    # R = S . T^-1 = (S . J) . (T . J)^-1, so one T serves every depth
+    # swaps the endpoints, which `_scan` treats alike and hands back swapped,
+    # and keeps R = S . T^-1 = (S . J) . (T . J)^-1, so one T serves every depth
     scans = 0
     for C in range(1, 8):
         (t11, t12, t21, t22), adjugate, det = _tables(C)
         swapped = (t21, -t11, -t22, t12)  # adj(T . J), with T . J = (t12, t11, t22, t21)
         for word, states in _surviving_states(C):
-            for j, (r11, r12, r21, r22) in states:
+            for j, S in states:
+                r11, r12, r21, r22 = _resume_matrix(S, adjugate, det)
                 for d in range(1, C + 1):
                     # R . [[d, 1], [1, 0]] . T, the pair of child d in `_children`
                     m11, m21 = d * r11 + r12, d * r21 + r22
                     pa, qa = m11 * t11 + r11 * t21, m21 * t11 + r21 * t21
                     pb, qb = m11 * t12 + r11 * t22, m21 * t12 + r21 * t22
-                    assert _scan(C, j, pa, qa, pb, qb, adjugate, det) == \
-                        _scan(C, j, pb, qb, pa, qa, swapped, -det), (word, d, j)
+                    i, bound, nxt = _scan(C, j, pa, qa, pb, qb)
+                    i2, bound2, nxt2 = _scan(C, j, pb, qb, pa, qa)
+                    assert (i2, bound2) == (i, bound), (word, d, j)
+                    if nxt is None:
+                        assert nxt2 is None, (word, d, j)
+                    else:
+                        assert nxt2 == nxt[2:] + nxt[:2], (word, d, j)
+                        assert _resume_matrix(nxt, adjugate, det) == \
+                            _resume_matrix(nxt2, swapped, -det), (word, d, j)
                     scans += 1
     assert scans == 42801
 
@@ -372,8 +417,9 @@ def test_k_loop_stops_at_the_first_k_where_the_floors_differ():
 
 
 def test_memo_keys_are_resumed_states_of_small_k():
-    # the memo maps R to C + 1 slots, and `shared` maps each distinct slot to
-    # itself; every R is a state at some k <= 6, so |det R| = 2^k
+    # the memo maps S to C + 1 slots, and `shared` maps each distinct slot to
+    # itself; every S is a state at some k <= 6, A^-1 . diag(2^k, 1) . M . T
+    # with det A, det M = +-1, so |det S| = 2^k |det T|
     C = 8
     tables = _tables(C)
     memo, shared = {}, {}
@@ -381,9 +427,9 @@ def test_memo_keys_are_resumed_states_of_small_k():
         _walk((d1, C, None, False, tables, memo, shared))
     assert len(memo) > 100
     for key, slots in memo.items():
-        r11, r12, r21, r22 = key
-        det = abs(r11 * r22 - r12 * r21)
-        assert det in {2 ** k for k in range(1, 7)}, key
+        pa, qa, pb, qb = key
+        det = abs(pa * qb - pb * qa)
+        assert det in {2 ** k * abs(tables[2]) for k in range(1, 7)}, key
         assert len(slots) == C + 1 and slots[0] is None, key
     filled = {id(slot) for slots in memo.values() for slot in slots if slot is not None}
     assert {id(slot) for slot in shared.values()} == filled
@@ -391,7 +437,7 @@ def test_memo_keys_are_resumed_states_of_small_k():
 
 
 def test_children_resuming_at_digit_0_match_try_exclude():
-    # a prefix with no states hands its children (0, diag(2^k, 1) . M) at every
+    # a prefix with no states hands its children (0, diag(2^k, 1) . M . T) at every
     # k, which shares no digit, so each child scans its fresh pair from digit 0
     ended = excluded = 0
     for C in (3, 5, 8):
@@ -406,11 +452,8 @@ def test_children_resuming_at_digit_0_match_try_exclude():
                 wit = try_exclude(child, C)
                 if wit is None:
                     assert hits[d] is None, child
-                    t11, t12, t21, t22 = tables[0]
-                    for k, (j, (r11, r12, r21, r22)) in enumerate(found[d], 1):
-                        assert _euclid_state(child, C, k, j) == (
-                            r11 * t11 + r12 * t21, r21 * t11 + r22 * t21,
-                            r11 * t12 + r12 * t22, r21 * t12 + r22 * t22), (child, k)
+                    for k, (j, S) in enumerate(found[d], 1):
+                        assert _euclid_state(child, C, k, j) == S, (child, k)
                     ended += 1
                 else:
                     assert ExclusionWitness(child, *hits[d]) == wit, child
