@@ -52,22 +52,21 @@ coefficient of a reduced form in the principal cycle.  The reduced states
 for P the odd one of r and r - 1 (r = isqrt(d)).  So d passes iff the
 cycle has a state with Q = 4; conversely, that form represents +-2.
 
-The scan reads this off its reduced states (P + sqrt(D))/Q: with
-r = isqrt(D), those with r - P < Q <= r + P and Q | D - P*P.  Their
-primitive polynomial is (Q, -2P, -c)/g, c = (D - P*P)/Q, of content
-g = gcd(Q, 2P, c) and discriminant d = 4D/g**2, so only g = 2m gives
-d = 1 (mod 8), and then D = m*m*d: m divides P, Q and c, and it is the
-state (P/m + sqrt(d))/(Q/m) at d.  So a class of discriminant d has its
-states (m*P, m*Q) at D = m*m*d, one per state (P, Q) at d, and the least
-such D >= d_min holds its least Q: if none is <= q_max there, none is at a
-larger m.  The scan walks each class there only: at D the states of
-content 2m, m >= 1, if d = D/m**2 passes and (m-1)**2 * d < d_min
-(_walked_discriminants).
+The scan walks reduced states (P + sqrt(D))/Q: with r = isqrt(D), those
+with r - P < Q <= r + P and Q | D - P*P.  Their primitive polynomial is
+(Q, -2P, -c)/g, c = (D - P*P)/Q, of content g = gcd(Q, 2P, c) and
+discriminant 4D/g**2, so only g = 2m gives d = 1 (mod 8), and then
+D = m*m*d and (P/m, Q/m) is a state of content 2 at d.  So a class of
+discriminant d has the states (m*P, m*Q) at D = m*m*d, one per state (P, Q)
+at d, and the least such D >= d_min holds its least Q: if none is <= q_max
+there, none is at a larger m.  So for each passing d, with m least for
+m*m*d >= d_min and m*m*d in the window (_walked_discriminants), the scan
+walks the states of content 2 at D = d with Q <= q_max // m, and reports
+each class at m*m*d as its least (m*P, m*Q) with m*Q <= q_max.
 A cycle shares g, so it is walked or skipped whole, and each walk is a hit.
 For each even Q <= 2r, Q | D - P*P says P = rho (mod Q) for a root rho of
 D mod Q, from a table per Q; r - P < Q leaves one P = r - (r - rho) % Q, a
-state iff Q <= r + P.  A class is named at its least state (P, Q) with
-Q <= q_max.
+state iff Q <= r + P.
 """
 
 from __future__ import annotations
@@ -266,21 +265,20 @@ def _root_table(q_hi: int) -> dict[int, list[tuple[int, ...]]]:
     return roots
 
 
-def _walked_discriminants(ds: range, d_min: int) -> dict[int, tuple[int, ...]]:
-    """D in ds -> the passing nonsquare d = 1 (mod 8) with D = m*m*d, m least with D >= d_min.
-
-    Found from d and m, not by dividing D: each m with 17*m*m <= max(ds) takes
-    the d in [min(ds), max(ds)] / m**2 with (m-1)**2 * d < d_min, every d at m = 1.
-    """
-    walked: dict[int, tuple[int, ...]] = {}
+def _walked_discriminants(ds: range, d_min: int) -> list[tuple[int, int]]:
+    """(d, m) for each passing nonsquare d = 1 (mod 8) with m*m*d in ds, m least with
+    m*m*d >= d_min: per m with 17*m*m <= max(ds), the d in [min(ds), max(ds)] / m**2
+    up to the first with (m-1)**2 * d >= d_min."""
+    walked: list[tuple[int, int]] = []
     lo, hi = ds.start, ds.stop - 1
     for m in range(1, isqrt(hi // 17) + 1):
         d0 = max(17, -(-lo // (m * m)))
-        d1 = hi // (m * m) + 1 if m == 1 else min(-(-d_min // (m - 1) ** 2), hi // (m * m) + 1)
-        for d in range(d0 + (1 - d0) % 8, d1, 8):
+        for d in range(d0 + (1 - d0) % 8, hi // (m * m) + 1, 8):
+            if (m - 1) ** 2 * d >= d_min:
+                break
             r = isqrt(d)
             if r * r != d and class_contains_self_similar(QuadraticSurd((r - 1) | 1, d, 2)):
-                walked[m * m * d] = walked.get(m * m * d, ()) + (d,)
+                walked.append((d, m))
     return walked
 
 
@@ -288,23 +286,23 @@ def _scan_range(args) -> list[ScanHit]:
     ds, q_max, d_min = args
     roots = _root_table(min(q_max, 2 * isqrt(ds.stop - 1)))
     hits: list[ScanHit] = []
-    for D, walked in sorted(_walked_discriminants(ds, d_min).items()):  # walked: d = 4D/g**2
-        r = isqrt(D)
+    for d, m in _walked_discriminants(ds, d_min):  # reported at D = m*m*d as (m*P, m*Q)
+        r = isqrt(d)
         seen_states: set[tuple[int, int]] = set()
-        for Q in range(2, min(q_max, 2 * r) + 1, 2):
-            for rho in roots[Q][D % Q]:
+        for Q in range(2, min(q_max // m, 2 * r) + 1, 2):
+            for rho in roots[Q][d % Q]:
                 # reduced (value > 1, conjugate in (-1, 0)) iff r - P < Q <= r + P
                 P = r - (r - rho) % Q
                 if Q > r + P or (P, Q) in seen_states:
                     continue
-                if 4 * D // gcd(Q, 2 * P, (D - P * P) // Q) ** 2 not in walked:
-                    continue  # d fails, or the class was met at D/m**2 >= d_min
+                if gcd(Q, 2 * P, (d - P * P) // Q) != 2:
+                    continue  # of discriminant 4d, or d/k**2 for content 2k > 2
                 states: list[tuple[int, int]] = []
-                digits = _cycle(P, Q, D, r, states)
+                digits = _cycle(P, Q, d, r, states)
                 seen_states.update(states)
                 key = least_rotation(tuple(digits))
-                p, q = min((p, q) for p, q in states if q <= q_max)  # first in order of P, then Q
-                hits.append(ScanHit(D, q, p, len(key), max(key), key))
+                p, q = min((p, q) for p, q in states if m * q <= q_max)  # first in order of P, then Q
+                hits.append(ScanHit(m * m * d, m * q, m * p, len(key), max(key), key))
     return sorted(hits, key=lambda h: (h.D, h.Q, h.P))
 
 
@@ -315,15 +313,14 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
                       jobs: int | None = 1) -> list[ScanHit]:
     """All self-similar classes with a reduced representative (P + sqrt(D))/Q in range.
 
-    Enumerates purely periodic states for each nonsquare D in [d_min, d_max]
-    with 1 <= Q <= q_max, and keeps the classes where some member is
-    equivalent to both of its halvings: one verdict per discriminant, before
-    any walk.  The states walked are those whose class can pass and was not
-    met at a smaller D of the range (module docstring): the Q loop runs only
-    at D = m*m*d with a passing d and m least with D >= d_min, m = 1 when
-    d >= d_min, so each class is walked once, at the first D where it
-    occurs.  Output is sorted by (D, Q, P), chunks joined in range order,
-    for any job count.
+    Reports, for each nonsquare D in [d_min, d_max], the classes with a
+    purely periodic state at D with 1 <= Q <= q_max that were not met at a
+    smaller D of the range, and where some member is equivalent to both of
+    its halvings: one verdict per class discriminant d, before any walk.
+    Each passing d is walked once, at d itself, and its classes reported at
+    their first D = m*m*d >= d_min, m = 1 when d >= d_min (module
+    docstring).  Output is sorted by (D, Q, P), chunks joined in range
+    order, for any job count.
     jobs=None starts one worker per _COST_PER_WORKER of cost begun, at most one per core.
     """
     if q_max < 1:

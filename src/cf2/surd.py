@@ -20,17 +20,6 @@ class SurdParseError(LiteralParseError):
     """Malformed surd literal."""
 
 
-def sign_with_sqrt(a: int, b: int, d: int) -> int:
-    """Sign of a + b*sqrt(d) for nonsquare d > 0 (never zero)."""
-    if a >= 0 and b >= 0:
-        return 1 if (a or b) else 0
-    if a <= 0 and b <= 0:
-        return -1 if (a or b) else 0
-    if a > 0:  # b < 0
-        return 1 if a * a > b * b * d else -1
-    return 1 if b * b * d > a * a else -1
-
-
 @dataclass(frozen=True)
 class QuadraticSurd:
     """Exact value (P + sqrt(D))/Q with D > 0 nonsquare and Q != 0."""
@@ -78,7 +67,8 @@ class QuadraticSurd:
         """Sign of self - r (never zero; the value is irrational)."""
         r = Fraction(r)
         n, d = r.numerator, r.denominator
-        s = sign_with_sqrt(d * self.P - n * self.Q, d, self.D)
+        a = d * self.P - n * self.Q  # self - r = (a + d*sqrt(D))/(d*Q), with d > 0
+        s = 1 if a >= 0 or d * d * self.D > a * a else -1
         return s if self.Q > 0 else -s
 
     def floor(self) -> int:

@@ -8,10 +8,12 @@ import time
 
 import pytest
 
+import cf2.cli
 import cf2.surd
 
 from conftest import child_env, random_periodic_cf, random_surd
-from cf2.cf import parse_cf
+from cf2.bounds import FalsifyResult
+from cf2.cf import CF, parse_cf
 from cf2.cli import main
 from cf2.search import run
 from cf2.surd import expand_surd, parse_surd
@@ -57,6 +59,14 @@ def test_trio(capsys):
     assert lines[2].startswith("half+1: [2; (3, 1, 1)]")
 
 
+def test_trio_show_cases(capsys):
+    code, out, _ = run_cli(capsys, "trio", "[(3; 1, 1)]", "--show-cases")
+    assert code == 0
+    cases = [l.split() for l in out.splitlines() if l.startswith("n=")]
+    assert len(cases) == 40  # --windows defaults to 40
+    assert all(len(set(names)) == 3 for _, *names in cases)
+
+
 def test_search_json(capsys):
     code, out, _ = run_cli(capsys, "search", "--C", "3", "--json", "--jobs", "1")
     assert code == 0
@@ -71,6 +81,18 @@ def test_search_witness_dump(capsys):
     assert code == 0
     dump = [l for l in out.splitlines() if l.startswith("w=")]
     assert dump and all(" k=" in l and " pos=" in l and " bound=" in l for l in dump)
+
+
+def test_search_witness_dump_parses_back(capsys):
+    """Digits up to 9 print run together, a prefix with a 10 prints comma-separated."""
+    code, out, _ = run_cli(capsys, "search", "--C", "10", "--max-depth", "2", "--witnesses",
+                           "--jobs", "1")
+    assert code == 1  # stopped at the depth cap
+    words = [l.split()[0][len("w="):] for l in out.splitlines() if l.startswith("w=")]
+    assert "26" in words and "10,6" in words
+    for w in words:
+        digits = [int(d) for d in (w.split(",") if "," in w else w)]
+        assert len(digits) == 2 and all(1 <= d <= 10 for d in digits), w
 
 
 def test_search_witnesses_json_is_one_object(capsys):
@@ -147,16 +169,39 @@ def test_scan_csv(capsys):
     assert any(line.startswith("17,") and ",1 1 3" in line for line in lines[1:])
 
 
+def test_scan_text(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--d-max", "40", "--q-max", "20")
+    assert code == 0
+    assert "(1 + sqrt(17))/4: period length 3, max 3, key (1, 1, 3)" in out.splitlines()
+
+
 def test_verify_b2_cli(capsys):
     code, out, _ = run_cli(capsys, "verify-b2", "--period-max", "5", "--preperiod-max", "2")
     assert code == 0
     assert "characterization holds" in out
 
 
+def test_verify_b2_violation_exits_1(capsys, monkeypatch):
+    bad = CF(0, (), (1, 2))
+    monkeypatch.setattr(cf2.cli, "verify_b2_exhaustive", lambda period_max, preperiod_max: [bad])
+    code, out, _ = run_cli(capsys, "verify-b2", "--period-max", "2", "--preperiod-max", "0")
+    assert code == 1
+    assert out == f"violation: {bad}\n"
+
+
 def test_falsify_cli(capsys):
     code, out, _ = run_cli(capsys, "falsify", "--C", "3", "--period-max", "5")
     assert code == 0
     assert "no counterexample" in out
+
+
+def test_falsify_counterexample_exits_1(capsys, monkeypatch):
+    bad = CF(0, (), (1, 3))
+    monkeypatch.setattr(cf2.cli, "falsify_b_bound",
+                        lambda C, period_max, preperiod_max: FalsifyResult([bad], []))
+    code, out, _ = run_cli(capsys, "falsify", "--C", "3", "--period-max", "2")
+    assert code == 1
+    assert out == f"counterexample: {bad}\n"
 
 
 def test_falsify_empty_ranges_exit_2(capsys):
@@ -177,6 +222,13 @@ def test_witness_cli(capsys):
     code, out, _ = run_cli(capsys, "witness", "(10 + sqrt(120))/1", "--k-cap", "0")
     assert code == 0
     assert out.startswith("q = 1  (k=0, digit index n=2)\n")
+
+
+def test_witness_not_found_exits_1(capsys):
+    code, out, err = run_cli(capsys, "witness", "(1 + sqrt(5))/2", "--threshold", "1/1000",
+                             "--k-cap", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: no witness found for k <= 0\n"
 
 
 def test_witness_threshold_domain_exit_2(capsys):

@@ -735,9 +735,9 @@ def _per_state_scan(d_max, q_max, d_min=2):
 @pytest.mark.parametrize("d_max, q_max, d_min", [
     (20_000, 200, 2), (20_000, 50, 5000), (10**6 + 200, 200, 10**6)])
 def test_scan_matches_the_per_state_rule(d_max, q_max, d_min):
-    """The scan loops only at a D whose own verdict passes, or at a D = m*m*e with
-    a passing e < d_min, and skips a state of content 2m >= 4 whose D/m**2 >= d_min;
-    the per-state rule walks every cycle of a passing d and merges.  Equal hits."""
+    """The scan walks each passing d once, at d, and reports its classes at their
+    least D = m*m*d >= d_min; the per-state rule loops at every D, walks every
+    cycle of a passing d and merges.  Equal hits."""
     expected = _per_state_scan(d_max, q_max, d_min)
     assert expected
     for jobs in (1, 2):
@@ -796,13 +796,13 @@ def test_scan_walks_one_cycle_per_hit_in_any_window(monkeypatch, d_max, q_max, d
 
 def _scaled_by_division(ds, d_min, passes):
     """_walked_discriminants by trial division of each D in ds by m*m, m >= 1."""
-    scaled = {}
+    scaled = []
     for D in ds:
         for m in range(1, isqrt(D // 17) + 1):
             e = D // (m * m)
             if (D % (m * m) == 0 and (m - 1) ** 2 * e < d_min and e % 8 == 1
                     and isqrt(e) ** 2 != e and passes(e)):
-                scaled[D] = scaled.get(D, ()) + (e,)
+                scaled.append((e, m))
     return scaled
 
 
@@ -811,23 +811,23 @@ def _scaled_by_division(ds, d_min, passes):
     (1000, [(1000, 12_000), (4321, 9000), (10_001, 20_000)], 70),
     (5000, [(5000, 20_000), (7777, 13_000), (19_000, 30_000)], 466)])
 def test_scaled_discriminants_list_each_e_at_its_least_m(d_min, windows, count):
-    """Windows that start inside the range, as chunks do: D itself is listed when
-    D = 1 (mod 8) passes, and each passing nonsquare e = 1 (mod 8) below d_min is
-    listed at its least D = m*m*e >= d_min, if that D lies in the window, and
-    nowhere else."""
+    """Windows that start inside the range, as chunks do: (d, 1) is listed when
+    d = 1 (mod 8) passes, and each passing nonsquare e = 1 (mod 8) below d_min is
+    listed as (e, m) for its least D = m*m*e >= d_min, if that D lies in the window,
+    and nowhere else."""
     passes = cache(_own_verdict)
     listed = 0
     for lo, hi in windows:
         ds = range(lo, hi + 1)
         scaled = cf2.equiv._walked_discriminants(ds, d_min)
-        assert scaled == _scaled_by_division(ds, d_min, passes), (lo, hi)
+        assert sorted(scaled) == sorted(_scaled_by_division(ds, d_min, passes)), (lo, hi)
         for e in range(17, d_min, 8):
             if isqrt(e) ** 2 == e or not passes(e):
                 continue
             m = 2
             while m * m * e < d_min:
                 m += 1
-            at = [D for D, es in scaled.items() if e in es]
+            at = [k * k * d for d, k in scaled if d == e]
             assert at == ([m * m * e] if m * m * e in ds else []), (lo, hi, e)
             listed += len(at)
     assert listed == count

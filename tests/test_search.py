@@ -27,6 +27,11 @@ from cf2.search import (
 from cf2.surd import QuadraticSurd, expand_surd, linear_fractional, mul_pow2, surd_of_periodic_cf
 
 
+def test_witness_str_runs_digits_together_only_below_10():
+    assert str(ExclusionWitness((2, 6), 1, 2, 12)) == "w=26 k=1 pos=2 bound=12"
+    assert str(ExclusionWitness((10, 1), 2, 1, 11)) == "w=10,1 k=2 pos=1 bound=11"
+
+
 def test_interval_bounds_fixture():
     lo, hi = interval_bounds((1, 1), 2)
     assert (lo, hi) == (Fraction(56, 97), Fraction(26, 41))
