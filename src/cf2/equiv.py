@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .cf import CF, fold_word, least_rotation, rotation_start
-from .pool import chunks, pmap
+from .pool import chunks, pmap, workers
 from .surd import (_PERIOD_BUDGET, QuadraticSurd, _cycle, _reflection, expand_surd,
                    linear_fractional)
 
@@ -283,10 +283,12 @@ def _walked_discriminants(ds: range, d_min: int) -> list[tuple[int, int]]:
 
 
 def _scan_range(args) -> list[ScanHit]:
-    ds, q_max, d_min = args
-    roots = _root_table(min(q_max, 2 * isqrt(ds.stop - 1)))
+    """The hits of each range of D in `ranges`, from one root table for the largest."""
+    ranges, q_max, d_min = args
+    roots = _root_table(min(q_max, 2 * isqrt(max(ds.stop for ds in ranges) - 1)))
     hits: list[ScanHit] = []
-    for d, m in _walked_discriminants(ds, d_min):  # reported at D = m*m*d as (m*P, m*Q)
+    # each d is reported at D = m*m*d as (m*P, m*Q)
+    for d, m in (dm for ds in ranges for dm in _walked_discriminants(ds, d_min)):
         r = isqrt(d)
         seen_states: set[tuple[int, int]] = set()
         for Q in range(2, min(q_max // m, 2 * r) + 1, 2):
@@ -303,7 +305,7 @@ def _scan_range(args) -> list[ScanHit]:
                 key = least_rotation(tuple(digits))
                 p, q = min((p, q) for p, q in states if m * q <= q_max)  # first in order of P, then Q
                 hits.append(ScanHit(m * m * d, m * q, m * p, len(key), max(key), key))
-    return sorted(hits, key=lambda h: (h.D, h.Q, h.P))
+    return hits
 
 
 _COST_PER_WORKER = 3_500_000  # cost (below) per worker at jobs=None; on less, a second one loses
@@ -319,8 +321,9 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     its halvings: one verdict per class discriminant d, before any walk.
     Each passing d is walked once, at d itself, and its classes reported at
     their first D = m*m*d >= d_min, m = 1 when d >= d_min (module
-    docstring).  Output is sorted by (D, Q, P), chunks joined in range
-    order, for any job count.
+    docstring).  The range is cut into chunks (`pool.chunks`) and worker i
+    of n takes chunks i, i + n, ..., with one root table for all of them;
+    output is sorted by (D, Q, P), for any job count.
     jobs=None starts one worker per _COST_PER_WORKER of cost begun, at most one per core.
     """
     if q_max < 1:
@@ -332,5 +335,8 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
         step = -(-len(ds) // 1024)  # per D: min(q_max, 2r) // 2 Q tried, cycles about r long walked
         cost = step * sum(isqrt(D) + min(q_max, 2 * isqrt(D)) // 2 for D in ds[::step])
         jobs = -(-cost // _COST_PER_WORKER)
-    tasks = [(chunk, q_max, ds.start) for chunk in chunks(ds, jobs)]
-    return list(itertools.chain.from_iterable(pmap(_scan_range, tasks, jobs)))
+    parts = chunks(ds, jobs)
+    n = workers(jobs, len(parts))  # one task per worker, so one root table per worker
+    tasks = [(parts[i::n], q_max, ds.start) for i in range(n)]
+    return sorted(itertools.chain.from_iterable(pmap(_scan_range, tasks, n)),
+                  key=lambda h: (h.D, h.Q, h.P))

@@ -18,17 +18,22 @@ def workers(jobs: int | None, tasks: int) -> int:
 
 
 def pmap(fn, tasks: list, jobs: int | None) -> list:
-    """[fn(t) for t in tasks], in task order; one worker runs in the calling process.
+    """[fn(t) for t in tasks], in task order, on n workers: the calling process is one.
 
-    An exception, such as KeyboardInterrupt, ends the workers and drops the queued tasks.
+    It hands tasks i with i % n != 0 to a pool of n - 1 processes and then
+    runs tasks 0, n, 2n, ... itself, so it works through the wait instead of
+    idling beside n busy workers.  An exception, such as KeyboardInterrupt,
+    ends the workers and drops the queued tasks.
     """
     n = workers(jobs, len(tasks))
     if n == 1:
         return list(map(fn, tasks))
     import concurrent.futures  # here, not at the top: loading multiprocessing costs time and RSS
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n - 1) as pool:
         try:
-            return list(pool.map(fn, tasks))
+            theirs = pool.map(fn, [task for i, task in enumerate(tasks) if i % n])
+            mine = iter([fn(task) for task in tasks[::n]])
+            return [next(mine) if i % n == 0 else next(theirs) for i in range(len(tasks))]
         except BaseException:  # a SIGINT to this process alone, say: the workers keep running
             for process in pool._processes.values():  # the executor has no public terminate
                 process.terminate()

@@ -7,12 +7,14 @@ canonical expansions forces digits of 2^k x for every x in the cylinder;
 a forced digit above C excludes the whole prefix.  An empty frontier proves
 that some 2^k x always carries a digit above C.
 
-The prefix tree is walked depth first, one subtree per first digit.  A
-child's cylinder lies inside its parent's, so the digits of 2^k x the
-parent found certain are certain for the child too: each child resumes the
-parent's Euclid scan at every k instead of expanding both doubled endpoints
-from digit 0 (Gosper's carried homographic state, HAKMEM item 101), and
-past the parent's last k it resumes at digit 0.  A state is (j, S): the
+The calling process decides the depth-2 prefixes and deals the surviving
+ones, the roots, round-robin to the workers, itself one of them; each
+walks its roots depth first.  A child's cylinder lies inside its
+parent's, so the digits of 2^k x the parent found certain are certain for
+the child too: each child resumes the parent's Euclid scan at every k
+instead of expanding both doubled endpoints from digit 0 (Gosper's carried
+homographic state, HAKMEM item 101), and past the parent's last k it
+resumes at digit 0.  A state is (j, S): the
 step j where the scan stopped and the endpoint pair S there, as `_scan`
 leaves it.  A surviving prefix decides its C children together in one k
 loop (`_children`), so pending siblings hold their own states:
@@ -20,8 +22,8 @@ O(C * depth * k) of them.  The children's pairs come from the matrix
 R = S . T^-1, made only at a k where some child scans.  The scans of small
 k start from few distinct states, since multiplying by 2^k is a finite
 transducer on continued fractions (Raney, Math. Ann. 206, 1973); a memo
-keyed by S alone answers them after the first, one per `run` at jobs=1,
-else one per task.  Every prefix closes both endpoints with the one tail
+keyed by S alone answers them after the first, one per worker, so one
+per `run` in process.  Every prefix closes both endpoints with the one tail
 matrix T of `_tables`, and the scan treats the two alike.
 
 Each prefix's k loop ends by k = ceil(log2(q_min q_max / |det T|)) (`try_exclude`),
@@ -39,7 +41,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .cf import fold_word
-from .pool import pmap
+from .pool import pmap, workers
 from .surd import QuadraticSurd, _is_reduced, _quotients, double_surd, linear_fractional
 
 _WITNESS_DIGIT_CAP = 2000  # most digits of each 2^k s that `witness_q` scans
@@ -274,56 +276,80 @@ def _children(fold, states, C: int, tables: tuple[_Matrix, _Matrix, int], memo: 
     return hits, found
 
 
-def _walk(args):
-    """Depth-first exclusion of the prefixes that start with the digit d1.
+def _expand(node, C: int, tables, memo: dict, shared: dict, level: list, collect: bool):
+    """Decide the C children of the surviving prefix `node` = (word, fold, states).
 
-    The walk starts at the prefix (d1,), which holds no state; each
-    surviving prefix decides all its children at once (`_children`).
-    Children are visited in increasing digit order, so each depth meets its
+    Counts them into `level` = [frontier, excluded, witnesses] (witnesses
+    only when collected) and returns the largest witness k and the
+    surviving children as nodes, in increasing digit order.
+    """
+    word, fold, states = node
+    level[0] += C
+    hits, found = _children(fold, states, C, tables, memo, shared)
+    K = 0
+    for d in range(1, C + 1):
+        hit = hits[d]
+        if hit is not None:
+            level[1] += 1
+            if hit[0] > K:
+                K = hit[0]
+            if collect:
+                level[2].append(ExclusionWitness(word + (d,), *hit))
+    p1, q1, p0, q0 = fold
+    return K, [(word + (d,), (d * p1 + p0, d * q1 + q0, p1, q1), found[d])
+               for d in range(1, C + 1) if hits[d] is None]
+
+
+def _walk(args):
+    """Depth-first exclusion below each root of a chunk, with one memo for the chunk.
+
+    A root is a node (word, fold, states) as `_expand` returns it; each
+    surviving prefix decides all its children at once.  Children are
+    visited in increasing digit order, so each depth meets a root's
     prefixes in the lexicographic order of a breadth-first search.  Only the
     states of the prefixes on the current path and of their pending siblings
-    are alive: O(C * depth * k) of them, beside the memo.  Returns one
-    entry per depth from 2 on, [frontier, excluded, witnesses] (witnesses
-    only when collected), the largest witness k, and whether max_depth cut
-    off a surviving prefix.
+    are alive: O(C * depth * k) of them, beside `memo` and `shared`, which
+    `_children` fills and every root of the chunk reads.  Returns, per root,
+    one entry per depth below it, [frontier, excluded, witnesses], the
+    largest witness k, and whether max_depth cut off a surviving prefix.
     """
-    d1, C, max_depth, collect, tables, memo, shared = args
-    levels: list[list] = []
-    K = 0
-    cut = False
-    stack = [((d1,), fold_word((0, d1)), [])]
-    while stack:
-        word, fold, states = stack.pop()
-        if max_depth is not None and len(word) >= max_depth:
-            cut = True
-            continue
-        if len(word) - 1 == len(levels):
-            levels.append([0, 0, []])
-        level = levels[len(word) - 1]
-        level[0] += C
-        hits, found = _children(fold, states, C, tables, memo, shared)
-        p1, q1, p0, q0 = fold
-        for d in range(1, C + 1):
-            hit = hits[d]
-            if hit is not None:
-                level[1] += 1
-                if hit[0] > K:
-                    K = hit[0]
-                if collect:
-                    level[2].append(ExclusionWitness(word + (d,), *hit))
-        stack.extend((word + (d,), (d * p1 + p0, d * q1 + q0, p1, q1), found[d])
-                     for d in range(C, 0, -1) if hits[d] is None)
-    return levels, K, cut
+    roots, C, max_depth, collect, tables, memo, shared = args
+    out = []
+    for root in roots:
+        levels: list[list] = []
+        K = 0
+        cut = False
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if max_depth is not None and len(node[0]) >= max_depth:
+                cut = True
+                continue
+            n = len(node[0]) - len(root[0])
+            if n == len(levels):
+                levels.append([0, 0, []])
+            k, survivors = _expand(node, C, tables, memo, shared, levels[n], collect)
+            K = max(K, k)
+            stack.extend(reversed(survivors))
+        out.append((levels, K, cut))
+    return out
 
 
-def run(C: int, max_depth: int | None = None, jobs: int | None = 1,
+_POOL_MIN_C = 9  # jobs=None walks in process below this C: run(8) gained nothing from 2 workers
+
+
+def run(C: int, max_depth: int | None = None, jobs: int | None = None,
         collect_witnesses: bool = False):
     """Prefix exclusion for the bound C, walked depth first from the C depth-1 prefixes.
 
-    Returns a SearchReport, whose witnesses are listed when requested.  The report and
-    the witness order are those of a breadth-first search in lexicographic order, for
-    any worker count: each first digit's subtree is one task, and the per-depth results
-    are merged in digit order.  The k loop ends by itself, so `max_depth` is the one budget.
+    Returns a SearchReport, whose witnesses are listed when requested.  The
+    calling process decides the depth-2 row; its surviving prefixes, the
+    roots, are dealt round-robin into one chunk per worker, and each chunk is
+    walked with one memo (`_walk`).  jobs=None starts one worker per core
+    from C = _POOL_MIN_C on and walks in process below it.  The per-root
+    results are merged in root order, so the report and the witness order are
+    those of a breadth-first search in lexicographic order, for any worker
+    count.  The k loop ends by itself, so `max_depth` is the one budget.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -331,23 +357,32 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = 1,
         raise ValueError("max_depth must be >= 2, the depth of the roots")
     start = time.monotonic()
     tables = _tables(C)
-    memo: dict = {}  # `_children`'s, with `shared`: one per run at jobs=1, else an empty one per task
-    shared: dict = {}
-    tasks = [(d1, C, max_depth, collect_witnesses, tables, memo, shared)
-             for d1 in range(1, C + 1)]
-    parts = pmap(_walk, tasks, jobs)
-    levels: list[list] = []
-    for part, _, _ in parts:
-        for n, (frontier, excluded, found) in enumerate(part):
-            if n == len(levels):
+    row: list = [0, 0, []]
+    K = 0
+    roots: list = []
+    for d1 in range(1, C + 1):  # no state at depth 1, so `_children` reads no memo
+        k, survivors = _expand(((d1,), fold_word((0, d1)), []), C, tables, {}, {}, row,
+                               collect_witnesses)
+        K = max(K, k)
+        roots += survivors
+    n = workers(1 if jobs is None and C < _POOL_MIN_C else jobs, len(roots))
+    parts = pmap(_walk, [(roots[i::n], C, max_depth, collect_witnesses, tables, {}, {})
+                         for i in range(n)], n)
+    levels: list[list] = [row]
+    cut = False
+    for i in range(len(roots)):
+        part, k, below = parts[i % n][i // n]
+        K = max(K, k)
+        cut = cut or below
+        for m, (frontier, excluded, found) in enumerate(part, 1):
+            if m == len(levels):
                 levels.append([0, 0, []])
-            levels[n][0] += frontier
-            levels[n][1] += excluded
-            levels[n][2] += found
-    depths = [DepthStats(n + 2, frontier, excluded)
-              for n, (frontier, excluded, _) in enumerate(levels)]
-    return SearchReport(C, not any(cut for _, _, cut in parts),
-                        max(K for _, K, _ in parts), depths, time.monotonic() - start,
+            levels[m][0] += frontier
+            levels[m][1] += excluded
+            levels[m][2] += found
+    depths = [DepthStats(m + 2, frontier, excluded)
+              for m, (frontier, excluded, _) in enumerate(levels)]
+    return SearchReport(C, not cut, K, depths, time.monotonic() - start,
                         [wit for _, _, found in levels for wit in found])
 
 

@@ -68,7 +68,7 @@ def test_criterion_1_c9_c10():
 ])
 def test_criterion_1_slow(C, K, depth, prefixes):
     start = time.monotonic()
-    serial = run(C)
+    serial = run(C, jobs=1)
     parallel = run(C, jobs=2)
     elapsed = time.monotonic() - start
     visited = sum(d.frontier for d in serial.depths)

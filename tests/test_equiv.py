@@ -847,7 +847,7 @@ def test_scan_decides_each_d_once_per_pass(monkeypatch, d_max, q_max, d_min, cou
     assert len(verdicts) == len(set(verdicts)) == count
     verdicts.clear()
     for chunk in cf2.pool.chunks(range(d_min, d_max + 1), 2):
-        cf2.equiv._scan_range((chunk, q_max, d_min))
+        cf2.equiv._scan_range(([chunk], q_max, d_min))
     assert len(verdicts) == len(set(verdicts)) == count
 
 

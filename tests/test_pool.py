@@ -7,7 +7,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cf2.equiv
 import cf2.pool
+import cf2.search
 from conftest import child_env
 from cf2.equiv import scan_self_similar
 from cf2.pool import chunks, pmap, workers
@@ -83,8 +85,8 @@ def test_huge_jobs_is_clamped_to_cores_and_tasks(monkeypatch, cores):
     assert run(3, jobs=100_000) == run(3, jobs=1)
     assert scan_self_similar(400, 30, jobs=100_000) == scan_self_similar(400, 30, jobs=1)
     assert len(_InlinePool.calls) == (2 if limit > 1 else 0)
-    for max_workers, tasks in _InlinePool.calls:
-        assert 2 <= max_workers <= min(limit, tasks)
+    for max_workers, tasks in _InlinePool.calls:  # the pool's share: the caller is a worker too
+        assert 1 <= max_workers <= min(limit - 1, tasks)
 
 
 @settings(max_examples=20, deadline=None)
@@ -103,8 +105,62 @@ def test_results_do_not_depend_on_the_worker_count(C, max_depth, collect, d_min,
         for jobs in (2, 3, 8, None):
             assert run(C, max_depth=max_depth, jobs=jobs, collect_witnesses=collect) == searched
             assert scan_self_similar(d_min + span, q_max, d_min=d_min, jobs=jobs) == scanned
-        # the search has C^2 tasks, the scan one per 64 or more values of D
+        # one task per worker: the search deals out its depth-2 roots, of which
+        # C = 1 has one, and the scan its chunks of 64 or more values of D
         assert bool(_InlinePool.calls) == (C > 1 or span >= 64)
+
+
+def test_search_keeps_one_memo_per_worker(monkeypatch):
+    """Two workers walk two chunks of depth-2 roots, one memo each, so they redo
+    at most the scans that the one memo of a serial run answered."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
+    memos, scans = [], []
+    walk, scan = cf2.search._walk, cf2.search._scan
+    monkeypatch.setattr(cf2.search, "_walk", lambda args: memos.append(args[5]) or walk(args))
+    monkeypatch.setattr(cf2.search, "_scan", lambda *args: scans.append(1) or scan(*args))
+    serial = run(8, jobs=1)
+    serial_scans = len(scans)
+    assert len(memos) == 1
+    filled = sum(slot is not None for slots in memos[0].values() for slot in slots)
+    memos.clear()
+    scans.clear()
+    assert run(8, jobs=2) == serial
+    assert len(memos) == workers(2, 10**6) == 2
+    assert serial_scans <= len(scans) <= serial_scans + filled
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one core pmap starts no pool")
+def test_pmap_runs_every_nth_task_in_the_caller():
+    """With two workers the calling process runs tasks 0, 2 and 4, and the pool's
+    one process the others, whose results come back in task order."""
+    script = ("import os\n"
+              "from cf2.pool import pmap\n"
+              "def pid(_):\n"
+              "    return os.getpid()\n"
+              "print(os.getpid(), *pmap(pid, list(range(6)), 2))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    caller, *pids = map(int, done.stdout.split())
+    assert pids[0::2] == [caller] * 3
+    assert caller not in pids[1::2] and len(set(pids[1::2])) == 1
+
+
+def test_scan_builds_one_root_table_per_task(monkeypatch):
+    """At jobs=2 the nine chunks of 2,001 D are dealt to two tasks, and each builds
+    the root table once, for its largest D."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
+    tables = []
+    table = cf2.equiv._root_table
+    monkeypatch.setattr(cf2.equiv, "_root_table", lambda q_hi: tables.append(q_hi) or table(q_hi))
+    serial = scan_self_similar(3000, 40, d_min=1000, jobs=1)
+    assert tables == [40]
+    tables.clear()
+    assert scan_self_similar(3000, 40, d_min=1000, jobs=2) == serial
+    assert len(chunks(range(1000, 3001), 2)) == 9
+    assert tables == [40, 40]
 
 
 def test_interrupt_stops_the_workers():

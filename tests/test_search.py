@@ -14,6 +14,7 @@ from cf2.search import (
     SearchCapExceeded,
     SearchReport,
     _children,
+    _expand,
     _find_large_digit,
     _scan,
     _tables,
@@ -183,7 +184,7 @@ def test_terminated_search_claim_against_expansion_oracle():
 
 
 def test_parallel_run_witnesses_match_serial():
-    serial = run(3, collect_witnesses=True).witnesses
+    serial = run(3, jobs=1, collect_witnesses=True).witnesses
     assert serial and run(3).witnesses == []
     for jobs in (2, 3, None):
         assert run(3, jobs=jobs, collect_witnesses=True).witnesses == serial, jobs
@@ -311,8 +312,8 @@ def _surviving_states(C):
     """(word, states) for each prefix run(C) visits and does not exclude, depth first.
 
     Each walk starts at a first digit (d1,) with no states and steps every
-    prefix through `_children` with one memo, as `_walk` does, so these are
-    the states the walk hands on; words of length 1 are not visited.
+    prefix through `_children` with one memo, as `run` does at jobs=1, so these
+    are the states the walk hands on; words of length 1 are not visited.
     """
     tables = _tables(C)
     memo, shared = {}, {}
@@ -427,9 +428,10 @@ def test_memo_keys_are_resumed_states_of_small_k():
     # with det A, det M = +-1, so |det S| = 2^k |det T|
     C = 8
     tables = _tables(C)
+    roots = [root for d1 in range(1, C + 1) for root in
+             _expand(((d1,), fold_word((0, d1)), []), C, tables, {}, {}, [0, 0, []], False)[1]]
     memo, shared = {}, {}
-    for d1 in range(1, C + 1):
-        _walk((d1, C, None, False, tables, memo, shared))
+    _walk((roots, C, None, False, tables, memo, shared))
     assert len(memo) > 100
     for key, slots in memo.items():
         pa, qa, pb, qb = key
