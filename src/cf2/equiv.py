@@ -59,10 +59,11 @@ discriminant 4D/g**2, so only g = 2m gives d = 1 (mod 8), and then
 D = m*m*d and (P/m, Q/m) is a state of content 2 at d.  So a class of
 discriminant d has the states (m*P, m*Q) at D = m*m*d, one per state (P, Q)
 at d, and the least such D >= d_min holds its least Q: if none is <= q_max
-there, none is at a larger m.  So for each passing d, with m least for
-m*m*d >= d_min and m*m*d in the window (_walked_discriminants), the scan
-walks the states of content 2 at D = d with Q <= q_max // m, and reports
-each class at m*m*d as its least (m*P, m*Q) with m*Q <= q_max.
+there, none is at a larger m.  So the scan lists each d = 1 (mod 8), with m
+least for m*m*d >= d_min and m*m*d in the window (_walked_discriminants),
+and for each passing d walks the states of content 2 at d with
+Q <= q_max // m, and reports each class at m*m*d as its least (m*P, m*Q)
+with m*Q <= q_max.
 A cycle shares g, so it is walked or skipped whole, and each walk is a hit.
 For each even Q <= 2r, Q | D - P*P says P = rho (mod Q) for a root rho of
 D mod Q, from a table per Q; r - P < Q leaves one P = r - (r - rho) % Q, a
@@ -77,7 +78,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .cf import CF, fold_word, least_rotation, rotation_start
-from .pool import chunks, pmap, workers
+from .pool import pmap, workers
 from .surd import (_PERIOD_BUDGET, QuadraticSurd, _cycle, _reflection, expand_surd,
                    linear_fractional)
 
@@ -266,30 +267,30 @@ def _root_table(q_hi: int) -> dict[int, list[tuple[int, ...]]]:
 
 
 def _walked_discriminants(ds: range, d_min: int) -> list[tuple[int, int]]:
-    """(d, m) for each passing nonsquare d = 1 (mod 8) with m*m*d in ds, m least with
-    m*m*d >= d_min: per m with 17*m*m <= max(ds), the d in [min(ds), max(ds)] / m**2
-    up to the first with (m-1)**2 * d >= d_min."""
-    walked: list[tuple[int, int]] = []
+    """(d, m) for each d = 1 (mod 8), d >= 17, with m*m*d in ds and m least with
+    m*m*d >= d_min: per m with 17*m*m <= max(ds), the d in [min(ds), max(ds)] / m**2,
+    for m >= 2 those with (m-1)**2 * d < d_min.  Squares and failing d are left
+    in; `_scan_range` drops them."""
     lo, hi = ds.start, ds.stop - 1
+    listing: list[tuple[int, int]] = []
     for m in range(1, isqrt(hi // 17) + 1):
         d0 = max(17, -(-lo // (m * m)))
-        for d in range(d0 + (1 - d0) % 8, hi // (m * m) + 1, 8):
-            if (m - 1) ** 2 * d >= d_min:
-                break
-            r = isqrt(d)
-            if r * r != d and class_contains_self_similar(QuadraticSurd((r - 1) | 1, d, 2)):
-                walked.append((d, m))
-    return walked
+        d1 = hi // (m * m) if m == 1 else min(hi // (m * m), (d_min - 1) // (m - 1) ** 2)
+        listing += ((d, m) for d in range(d0 + (1 - d0) % 8, d1 + 1, 8))
+    return listing
 
 
 def _scan_range(args) -> list[ScanHit]:
-    """The hits of each range of D in `ranges`, from one root table for the largest."""
-    ranges, q_max, d_min = args
-    roots = _root_table(min(q_max, 2 * isqrt(max(ds.stop for ds in ranges) - 1)))
+    """The hits of each listed (d, m) whose nonsquare d passes, from one root table to q_hi
+    (`_root_table`)."""
+    listing, q_max, q_hi = args
+    roots = _root_table(q_hi)
     hits: list[ScanHit] = []
     # each d is reported at D = m*m*d as (m*P, m*Q)
-    for d, m in (dm for ds in ranges for dm in _walked_discriminants(ds, d_min)):
+    for d, m in listing:
         r = isqrt(d)
+        if r * r == d or not class_contains_self_similar(QuadraticSurd((r - 1) | 1, d, 2)):
+            continue
         seen_states: set[tuple[int, int]] = set()
         for Q in range(2, min(q_max // m, 2 * r) + 1, 2):
             for rho in roots[Q][d % Q]:
@@ -321,9 +322,9 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     its halvings: one verdict per class discriminant d, before any walk.
     Each passing d is walked once, at d itself, and its classes reported at
     their first D = m*m*d >= d_min, m = 1 when d >= d_min (module
-    docstring).  The range is cut into chunks (`pool.chunks`) and worker i
-    of n takes chunks i, i + n, ..., with one root table for all of them;
-    output is sorted by (D, Q, P), for any job count.
+    docstring).  The caller lists the candidate (d, m) of the whole window
+    (`_walked_discriminants`) and worker i of n takes listing[i::n], with
+    one root table; output is sorted by (D, Q, P), for any job count.
     jobs=None starts one worker per _COST_PER_WORKER of cost begun, at most one per core.
     """
     if q_max < 1:
@@ -335,8 +336,8 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
         step = -(-len(ds) // 1024)  # per D: min(q_max, 2r) // 2 Q tried, cycles about r long walked
         cost = step * sum(isqrt(D) + min(q_max, 2 * isqrt(D)) // 2 for D in ds[::step])
         jobs = -(-cost // _COST_PER_WORKER)
-    parts = chunks(ds, jobs)
-    n = workers(jobs, len(parts))  # one task per worker, so one root table per worker
-    tasks = [(parts[i::n], q_max, ds.start) for i in range(n)]
-    return sorted(itertools.chain.from_iterable(pmap(_scan_range, tasks, n)),
+    listing = _walked_discriminants(ds, ds.start)
+    n = workers(jobs, len(listing))
+    tasks = [(listing[i::n], q_max, min(q_max, 2 * isqrt(d_max))) for i in range(n)]
+    return sorted(itertools.chain.from_iterable(pmap(_scan_range, tasks)),
                   key=lambda h: (h.D, h.Q, h.P))

@@ -1,4 +1,4 @@
-"""Order-preserving map over worker processes, shared by the parallel enumerations."""
+"""One task per worker process, shared by the parallel enumerations."""
 
 from __future__ import annotations
 
@@ -17,38 +17,23 @@ def workers(jobs: int | None, tasks: int) -> int:
     return max(1, min(cores if jobs is None else jobs, cores, tasks))
 
 
-def pmap(fn, tasks: list, jobs: int | None) -> list:
-    """[fn(t) for t in tasks], in task order, on n workers: the calling process is one.
+def pmap(fn, tasks: list) -> list:
+    """[fn(t) for t in tasks], one task per worker: the calling process runs tasks[0].
 
-    It hands tasks i with i % n != 0 to a pool of n - 1 processes and then
-    runs tasks 0, n, 2n, ... itself, so it works through the wait instead of
-    idling beside n busy workers.  An exception, such as KeyboardInterrupt,
-    ends the workers and drops the queued tasks.
+    A pool of len(tasks) - 1 processes runs the rest meanwhile, so the caller
+    works through the wait instead of idling beside busy workers.  The
+    callers size `tasks` by `workers`.  An exception, such as
+    KeyboardInterrupt, ends the workers.
     """
-    n = workers(jobs, len(tasks))
-    if n == 1:
-        return list(map(fn, tasks))
+    if len(tasks) == 1:
+        return [fn(tasks[0])]
     import concurrent.futures  # here, not at the top: loading multiprocessing costs time and RSS
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n - 1) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=len(tasks) - 1) as pool:
         try:
-            theirs = pool.map(fn, [task for i, task in enumerate(tasks) if i % n])
-            mine = iter([fn(task) for task in tasks[::n]])
-            return [next(mine) if i % n == 0 else next(theirs) for i in range(len(tasks))]
+            theirs = pool.map(fn, tasks[1:])
+            return [fn(tasks[0]), *theirs]
         except BaseException:  # a SIGINT to this process alone, say: the workers keep running
             for process in pool._processes.values():  # the executor has no public terminate
                 process.terminate()
             pool.shutdown(cancel_futures=True)
             raise
-
-
-def chunks(items, jobs: int | None) -> list:
-    """`items` (a list or a range) cut into consecutive slices, about four per worker.
-
-    Slices hold at least 64 items, so an input of at most 64 items stays
-    one task, and so does any input when there is one worker.
-    """
-    n = workers(jobs, len(items))
-    if n == 1:
-        return [items]
-    size = max(64, len(items) // (4 * n))
-    return [items[i:i + size] for i in range(0, len(items), size)]

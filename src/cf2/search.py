@@ -8,8 +8,8 @@ a forced digit above C excludes the whole prefix.  An empty frontier proves
 that some 2^k x always carries a digit above C.
 
 The calling process decides the depth-2 prefixes and deals the surviving
-ones, the roots, round-robin to the workers, itself one of them; each
-walks its roots depth first.  A child's cylinder lies inside its
+ones, the roots, round-robin to the workers, itself one of them, one share
+each; each walks its share depth first.  A child's cylinder lies inside its
 parent's, so the digits of 2^k x the parent found certain are certain for
 the child too: each child resumes the parent's Euclid scan at every k
 instead of expanding both doubled endpoints from digit 0 (Gosper's carried
@@ -280,8 +280,9 @@ def _expand(node, C: int, tables, memo: dict, shared: dict, level: list, collect
     """Decide the C children of the surviving prefix `node` = (word, fold, states).
 
     Counts them into `level` = [frontier, excluded, witnesses] (witnesses
-    only when collected) and returns the largest witness k and the
-    surviving children as nodes, in increasing digit order.
+    only when collected, appended in increasing digit order, so a share's
+    list at each depth stays lexicographic) and returns the largest witness
+    k and the surviving children as nodes, in increasing digit order.
     """
     word, fold, states = node
     level[0] += C
@@ -301,38 +302,35 @@ def _expand(node, C: int, tables, memo: dict, shared: dict, level: list, collect
 
 
 def _walk(args):
-    """Depth-first exclusion below each root of a chunk, with one memo for the chunk.
+    """Depth-first exclusion below each root of a share, with one memo for the share.
 
     A root is a node (word, fold, states) as `_expand` returns it; each
     surviving prefix decides all its children at once.  Children are
-    visited in increasing digit order, so each depth meets a root's
-    prefixes in the lexicographic order of a breadth-first search.  Only the
+    visited in increasing digit order and the roots in the order given, so
+    each depth meets the share's prefixes in lexicographic order.  Only the
     states of the prefixes on the current path and of their pending siblings
     are alive: O(C * depth * k) of them, beside `memo` and `shared`, which
-    `_children` fills and every root of the chunk reads.  Returns, per root,
-    one entry per depth below it, [frontier, excluded, witnesses], the
+    `_children` fills and every root of the share reads.  Returns (levels,
+    K, cut): levels[n] = [frontier, excluded, witnesses] at depth n + 3, the
     largest witness k, and whether max_depth cut off a surviving prefix.
     """
     roots, C, max_depth, collect, tables, memo, shared = args
-    out = []
-    for root in roots:
-        levels: list[list] = []
-        K = 0
-        cut = False
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if max_depth is not None and len(node[0]) >= max_depth:
-                cut = True
-                continue
-            n = len(node[0]) - len(root[0])
-            if n == len(levels):
-                levels.append([0, 0, []])
-            k, survivors = _expand(node, C, tables, memo, shared, levels[n], collect)
-            K = max(K, k)
-            stack.extend(reversed(survivors))
-        out.append((levels, K, cut))
-    return out
+    levels: list[list] = []
+    K = 0
+    cut = False
+    stack = roots[::-1]
+    while stack:
+        node = stack.pop()
+        if max_depth is not None and len(node[0]) >= max_depth:
+            cut = True
+            continue
+        n = len(node[0]) - 2
+        if n == len(levels):
+            levels.append([0, 0, []])
+        k, survivors = _expand(node, C, tables, memo, shared, levels[n], collect)
+        K = max(K, k)
+        stack.extend(reversed(survivors))
+    return levels, K, cut
 
 
 _POOL_MIN_C = 9  # jobs=None walks in process below this C: run(8) gained nothing from 2 workers
@@ -344,12 +342,14 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
 
     Returns a SearchReport, whose witnesses are listed when requested.  The
     calling process decides the depth-2 row; its surviving prefixes, the
-    roots, are dealt round-robin into one chunk per worker, and each chunk is
-    walked with one memo (`_walk`).  jobs=None starts one worker per core
-    from C = _POOL_MIN_C on and walks in process below it.  The per-root
-    results are merged in root order, so the report and the witness order are
-    those of a breadth-first search in lexicographic order, for any worker
-    count.  The k loop ends by itself, so `max_depth` is the one budget.
+    roots, are dealt round-robin as roots[i::n], one share per worker, and
+    each share is walked with one memo (`_walk`).  jobs=None starts one
+    worker per core from C = _POOL_MIN_C on and walks in process below it.
+    The shares' counts are summed and each depth's witnesses sorted by
+    prefix, a merge of the shares' lexicographic runs, so the report and the
+    witness order are those of a breadth-first search in lexicographic
+    order, for any worker count.  The k loop ends by itself, so `max_depth`
+    is the one budget.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -366,12 +366,10 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
         K = max(K, k)
         roots += survivors
     n = workers(1 if jobs is None and C < _POOL_MIN_C else jobs, len(roots))
-    parts = pmap(_walk, [(roots[i::n], C, max_depth, collect_witnesses, tables, {}, {})
-                         for i in range(n)], n)
     levels: list[list] = [row]
     cut = False
-    for i in range(len(roots)):
-        part, k, below = parts[i % n][i // n]
+    for part, k, below in pmap(_walk, [(roots[i::n], C, max_depth, collect_witnesses, tables,
+                                        {}, {}) for i in range(n)]):
         K = max(K, k)
         cut = cut or below
         for m, (frontier, excluded, found) in enumerate(part, 1):
@@ -383,7 +381,7 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
     depths = [DepthStats(m + 2, frontier, excluded)
               for m, (frontier, excluded, _) in enumerate(levels)]
     return SearchReport(C, not cut, K, depths, time.monotonic() - start,
-                        [wit for _, _, found in levels for wit in found])
+                        [wit for _, _, found in levels for wit in sorted(found)])
 
 
 # -- constructive witness ----------------------------------------------------

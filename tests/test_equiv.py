@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cf2.equiv
-import cf2.pool
 from conftest import random_surd
 from cf2.cf import CF, least_rotation
 from cf2.equiv import (
@@ -339,7 +338,7 @@ def test_scan_output_is_sorted():
 
 def test_scan_deterministic_across_workers():
     serial = scan_self_similar(400, 30, jobs=1)
-    short = scan_self_similar(440, 30, d_min=400, jobs=1)  # 41 D, fewer than one chunk
+    short = scan_self_similar(440, 30, d_min=400, jobs=1)  # 41 D, eight candidate (d, m)
     assert short
     for jobs in (2, 3, None):
         assert scan_self_similar(400, 30, jobs=jobs) == serial, jobs
@@ -778,7 +777,7 @@ def test_scan_walks_one_cycle_per_hit(monkeypatch):
 def test_scan_walks_one_cycle_per_hit_in_any_window(monkeypatch, d_max, q_max, d_min, count):
     """A class of a passing e < d_min is walked only at its least D = m*m*e >= d_min,
     so every walk is a hit in any window (walking it at every m made 1,782, 49 and
-    349 walks), and the chunks share no class."""
+    349 walks), and the two workers' shares share no class."""
     walks = []
     cycle = cf2.equiv._cycle
 
@@ -811,15 +810,16 @@ def _scaled_by_division(ds, d_min, passes):
     (1000, [(1000, 12_000), (4321, 9000), (10_001, 20_000)], 70),
     (5000, [(5000, 20_000), (7777, 13_000), (19_000, 30_000)], 466)])
 def test_scaled_discriminants_list_each_e_at_its_least_m(d_min, windows, count):
-    """Windows that start inside the range, as chunks do: (d, 1) is listed when
-    d = 1 (mod 8) passes, and each passing nonsquare e = 1 (mod 8) below d_min is
-    listed as (e, m) for its least D = m*m*e >= d_min, if that D lies in the window,
-    and nowhere else."""
+    """Windows that start inside the range: past the square test and the verdict,
+    (d, 1) is listed when d = 1 (mod 8) passes, and each passing nonsquare
+    e = 1 (mod 8) below d_min is listed as (e, m) for its least D = m*m*e >= d_min,
+    if that D lies in the window, and nowhere else."""
     passes = cache(_own_verdict)
     listed = 0
     for lo, hi in windows:
         ds = range(lo, hi + 1)
-        scaled = cf2.equiv._walked_discriminants(ds, d_min)
+        scaled = [(d, m) for d, m in cf2.equiv._walked_discriminants(ds, d_min)
+                  if isqrt(d) ** 2 != d and passes(d)]
         assert sorted(scaled) == sorted(_scaled_by_division(ds, d_min, passes)), (lo, hi)
         for e in range(17, d_min, 8):
             if isqrt(e) ** 2 == e or not passes(e):
@@ -837,8 +837,8 @@ def test_scaled_discriminants_list_each_e_at_its_least_m(d_min, windows, count):
     (10_000, 200, 2, 1200), (20_000, 50, 5000, 2429), (60_000, 300, 20_000, 6763)])
 def test_scan_decides_each_d_once_per_pass(monkeypatch, d_max, q_max, d_min, count):
     """Each nonsquare d = 1 (mod 8) sits at one D of the whole range, d itself if
-    d >= d_min, else its least m*m*d >= d_min, so a serial scan, and the chunks of a
-    two-job scan together, decide each such d once: no verdict memo is needed."""
+    d >= d_min, else its least m*m*d >= d_min, so a serial scan, and the two shares
+    of a two-job scan together, decide each such d once: no verdict memo is needed."""
     verdicts = []
     verdict = cf2.equiv.class_contains_self_similar
     monkeypatch.setattr(cf2.equiv, "class_contains_self_similar",
@@ -846,8 +846,9 @@ def test_scan_decides_each_d_once_per_pass(monkeypatch, d_max, q_max, d_min, cou
     scan_self_similar(d_max, q_max, d_min=d_min)
     assert len(verdicts) == len(set(verdicts)) == count
     verdicts.clear()
-    for chunk in cf2.pool.chunks(range(d_min, d_max + 1), 2):
-        cf2.equiv._scan_range(([chunk], q_max, d_min))
+    listing = cf2.equiv._walked_discriminants(range(d_min, d_max + 1), d_min)
+    for i in range(2):
+        cf2.equiv._scan_range((listing[i::2], q_max, min(q_max, 2 * isqrt(d_max))))
     assert len(verdicts) == len(set(verdicts)) == count
 
 

@@ -12,20 +12,8 @@ import cf2.pool
 import cf2.search
 from conftest import child_env
 from cf2.equiv import scan_self_similar
-from cf2.pool import chunks, pmap, workers
+from cf2.pool import pmap, workers
 from cf2.search import run
-
-
-@given(st.integers(0, 700), st.sampled_from([1, 2, 3, 8, 100, None]), st.booleans())
-def test_chunks_cover_the_input_in_order(n, jobs, as_range):
-    items = range(3, 3 + n) if as_range else list(range(3, 3 + n))
-    parts = chunks(items, jobs)
-    assert [x for part in parts for x in part] == list(items)
-    assert all(type(part) is type(items) for part in parts)
-    if workers(jobs, n) == 1:
-        assert parts == [items]
-    else:
-        assert all(len(part) >= 64 for part in parts[:-1])
 
 
 def test_workers_clamp():
@@ -35,7 +23,7 @@ def test_workers_clamp():
     assert workers(10**6, 3) == min(3, cores)
     assert workers(1, 10**6) == 1
     assert workers(2, 0) == 1
-    assert pmap(abs, [-3, 2, -1], 1) == [3, 2, 1]
+    assert pmap(abs, [-3]) == [3]
 
 
 def _no_pool(*args, **kwargs):
@@ -106,12 +94,13 @@ def test_results_do_not_depend_on_the_worker_count(C, max_depth, collect, d_min,
             assert run(C, max_depth=max_depth, jobs=jobs, collect_witnesses=collect) == searched
             assert scan_self_similar(d_min + span, q_max, d_min=d_min, jobs=jobs) == scanned
         # one task per worker: the search deals out its depth-2 roots, of which
-        # C = 1 has one, and the scan its chunks of 64 or more values of D
-        assert bool(_InlinePool.calls) == (C > 1 or span >= 64)
+        # C = 1 has one, and the scan the candidate (d, m) its window lists
+        listed = len(cf2.equiv._walked_discriminants(range(d_min, d_min + span + 1), d_min))
+        assert bool(_InlinePool.calls) == (C > 1 or listed >= 2)
 
 
 def test_search_keeps_one_memo_per_worker(monkeypatch):
-    """Two workers walk two chunks of depth-2 roots, one memo each, so they redo
+    """Two workers walk two shares of depth-2 roots, one memo each, so they redo
     at most the scans that the one memo of a serial run answered."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
@@ -130,26 +119,24 @@ def test_search_keeps_one_memo_per_worker(monkeypatch):
     assert serial_scans <= len(scans) <= serial_scans + filled
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="on one core pmap starts no pool")
-def test_pmap_runs_every_nth_task_in_the_caller():
-    """With two workers the calling process runs tasks 0, 2 and 4, and the pool's
-    one process the others, whose results come back in task order."""
+def test_pmap_runs_the_first_task_in_the_caller():
+    """With two tasks the calling process runs task 0 and the pool's one process
+    task 1, whose result comes back second."""
     script = ("import os\n"
               "from cf2.pool import pmap\n"
               "def pid(_):\n"
               "    return os.getpid()\n"
-              "print(os.getpid(), *pmap(pid, list(range(6)), 2))\n")
+              "print(os.getpid(), *pmap(pid, [0, 1]))\n")
     done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    caller, *pids = map(int, done.stdout.split())
-    assert pids[0::2] == [caller] * 3
-    assert caller not in pids[1::2] and len(set(pids[1::2])) == 1
+    caller, mine, theirs = map(int, done.stdout.split())
+    assert mine == caller != theirs
 
 
 def test_scan_builds_one_root_table_per_task(monkeypatch):
-    """At jobs=2 the nine chunks of 2,001 D are dealt to two tasks, and each builds
-    the root table once, for its largest D."""
+    """At jobs=2 the candidates of 2,001 D are dealt to two tasks, and each builds
+    the root table once, for the window's largest D."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
     tables = []
@@ -159,19 +146,37 @@ def test_scan_builds_one_root_table_per_task(monkeypatch):
     assert tables == [40]
     tables.clear()
     assert scan_self_similar(3000, 40, d_min=1000, jobs=2) == serial
-    assert len(chunks(range(1000, 3001), 2)) == 9
     assert tables == [40, 40]
+
+
+def test_scan_deals_its_listing_into_even_disjoint_shares(monkeypatch):
+    """At jobs=2 the two tasks take listing[0::2] and listing[1::2]: disjoint, of
+    lengths that differ by at most one, together the serial listing."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
+    d_max, q_max, d_min = 10**6 + 5000, 40, 10**6
+    serial = scan_self_similar(d_max, q_max, d_min=d_min, jobs=1)
+    shares = []
+    scan_range = cf2.equiv._scan_range
+    monkeypatch.setattr(cf2.equiv, "_scan_range",
+                        lambda args: shares.append(args[0]) or scan_range(args))
+    assert scan_self_similar(d_max, q_max, d_min=d_min, jobs=2) == serial
+    listing = cf2.equiv._walked_discriminants(range(d_min, d_max + 1), d_min)
+    mine, theirs = shares
+    assert not set(mine) & set(theirs)
+    assert sorted(mine + theirs) == sorted(listing)
+    assert abs(len(mine) - len(theirs)) <= 1
 
 
 def test_interrupt_stops_the_workers():
     """A SIGINT to the calling process alone, not its workers, ends pmap within a
-    second: the running tasks are stopped and the queued ones dropped.  Waiting
-    for them, as the pool's own exit does, takes 8 s here."""
+    second: the worker's running task is stopped.  Waiting for it, as the pool's
+    own exit does, takes 4 s here."""
     script = ("import os, signal, time\n"
               "from cf2.pool import pmap\n"
               "signal.signal(signal.SIGALRM, lambda *_: os.kill(os.getpid(), signal.SIGINT))\n"
               "signal.setitimer(signal.ITIMER_REAL, 0.5)  # a forked worker has no timer\n"
-              "pmap(time.sleep, [4] * 20, 2)\n")
+              "pmap(time.sleep, [4, 4])\n")
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
                           text=True, timeout=60)

@@ -431,7 +431,10 @@ def test_memo_keys_are_resumed_states_of_small_k():
     roots = [root for d1 in range(1, C + 1) for root in
              _expand(((d1,), fold_word((0, d1)), []), C, tables, {}, {}, [0, 0, []], False)[1]]
     memo, shared = {}, {}
-    _walk((roots, C, None, False, tables, memo, shared))
+    levels, K, cut = _walk((roots, C, None, False, tables, memo, shared))
+    report = run(C, jobs=1)  # one share of every root is the serial walk below depth 2
+    assert [DepthStats(n + 3, f, e) for n, (f, e, _) in enumerate(levels)] == report.depths[1:]
+    assert K <= report.K and cut is not report.terminated
     assert len(memo) > 100
     for key, slots in memo.items():
         pa, qa, pb, qb = key
