@@ -42,12 +42,21 @@ def primitive_word(word: Digits) -> Digits:
     The lengths p dividing n = len(word) for which `word` is p-periodic are
     the multiples of the primitive length that divide n, so it is reached by
     dividing n by each prime l while the word stays periodic at the quotient.
+
+    A candidate q = p // l is a proper divisor of n, and a q-periodic word
+    has word[i] = word[i % q] for every i < n.  As q < n and q | n, the indices
+    q and n - 1 are 0 and q - 1 mod q, so word[q] = word[0] and word[n - 1] =
+    word[q - 1] are necessary: two index compares reject most q before the
+    O(n) copy that decides.
     """
     n = len(word)
     p = n
     for l in _prime_factors(n):
-        while p % l == 0 and word[:p // l] * (n * l // p) == word:
-            p //= l
+        while p % l == 0:
+            q = p // l
+            if word[q] != word[0] or word[q - 1] != word[-1] or word[:q] * (n // q) != word:
+                break
+            p = q
     return word[:p]
 
 

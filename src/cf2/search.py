@@ -334,6 +334,7 @@ def _walk(args):
 
 
 _POOL_MIN_C = 9  # jobs=None walks in process below this C: run(8) gained nothing from 2 workers
+_POOL_MIN_DEPTH = 6  # nor for a max_depth below this: run(12, max_depth=5) gained nothing
 
 
 def run(C: int, max_depth: int | None = None, jobs: int | None = None,
@@ -344,7 +345,9 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
     calling process decides the depth-2 row; its surviving prefixes, the
     roots, are dealt round-robin as roots[i::n], one share per worker, and
     each share is walked with one memo (`_walk`).  jobs=None starts one
-    worker per core from C = _POOL_MIN_C on and walks in process below it.
+    worker per core from C = _POOL_MIN_C on, and walks in process below it
+    or for a `max_depth` below _POOL_MIN_DEPTH, where starting the pool costs
+    more than the share it takes off the caller.
     The shares' counts are summed and each depth's witnesses sorted by
     prefix, a merge of the shares' lexicographic runs, so the report and the
     witness order are those of a breadth-first search in lexicographic
@@ -365,7 +368,8 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
                                collect_witnesses)
         K = max(K, k)
         roots += survivors
-    n = workers(1 if jobs is None and C < _POOL_MIN_C else jobs, len(roots))
+    small = C < _POOL_MIN_C or max_depth is not None and max_depth < _POOL_MIN_DEPTH
+    n = workers(1 if jobs is None and small else jobs, len(roots))
     levels: list[list] = [row]
     cut = False
     for part, k, below in pmap(_walk, [(roots[i::n], C, max_depth, collect_witnesses, tables,

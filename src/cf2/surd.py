@@ -217,9 +217,18 @@ def _reflection(P: int, Q: int, D: int, r: int, start: int, stop: int,
     """Walk from the state (P, Q) at index `start`, appending its digits, to the first
     reflection m (`_cycle`); None if the walk first reaches a state of `until`, a pair
     (Ps, Q') that names the states (p, Q') with p in Ps, by default its start, ((P,), Q).
-    Steps `start` to `stop` - 1 at most; raise past them."""
+    Steps `start` to `stop` - 1 at most; raise past them.
+
+    Each iteration takes step i from (P, Q) to (P1, Q1) and step i + 1 back
+    into (P, Q), so the pairs take turns and no swap is made.  Step i + 1
+    reports 2(i + 1) + 1 and 2(i + 1) + 2 as a loop of one step per
+    iteration would.  The budget is exact: i runs over start, start + 2, ...
+    below `stop`, and the second step is skipped when i + 1 == `stop`, so the
+    walk takes each of the steps `start` to `stop` - 1 once, the last one
+    alone when `stop` - `start` is odd, and none past them.
+    """
     Ps, Q0 = until or ((P,), Q)
-    for i in range(start, stop):
+    for i in range(start, stop, 2):
         a = (P + r) // Q
         digits.append(a)
         P1 = a * Q - P
@@ -228,7 +237,18 @@ def _reflection(P: int, Q: int, D: int, r: int, start: int, stop: int,
         Q1 = (D - P1 * P1) // Q
         if Q1 == Q:
             return 2 * i + 2
-        P, Q = P1, Q1
+        if Q1 == Q0 and P1 in Ps:
+            return None
+        if i + 1 == stop:
+            break
+        a = (P1 + r) // Q1
+        digits.append(a)
+        P = a * Q1 - P1
+        if P == P1:
+            return 2 * i + 3
+        Q = (D - P * P) // Q1
+        if Q == Q1:
+            return 2 * i + 4
         if Q == Q0 and P in Ps:
             return None
     raise _budget_error()
@@ -254,8 +274,10 @@ def _expansion_raw(P: int, D: int, Q: int) -> tuple[list[int], int]:
 def expand_surd(s: QuadraticSurd) -> CF:
     """Eventually periodic continued fraction of the surd (exact)."""
     digits, j = _expansion_raw(s.P, s.D, s.Q)
-    i = max(j, 1)  # a cycle from a0 (j = 0) is read from a1, with a0 closing it
-    return _canonical_cf(digits[0], tuple(digits[1:i]), tuple(digits[i:]) + tuple(digits[j:i]))
+    if not j:  # a cycle from a0 is read from a1, with a0 closing it
+        digits.append(digits[0])
+        j = 1
+    return _canonical_cf(digits[0], tuple(digits[1:j]), tuple(digits[j:]))
 
 
 def surd_of_periodic_cf(cf: CF) -> QuadraticSurd:

@@ -291,8 +291,32 @@ def test_rotation_start_is_the_first_start_of_the_least_rotation(word):
 @example((1, 2, 1, 2), 3)
 @example((1, 1), 6)
 @example((1, 2, 1, 1, 2, 1), 5)
+# w[q] = w[0] and w[q - 1] = w[-1], yet w is not q-periodic: at q = 3 (after the period
+# q = 6 for two repetitions) and at q = 3 of a length-9 word
+@example((1, 2, 1, 1, 1, 1), 1)
+@example((1, 2, 1, 1, 1, 1), 2)
+@example((2, 1, 2, 2, 2, 1, 2, 1, 2), 1)
 def test_primitive_word_matches_brute_force(word, reps):
     w = word * reps
+    assert primitive_word(w) == _brute_primitive_word(w)
+
+
+def _brute_primitive_word(w):
     n = len(w)
-    brute = next(w[:p] for p in range(1, n + 1) if n % p == 0 and w[:p] * (n // p) == w)
-    assert primitive_word(w) == brute
+    return next(w[:p] for p in range(1, n + 1) if n % p == 0 and w[:p] * (n // p) == w)
+
+
+@st.composite
+def _near_periodic_words(draw):
+    """Words of length n = q*k, k >= 2, with w[q] = w[0] and w[n - 1] = w[q - 1] planted,
+    so the index compares of `primitive_word` pass at q and only the copy decides."""
+    q, k = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    w = draw(st.lists(st.integers(1, 3), min_size=q * k, max_size=q * k))
+    w[q] = w[0]
+    w[-1] = w[q - 1]
+    return tuple(w)
+
+
+@given(_near_periodic_words())
+def test_primitive_word_matches_brute_force_on_near_periodic_words(w):
+    assert primitive_word(w) == _brute_primitive_word(w)

@@ -119,6 +119,19 @@ def test_search_keeps_one_memo_per_worker(monkeypatch):
     assert serial_scans <= len(scans) <= serial_scans + filled
 
 
+def test_search_walks_a_shallow_cut_walk_in_process(monkeypatch):
+    """At jobs=None a walk cut below depth _POOL_MIN_DEPTH starts no pool, whatever
+    C: run(12, max_depth=3) is over before a pool would have started."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
+    _InlinePool.calls = []
+    for depth in (3, cf2.search._POOL_MIN_DEPTH - 1):
+        assert run(12, max_depth=depth) == run(12, max_depth=depth, jobs=1)
+    assert _InlinePool.calls == []
+    assert run(9, max_depth=cf2.search._POOL_MIN_DEPTH) == run(
+        9, max_depth=cf2.search._POOL_MIN_DEPTH, jobs=1)
+    assert _InlinePool.calls == [(1, 1)]
+
 def test_pmap_runs_the_first_task_in_the_caller():
     """With two tasks the calling process runs task 0 and the pool's one process
     task 1, whose result comes back second."""

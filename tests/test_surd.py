@@ -10,11 +10,14 @@ import cf2.surd
 from conftest import random_surd
 from cf2.cf import CF, parse_cf
 from cf2.surd import (
+    _PERIOD_BUDGET,
     QuadraticSurd,
+    _budget_error,
     _cycle,
     double_surd,
     _expansion_raw,
     _quotients,
+    _reflection,
     expand_surd,
     halve_plus1_surd,
     halve_surd,
@@ -219,6 +222,61 @@ def test_cycle_matches_plain_walk():
 def test_cycle_matches_plain_walk_slow():
     _check_cycles_match_plain_walk(10_000)
 
+
+
+def _one_step_reflection(P, Q, D, r, start, stop, digits, until=None):
+    """`surd._reflection` with one step per iteration: the reference for its two-step loop."""
+    Ps, Q0 = until or ((P,), Q)
+    for i in range(start, stop):
+        a = (P + r) // Q
+        digits.append(a)
+        P1 = a * Q - P
+        if P1 == P:
+            return 2 * i + 1
+        Q1 = (D - P1 * P1) // Q
+        if Q1 == Q:
+            return 2 * i + 2
+        P, Q = P1, Q1
+        if Q == Q0 and P in Ps:
+            return None
+    raise _budget_error()
+
+
+def test_two_step_reflection_matches_one_step_walk():
+    for P, Q, D, r in _reduced_states(3_000):
+        for start in (0, 1):
+            want, got = [], []
+            m = _one_step_reflection(P, Q, D, r, start, _PERIOD_BUDGET, want)
+            assert _reflection(P, Q, D, r, start, _PERIOD_BUDGET, got) == m and got == want, (P, Q, D)
+
+
+def test_two_step_reflection_matches_one_step_walk_with_a_stop_set():
+    # the walk of `equiv._has_norm_two`: from alpha_1 of d's principal cycle to the first Q = 4
+    for d in range(17, 20_001, 8):
+        r = isqrt(d)
+        if r * r == d:
+            continue
+        P = (r - 1) | 1
+        Q = (d - P * P) // 2
+        until = (range(r - 3, r + 1), 4)
+        want, got = [], []
+        m = _one_step_reflection(P, Q, d, r, 1, (_PERIOD_BUDGET + 2) // 2, want, until)
+        assert _reflection(P, Q, d, r, 1, (_PERIOD_BUDGET + 2) // 2, got, until) == m, d
+        assert got == want, d
+
+
+def test_two_step_reflection_spends_the_budget_of_the_one_step_walk():
+    P, Q, D = 9, 13, 94  # alpha_1 of sqrt(94), period 16: the first reflection, m = 15, is step 7
+    r = isqrt(D)
+    for start in (0, 1):
+        assert _reflection(P, Q, D, r, start, start + 8, []) == 2 * (start + 7) + 1
+        for steps in range(1, 7):
+            want, got = [], []
+            with pytest.raises(ValueError, match="budget"):
+                _one_step_reflection(P, Q, D, r, start, start + steps, want)
+            with pytest.raises(ValueError, match="budget"):
+                _reflection(P, Q, D, r, start, start + steps, got)
+            assert got == want and len(got) == steps
 
 def test_floor_matches_exact_comparison():
     rng = random.Random(5)
