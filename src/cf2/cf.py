@@ -152,8 +152,9 @@ class CF:
     """Continued fraction [a0; d1, d2, ...], finite or eventually periodic.
 
     `period == ()` means the value is rational (finite body).  `CF(...)`
-    checks that a0 is an int and every body digit an int >= 1, then
-    canonicalizes (see `_canonicalize`).
+    checks that a0 is an int and every body digit an int >= 1, stores them
+    as plain ints (so a bool prints as a digit), then canonicalizes (see
+    `_canonicalize`).
     """
 
     a0: int
@@ -164,7 +165,7 @@ class CF:
         pre = tuple(self.pre)
         period = tuple(self.period)
         _validate(self.a0, pre + period)
-        _canonicalize(self, self.a0, pre, period)
+        _canonicalize(self, int(self.a0), tuple(map(int, pre)), tuple(map(int, period)))
 
     @property
     def is_finite(self) -> bool:

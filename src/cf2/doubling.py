@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .cf import (CF, Digits, _canonical_cf, _check_digit, _reciprocal_digits, cf_of_rational,
-                 eval_finite, fold_word, reciprocal)
+from .cf import (CF, Digits, _canonical_cf, _check_digit, _reciprocal_digits, _validate,
+                 cf_of_rational, eval_finite, fold_word, reciprocal)
 from .surd import QuadraticSurd, expand_surd
 
 
@@ -68,11 +68,13 @@ class DoublingState:
     """The transducer for one stream: push the digits of x, read 2x from `cleaned`."""
 
     def __init__(self, a0: int):
+        _validate(a0, ())
         self.cleaned = [2 * a0]
         self.state = 0
 
     def step(self, d: int):
-        """Push one body digit d >= 1."""
+        """Push one body digit d >= 1; any other d raises `CF(...)`'s ValueError."""
+        _check_digit(d)
         self.state = _feed(self.state, self.cleaned, (d,))
 
     @property
@@ -90,7 +92,6 @@ def _fed(digits: Iterable[int]) -> Iterator[DoublingState]:
         raise ValueError("empty digit source") from None
     yield machine
     for d in it:
-        _check_digit(d)
         machine.step(d)
         yield machine
 

@@ -130,6 +130,13 @@ def test_parse_print_round_trip_fixed():
         assert parse_cf(str(cf)) == cf
 
 
+def test_bool_digits_are_stored_as_ints_so_the_print_reparses():
+    cf = CF(False, (True, 2), (3,))
+    assert str(cf) == "[0; 1, 2, (3)]"
+    assert parse_cf(str(cf)) == cf == CF(0, (1, 2), (3,))
+    assert {type(d) for d in (cf.a0, *cf.pre, *cf.period)} == {int}
+
+
 def test_parse_noncanonical_input_normalizes():
     assert parse_cf("[3; 1, (1, 3, 1)]") == parse_cf("[(3; 1, 1)]")
 

@@ -158,14 +158,29 @@ def test_zero_body_digit_rejected_by_every_driver():
         doubled_digit_prefix(digits, 1)
 
 
-@pytest.mark.parametrize("bad", [0, "3"])
+@pytest.mark.parametrize("bad", [0, "3", -2, 1.5])
 def test_stream_digit_error_is_the_cf_error(bad):
     with pytest.raises(ValueError) as checked:
         CF(1, (2, bad, 2))
     with pytest.raises(ValueError) as streamed:
         list(itertools.islice(double_stream(iter([1, 2, bad, 2])), 4))
-    assert str(streamed.value) == str(checked.value)
+    machine = DoublingState(0)
+    with pytest.raises(ValueError) as stepped:
+        machine.step(bad)
+    assert str(streamed.value) == str(stepped.value) == str(checked.value)
     assert str(checked.value) == f"body digit must be a positive integer, got {bad!r}"
+    assert (machine.state, machine.cleaned) == (0, [0])  # the digit was not pushed
+
+
+def test_machine_integer_part_error_is_the_cf_error():
+    with pytest.raises(ValueError) as checked:
+        CF(0.5, (1,))
+    assert str(checked.value) == "integer part must be an int, got 0.5"
+    with pytest.raises(ValueError) as built:
+        DoublingState(0.5)
+    with pytest.raises(ValueError) as streamed:
+        next(double_stream(itertools.chain([0.5], itertools.repeat(1))))
+    assert str(built.value) == str(streamed.value) == str(checked.value)
 
 
 @given(st.integers(-3, 5), st.lists(st.one_of(st.integers(1, 3), st.integers(1, 40)), max_size=40))

@@ -101,7 +101,8 @@ def test_results_do_not_depend_on_the_worker_count(C, max_depth, collect, d_min,
 
 def test_search_keeps_one_memo_per_worker(monkeypatch):
     """Two workers walk two shares of depth-2 roots, one memo each, so they redo
-    at most the scans that the one memo of a serial run answered."""
+    at most the scans that the one memo of a serial run answered.  The serial
+    count is pinned: a change that moves a scan updates it and says why."""
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
     memos, scans = [], []
@@ -110,6 +111,7 @@ def test_search_keeps_one_memo_per_worker(monkeypatch):
     monkeypatch.setattr(cf2.search, "_scan", lambda *args: scans.append(1) or scan(*args))
     serial = run(8, jobs=1)
     serial_scans = len(scans)
+    assert serial_scans == 37_309
     assert len(memos) == 1
     filled = sum(slot is not None for slots in memos[0].values() for slot in slots)
     memos.clear()

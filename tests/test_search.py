@@ -13,7 +13,6 @@ from cf2.search import (
     ExclusionWitness,
     SearchCapExceeded,
     SearchReport,
-    _children,
     _expand,
     _find_large_digit,
     _scan,
@@ -312,7 +311,7 @@ def _surviving_states(C):
     """(word, states) for each prefix run(C) visits and does not exclude, depth first.
 
     Each walk starts at a first digit (d1,) with no states and steps every
-    prefix through `_children` with one memo, as `run` does at jobs=1, so these
+    prefix through `_expand` with one memo, as `run` does at jobs=1, so these
     are the states the walk hands on; words of length 1 are not visited.
     """
     tables = _tables(C)
@@ -320,13 +319,10 @@ def _surviving_states(C):
     for d1 in range(1, C + 1):
         stack = [((d1,), fold_word((0, d1)), [])]
         while stack:
-            word, fold, states = stack.pop()
-            if len(word) >= 2:
-                yield word, states
-            hits, found = _children(fold, states, C, tables, memo, shared)
-            p1, q1, p0, q0 = fold
-            stack.extend((word + (d,), (d * p1 + p0, d * q1 + q0, p1, q1), found[d])
-                         for d in range(1, C + 1) if hits[d] is None)
+            node = stack.pop()
+            if len(node[0]) >= 2:
+                yield node[0], node[2]
+            stack += _expand(node, C, tables, memo, shared, [0, 0, []], False)[1]
 
 
 def _resume_matrix(S, adjugate, det):
@@ -386,7 +382,7 @@ def test_scan_reads_no_order_of_the_endpoints():
             for j, S in states:
                 r11, r12, r21, r22 = _resume_matrix(S, adjugate, det)
                 for d in range(1, C + 1):
-                    # R . [[d, 1], [1, 0]] . T, the pair of child d in `_children`
+                    # R . [[d, 1], [1, 0]] . T, the pair of child d in `_expand`
                     m11, m21 = d * r11 + r12, d * r21 + r22
                     pa, qa = m11 * t11 + r11 * t21, m21 * t11 + r21 * t21
                     pb, qb = m11 * t12 + r11 * t22, m21 * t12 + r21 * t22
@@ -453,26 +449,30 @@ def test_children_resuming_at_digit_0_match_try_exclude():
     for C in (3, 5, 8):
         tables = _tables(C)
         for word in itertools.product(range(1, C + 1), repeat=2):
-            fold = fold_word((0,) + word)
             memo, shared = {}, {}
-            hits, found = _children(fold, [], C, tables, memo, shared)
+            level = [0, 0, []]
+            _, survivors = _expand((word, fold_word((0,) + word), []), C, tables, memo, shared,
+                                   level, True)
             assert memo == shared == {}  # j = 0 is never memoised
+            witnesses = {wit.prefix: wit for wit in level[2]}
+            states = {child: found for child, _, found in survivors}
+            assert level[:2] == [C, len(witnesses)]
             for d in range(1, C + 1):
                 child = word + (d,)
                 wit = try_exclude(child, C)
                 if wit is None:
-                    assert hits[d] is None, child
-                    for k, (j, S) in enumerate(found[d], 1):
+                    assert child in states and child not in witnesses, child
+                    for k, (j, S) in enumerate(states[child], 1):
                         assert _euclid_state(child, C, k, j) == S, (child, k)
                     ended += 1
                 else:
-                    assert ExclusionWitness(child, *hits[d]) == wit, child
+                    assert child not in states and witnesses[child] == wit, child
                     excluded += 1
     assert ended > 50 and excluded > 100
 
 
 def test_depth_2_row_matches_try_exclude_on_every_root():
-    # the walk steps the roots through `_children` from their first digit, so
+    # the walk steps the roots through `_expand` from their first digit, so
     # check them against the standalone scan beyond the C of the BFS oracle
     for C in range(1, 13):
         report = run(C, max_depth=2, collect_witnesses=True)
