@@ -224,8 +224,8 @@ def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2) -> 
     C = 2 every distinct input of a class where both are <= 2 is a
     counterexample, and for C = 3 or 4 only B(4y) and B(y/4), which the
     class key does not decide, are tested, each distinct CF once, in
-    enumeration order.  It runs in one process: with one doubling per
-    class, starting a worker pool costs more than the work it splits.
+    enumeration order.  It runs in one process, as workers would redo each
+    other's classes.
     """
     if C not in (2, 3, 4):
         raise ValueError("supported bounds are C in {2, 3, 4}")

@@ -281,10 +281,8 @@ def _walked_discriminants(ds: range, d_min: int) -> list[tuple[int, int]]:
 
 
 def _scan_range(args) -> list[ScanHit]:
-    """The hits of each listed (d, m) whose nonsquare d passes, from one root table to q_hi
-    (`_root_table`)."""
-    listing, q_max, q_hi = args
-    roots = _root_table(q_hi)
+    """The hits of each listed (d, m) whose nonsquare d passes, from the root table `roots`."""
+    listing, q_max, roots = args
     hits: list[ScanHit] = []
     # each d is reported at D = m*m*d as (m*P, m*Q)
     for d, m in listing:
@@ -309,35 +307,27 @@ def _scan_range(args) -> list[ScanHit]:
     return hits
 
 
-_COST_PER_WORKER = 3_500_000  # cost (below) per worker at jobs=None; on less, a second one loses
-
-
 def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
-                      jobs: int | None = 1) -> list[ScanHit]:
+                      jobs: int | None = None) -> list[ScanHit]:
     """All self-similar classes with a reduced representative (P + sqrt(D))/Q in range.
 
     Reports, for each nonsquare D in [d_min, d_max], the classes with a
     purely periodic state at D with 1 <= Q <= q_max that were not met at a
     smaller D of the range, and where some member is equivalent to both of
-    its halvings: one verdict per class discriminant d, before any walk.
-    Each passing d is walked once, at d itself, and its classes reported at
-    their first D = m*m*d >= d_min, m = 1 when d >= d_min (module
-    docstring).  The caller lists the candidate (d, m) of the whole window
-    (`_walked_discriminants`) and worker i of n takes listing[i::n], with
-    one root table; output is sorted by (D, Q, P), for any job count.
-    jobs=None starts one worker per _COST_PER_WORKER of cost begun, at most one per core.
+    its halvings, one verdict per class discriminant d (module docstring).
+    The caller lists the candidate (d, m) of the window
+    (`_walked_discriminants`) and builds the one root table; worker i of
+    n = `pool.workers(jobs, ...)`, one per core at jobs=None, takes
+    listing[i::n].  Output is sorted by (D, Q, P), for any job count.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     if d_max < max(2, d_min):
         raise ValueError("d_max must be >= max(2, d_min)")
     ds = range(max(2, d_min), d_max + 1)
-    if jobs is None:  # resolved here from the range, not by pool.workers' one per core
-        step = -(-len(ds) // 1024)  # per D: min(q_max, 2r) // 2 Q tried, cycles about r long walked
-        cost = step * sum(isqrt(D) + min(q_max, 2 * isqrt(D)) // 2 for D in ds[::step])
-        jobs = -(-cost // _COST_PER_WORKER)
     listing = _walked_discriminants(ds, ds.start)
     n = workers(jobs, len(listing))
-    tasks = [(listing[i::n], q_max, min(q_max, 2 * isqrt(d_max))) for i in range(n)]
+    roots = _root_table(min(q_max, 2 * isqrt(d_max)))
+    tasks = [(listing[i::n], q_max, roots) for i in range(n)]
     return sorted(itertools.chain.from_iterable(pmap(_scan_range, tasks)),
                   key=lambda h: (h.D, h.Q, h.P))

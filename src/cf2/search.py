@@ -7,22 +7,18 @@ canonical expansions forces digits of 2^k x for every x in the cylinder;
 a forced digit above C excludes the whole prefix.  An empty frontier proves
 that some 2^k x always carries a digit above C.
 
-The calling process decides the depth-2 prefixes and deals the surviving
-ones, the roots, round-robin to the workers, itself one of them, one share
-each; each walks its share depth first.  A child's cylinder lies inside its
-parent's, so the digits of 2^k x the parent found certain are certain for
-the child too: each child resumes the parent's Euclid scan at every k
-instead of expanding both doubled endpoints from digit 0 (Gosper's carried
-homographic state, HAKMEM item 101), and past the parent's last k it resumes
-at digit 0.  A state is (j, S): the step j where the scan stopped and the
-endpoint pair S there, as `_scan` leaves it.  A surviving prefix decides its
-C children together in one k loop (`_expand`), each at the scan that decides
-it, so pending siblings hold their own states: O(C * depth * k) of them.
-The children's pairs come from the matrix R = S . T^-1, made only at a k
-where some child scans.  The scans of small k start from few distinct
-states, since multiplying by 2^k is a finite transducer on continued
-fractions (Raney, Math. Ann. 206, 1973); a memo keyed by S alone answers
-them after the first, one per worker, so one per `run` in process.  Every
+Each worker walks its share of the depth-2 prefixes depth first (`run`).  A
+child's cylinder lies inside its parent's, so the digits of 2^k x the parent
+found certain are certain for the child too: each child resumes the parent's
+Euclid scan at every k instead of expanding both doubled endpoints from
+digit 0 (Gosper's carried homographic state, HAKMEM item 101), and past the
+parent's last k it resumes at digit 0.  A state is (j, S): the step j where
+the scan stopped and the endpoint pair S there, as `_scan` leaves it.  A
+surviving prefix decides its C children together in one k loop (`_expand`),
+each at the scan that decides it, so pending siblings hold their own states:
+O(C * depth * k) of them.  The children's pairs come from the matrix
+R = S . T^-1, made only at a k where some child scans, and a memo keyed by
+S, one per worker, answers the scans of small k after the first.  Every
 prefix closes both endpoints with the one tail matrix T of `_tables`, and
 the scan treats the two alike.
 
@@ -289,18 +285,15 @@ def _expand(node, C: int, tables, memo: dict, shared: dict, level: list, collect
 def _walk(args):
     """Depth-first exclusion below each root of a share, with one memo for the share.
 
-    A root is a node (word, fold, states) as `_expand` returns it; each
-    surviving prefix decides all its children at once.  Only the states of
-    the prefixes on the current path and of their pending siblings are
-    alive: O(C * depth * k) of them, beside `memo` and `shared`, which
-    `_expand` fills and every root of the share reads.  Returns (levels,
-    K, cut): levels[n] = [frontier, excluded, witnesses] at depth n + 3, the
+    A root is a node (word, fold, states) as `_expand` returns it, and
+    `memo` and `shared`, which `_expand` fills, serve every root of the
+    share.  Returns (levels, K, cut): levels[n] = [frontier, excluded,
+    witnesses] at depth n + 3, each depth's witnesses sorted by prefix, the
     largest witness k, and whether max_depth cut off a surviving prefix.
     """
     roots, C, max_depth, collect, tables, memo, shared = args
     levels: list[list] = []
-    K = 0
-    cut = False
+    K, cut = 0, False
     stack = list(roots)
     while stack:
         node = stack.pop()
@@ -313,11 +306,9 @@ def _walk(args):
         k, survivors = _expand(node, C, tables, memo, shared, levels[n], collect)
         K = max(K, k)
         stack.extend(survivors)
+    for level in levels:  # in the worker, so `run` only merges sorted runs
+        level[2].sort()
     return levels, K, cut
-
-
-_POOL_MIN_C = 9  # jobs=None walks in process below this C: run(8) gained nothing from 2 workers
-_POOL_MIN_DEPTH = 6  # nor for a max_depth below this: run(12, max_depth=5) gained nothing
 
 
 def run(C: int, max_depth: int | None = None, jobs: int | None = None,
@@ -326,15 +317,12 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
 
     Returns a SearchReport, whose witnesses are listed when requested.  The
     calling process decides the depth-2 row; its surviving prefixes, the
-    roots, are sorted by prefix and dealt round-robin as roots[i::n], one
-    share per worker, and each share is walked with one memo (`_walk`).
-    jobs=None starts one worker per core from C = _POOL_MIN_C on, and walks
-    in process below it or for a `max_depth` below _POOL_MIN_DEPTH, where
-    starting the pool costs more than the share it takes off the caller.
-    The shares' counts are summed and each depth's witnesses sorted by
-    prefix, so the report and the witness order are those of a
-    breadth-first search in lexicographic order, for any worker count.
-    The k loop ends by itself, so `max_depth` is the one budget.
+    roots, are sorted by prefix and dealt as roots[i::n] to the
+    n = `pool.workers(jobs, ...)` workers, one per core at jobs=None, each
+    share walked with one memo (`_walk`).  Counts are summed and the shares'
+    sorted witnesses merged, so the report is that of a breadth-first search
+    in lexicographic order for any worker count.  The k loop ends by
+    itself, so `max_depth` is the one budget.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -342,31 +330,27 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
         raise ValueError("max_depth must be >= 2, the depth of the roots")
     start = time.monotonic()
     tables = _tables(C)
-    row: list = [0, 0, []]
+    levels: list[list] = [[0, 0, []]]  # [frontier, excluded, witnesses] per depth from 2
     K = 0
     roots: list = []
     for d1 in range(1, C + 1):  # no state at depth 1, so `_expand` reads no memo
-        k, survivors = _expand(((d1,), fold_word((0, d1)), []), C, tables, {}, {}, row,
+        k, survivors = _expand(((d1,), fold_word((0, d1)), []), C, tables, {}, {}, levels[0],
                                collect_witnesses)
         K = max(K, k)
         roots += survivors
     # Dealt in the order decided, run(10)'s two shares scanned 506,378 and
     # 301,438 times; in prefix order, 453,083 and 354,807.
     roots.sort()
-    small = C < _POOL_MIN_C or max_depth is not None and max_depth < _POOL_MIN_DEPTH
-    n = workers(1 if jobs is None and small else jobs, len(roots))
-    levels: list[list] = [row]
+    n = workers(jobs, len(roots))
     cut = False
     for part, k, below in pmap(_walk, [(roots[i::n], C, max_depth, collect_witnesses, tables,
                                         {}, {}) for i in range(n)]):
-        K = max(K, k)
-        cut = cut or below
-        for m, (frontier, excluded, found) in enumerate(part, 1):
+        K, cut = max(K, k), cut or below
+        for m, level in enumerate(part, 1):  # counts add, witness lists concatenate
             if m == len(levels):
-                levels.append([0, 0, []])
-            levels[m][0] += frontier
-            levels[m][1] += excluded
-            levels[m][2] += found
+                levels.append(level)
+            else:
+                levels[m] = [a + b for a, b in zip(levels[m], level)]
     depths = [DepthStats(m + 2, frontier, excluded)
               for m, (frontier, excluded, _) in enumerate(levels)]
     return SearchReport(C, not cut, K, depths, time.monotonic() - start,

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 import signal
@@ -151,6 +152,28 @@ def test_interrupt_exits_130_with_one_line():
     assert proc.returncode == 130
     assert out == b""
     assert err == b"interrupted\n"
+
+
+def test_interrupt_to_the_process_group_exits_130_with_one_line():
+    # Ctrl-C in a terminal reaches the caller and its forked worker alike: the
+    # worker's interrupt goes back through its pipe unprinted, the caller's ends
+    # the command, and no worker is left behind
+    with subprocess.Popen(
+            [sys.executable, "-m", "cf2.cli", "search", "--C", "13", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+            start_new_session=True) as proc:
+        try:
+            time.sleep(2)
+            assert proc.poll() is None
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    assert proc.returncode == 130
+    assert out == b""
+    assert err == b"interrupted\n"
+    with pytest.raises(ProcessLookupError):  # the group is empty: no worker outlived the caller
+        os.killpg(proc.pid, 0)
 
 
 def test_chain(capsys):

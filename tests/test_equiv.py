@@ -1,5 +1,3 @@
-import concurrent.futures
-import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -346,29 +344,6 @@ def test_scan_deterministic_across_workers():
     for jobs in (1, 2, None):  # an empty range is an error, not an empty result
         with pytest.raises(ValueError, match="d_max"):
             scan_self_similar(399, 30, d_min=400, jobs=jobs)
-
-
-def test_scan_default_workers_follow_the_cost(monkeypatch):
-    """jobs=None starts one worker per _COST_PER_WORKER begun, at most one per core;
-    an explicit job count is kept."""
-    serial = scan_self_similar(10_000, 200, jobs=1)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert scan_self_similar(10_000, 200, jobs=None) == serial
-    # costs below 3.5e6: 12,000 and 19,000 D (1,731,420 and 3,296,234), 3,000 late D, a small q_max
-    for d_min, d_max, q_max in ((2, 12_000, 200), (2, 19_000, 200), (1_000_000, 1_002_999, 200),
-                                (1_000_000, 1_000_999, 6)):
-        scan_self_similar(d_max, q_max, d_min=d_min, jobs=None)
-    # costs past 3.5e6: more D, late windows (the Q term decides at q_max 2000), a small q_max; or jobs=2
-    for d_min, d_max, q_max, jobs in ((2, 20_000, 200, None), (1_000_000, 1_003_999, 200, None),
-                                      (1_000_000, 1_001_999, 2_000, None), (2, 30_000, 6, None),
-                                      (2, 10_000, 200, 2)):
-        with pytest.raises(AssertionError, match="pool"):
-            scan_self_similar(d_max, q_max, d_min=d_min, jobs=jobs)
 
 
 def test_class_contains_self_similar_is_member_independent():
@@ -764,7 +739,7 @@ def test_scan_walks_one_cycle_per_hit(monkeypatch):
     monkeypatch.setattr(cf2.equiv, "class_contains_self_similar",
                         lambda s: verdicts.append(verdict(s)) or verdicts[-1])
     monkeypatch.setattr(cf2.equiv, "gcd", recorded_gcd)
-    hits = scan_self_similar(10_000, 200)
+    hits = scan_self_similar(10_000, 200, jobs=1)  # the counters run in this process
     assert len(walks) == len(hits) == 738
     assert (len(verdicts), sum(verdicts)) == (1200, 654)
     assert len(looped) == 654
@@ -787,7 +762,7 @@ def test_scan_walks_one_cycle_per_hit_in_any_window(monkeypatch, d_max, q_max, d
         return cycle(P, Q, D, r, states)
 
     monkeypatch.setattr(cf2.equiv, "_cycle", counted_cycle)
-    hits = scan_self_similar(d_max, q_max, d_min=d_min)
+    hits = scan_self_similar(d_max, q_max, d_min=d_min, jobs=1)  # counted in this process
     assert len(walks) == len(hits) == count
     for found in (hits, scan_self_similar(d_max, q_max, d_min=d_min, jobs=2)):
         assert len({h.key for h in found}) == len(found) == count
@@ -843,12 +818,13 @@ def test_scan_decides_each_d_once_per_pass(monkeypatch, d_max, q_max, d_min, cou
     verdict = cf2.equiv.class_contains_self_similar
     monkeypatch.setattr(cf2.equiv, "class_contains_self_similar",
                         lambda s: verdicts.append(s.D) or verdict(s))
-    scan_self_similar(d_max, q_max, d_min=d_min)
+    scan_self_similar(d_max, q_max, d_min=d_min, jobs=1)  # counted in this process
     assert len(verdicts) == len(set(verdicts)) == count
     verdicts.clear()
     listing = cf2.equiv._walked_discriminants(range(d_min, d_max + 1), d_min)
+    roots = cf2.equiv._root_table(min(q_max, 2 * isqrt(d_max)))
     for i in range(2):
-        cf2.equiv._scan_range((listing[i::2], q_max, min(q_max, 2 * isqrt(d_max))))
+        cf2.equiv._scan_range((listing[i::2], q_max, roots))
     assert len(verdicts) == len(set(verdicts)) == count
 
 

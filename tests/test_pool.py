@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import subprocess
 import sys
@@ -26,12 +25,33 @@ def test_workers_clamp():
     assert pmap(abs, [-3]) == [3]
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a worker pool was started")
+def _no_fork():
+    raise AssertionError("a worker process was started")
+
+
+def _inline_pmap(mp) -> list[int]:
+    """Patch the callers' `pmap` with an in-process map; returns the task count of each call.
+
+    Under a patched `cpu_count` the walks must never fork real processes."""
+    calls: list[int] = []
+
+    def inline(fn, tasks):
+        calls.append(len(tasks))
+        return [fn(task) for task in tasks]
+
+    for module in (cf2.search, cf2.equiv):
+        mp.setattr(module, "pmap", inline)
+    return calls
+
+
+def _roots(C: int) -> int:
+    """The depth-2 prefixes run(C) deals out: the children of the depth-2 row not excluded."""
+    row = run(C, max_depth=2, jobs=1).depths[0]
+    return row.frontier - row.excluded
 
 
 def test_jobs_below_one_raise(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(os, "fork", _no_fork)
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             workers(jobs, 10)
@@ -41,40 +61,20 @@ def test_jobs_below_one_raise(monkeypatch):
             scan_self_similar(2000, 20, jobs=jobs)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: maps in process, recording (max_workers, tasks)."""
-
-    calls: list[tuple[int, int]] = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        tasks = list(tasks)
-        self.calls.append((self.max_workers, len(tasks)))
-        return map(fn, tasks)
-
-
 @pytest.mark.parametrize("cores", [None, 64])
 def test_huge_jobs_is_clamped_to_cores_and_tasks(monkeypatch, cores):
-    # Never call these with a huge jobs value and a real pool: a fork-based
-    # ProcessPoolExecutor starts all max_workers processes at the first submit.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    # Never call these with a huge jobs value and real processes: pmap forks
+    # one child per task after the first.
+    calls = _inline_pmap(monkeypatch)
     if cores is not None:
         monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: cores)
     limit = os.cpu_count() or 1
-    _InlinePool.calls = []
+    roots = _roots(3)
+    listed = len(cf2.equiv._walked_discriminants(range(2, 401), 2))
+    calls.clear()
     assert run(3, jobs=100_000) == run(3, jobs=1)
     assert scan_self_similar(400, 30, jobs=100_000) == scan_self_similar(400, 30, jobs=1)
-    assert len(_InlinePool.calls) == (2 if limit > 1 else 0)
-    for max_workers, tasks in _InlinePool.calls:  # the pool's share: the caller is a worker too
-        assert 1 <= max_workers <= min(limit - 1, tasks)
+    assert calls == [min(limit, roots), 1, min(limit, listed), 1]
 
 
 @settings(max_examples=20, deadline=None)
@@ -82,28 +82,58 @@ def test_huge_jobs_is_clamped_to_cores_and_tasks(monkeypatch, cores):
        st.integers(2, 300), st.integers(0, 400), st.integers(1, 40), st.sampled_from([2, 3, 8]))
 def test_results_do_not_depend_on_the_worker_count(C, max_depth, collect, d_min, span, q_max,
                                                     cores):
-    # the in-process pool stands in for the processes, so the merge is what is tested
+    # the in-process map stands in for the processes, so the merge is what is tested
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        calls = _inline_pmap(mp)
         mp.setattr(cf2.pool.os, "cpu_count", lambda: cores)
-        _InlinePool.calls = []
         searched = run(C, max_depth=max_depth, jobs=1, collect_witnesses=collect)
         scanned = scan_self_similar(d_min + span, q_max, d_min=d_min, jobs=1)
-        assert _InlinePool.calls == []
-        for jobs in (2, 3, 8, None):
-            assert run(C, max_depth=max_depth, jobs=jobs, collect_witnesses=collect) == searched
-            assert scan_self_similar(d_min + span, q_max, d_min=d_min, jobs=jobs) == scanned
+        assert calls == [1, 1]
         # one task per worker: the search deals out its depth-2 roots, of which
         # C = 1 has one, and the scan the candidate (d, m) its window lists
+        roots = _roots(C)
         listed = len(cf2.equiv._walked_discriminants(range(d_min, d_min + span + 1), d_min))
-        assert bool(_InlinePool.calls) == (C > 1 or listed >= 2)
+        for jobs in (2, 3, 8, None):
+            calls.clear()
+            assert run(C, max_depth=max_depth, jobs=jobs, collect_witnesses=collect) == searched
+            assert scan_self_similar(d_min + span, q_max, d_min=d_min, jobs=jobs) == scanned
+            n = min(cores if jobs is None else jobs, cores)
+            assert calls == [max(1, min(n, roots)), max(1, min(n, listed))], jobs
+
+
+def test_default_jobs_is_one_share_per_core_for_both_walks(monkeypatch):
+    """jobs=None deals workers(None, n) shares in the search and in the scan alike,
+    whatever C, max_depth or window: no rule of its own decides either count."""
+    calls = _inline_pmap(monkeypatch)
+    monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 3)
+    listing = cf2.equiv._walked_discriminants(range(2, 2001), 2)
+    for C, max_depth in ((3, None), (12, 3), (9, 5)):
+        roots = _roots(C)
+        calls.clear()
+        assert run(C, max_depth=max_depth) == run(C, max_depth=max_depth, jobs=1)
+        assert calls == [workers(None, roots), 1] == [3, 1]
+    calls.clear()
+    assert scan_self_similar(2000, 20) == scan_self_similar(2000, 20, jobs=1)
+    assert calls == [workers(None, len(listing)), 1] == [3, 1]
+
+
+def test_no_fork_runs_serially(monkeypatch):
+    """Where `os` has no fork, every jobs value gives one worker, in process, and
+    the serial results."""
+    searched = run(5, jobs=1, collect_witnesses=True)
+    scanned = scan_self_similar(3000, 40, d_min=1000, jobs=1)
+    monkeypatch.delattr(os, "fork")
+    assert workers(None, 10) == workers(2, 10) == 1
+    for jobs in (None, 2):  # a fork here would raise AttributeError
+        assert run(5, jobs=jobs, collect_witnesses=True) == searched
+        assert scan_self_similar(3000, 40, d_min=1000, jobs=jobs) == scanned
 
 
 def test_search_keeps_one_memo_per_worker(monkeypatch):
     """Two workers walk two shares of depth-2 roots, one memo each, so they redo
     at most the scans that the one memo of a serial run answered.  The serial
     count is pinned: a change that moves a scan updates it and says why."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    _inline_pmap(monkeypatch)
     monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
     memos, scans = [], []
     walk, scan = cf2.search._walk, cf2.search._scan
@@ -121,22 +151,9 @@ def test_search_keeps_one_memo_per_worker(monkeypatch):
     assert serial_scans <= len(scans) <= serial_scans + filled
 
 
-def test_search_walks_a_shallow_cut_walk_in_process(monkeypatch):
-    """At jobs=None a walk cut below depth _POOL_MIN_DEPTH starts no pool, whatever
-    C: run(12, max_depth=3) is over before a pool would have started."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
-    _InlinePool.calls = []
-    for depth in (3, cf2.search._POOL_MIN_DEPTH - 1):
-        assert run(12, max_depth=depth) == run(12, max_depth=depth, jobs=1)
-    assert _InlinePool.calls == []
-    assert run(9, max_depth=cf2.search._POOL_MIN_DEPTH) == run(
-        9, max_depth=cf2.search._POOL_MIN_DEPTH, jobs=1)
-    assert _InlinePool.calls == [(1, 1)]
-
 def test_pmap_runs_the_first_task_in_the_caller():
-    """With two tasks the calling process runs task 0 and the pool's one process
-    task 1, whose result comes back second."""
+    """With two tasks the calling process runs task 0 and a forked child task 1,
+    whose result comes back second."""
     script = ("import os\n"
               "from cf2.pool import pmap\n"
               "def pid(_):\n"
@@ -149,25 +166,33 @@ def test_pmap_runs_the_first_task_in_the_caller():
     assert mine == caller != theirs
 
 
-def test_scan_builds_one_root_table_per_task(monkeypatch):
-    """At jobs=2 the candidates of 2,001 D are dealt to two tasks, and each builds
-    the root table once, for the window's largest D."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+def test_scan_builds_one_root_table_per_call(monkeypatch):
+    """The caller builds the root table once, for the window's largest D, and
+    hands it to every task: at jobs=2 the candidates of 2,001 D are dealt to
+    two tasks that read one table."""
+    calls = _inline_pmap(monkeypatch)
     monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
     tables = []
     table = cf2.equiv._root_table
-    monkeypatch.setattr(cf2.equiv, "_root_table", lambda q_hi: tables.append(q_hi) or table(q_hi))
+    monkeypatch.setattr(cf2.equiv, "_root_table",
+                        lambda q_hi: tables.append(table(q_hi)) or tables[-1])
+    shared = []
+    scan_range = cf2.equiv._scan_range
+    monkeypatch.setattr(cf2.equiv, "_scan_range",
+                        lambda args: shared.append(args[2]) or scan_range(args))
     serial = scan_self_similar(3000, 40, d_min=1000, jobs=1)
-    assert tables == [40]
-    tables.clear()
-    assert scan_self_similar(3000, 40, d_min=1000, jobs=2) == serial
-    assert tables == [40, 40]
+    for jobs in (2, None):
+        tables.clear()
+        shared.clear()
+        assert scan_self_similar(3000, 40, d_min=1000, jobs=jobs) == serial
+        assert len(tables) == 1 and max(tables[0]) == 40
+        assert calls[-1] == len(shared) == 2 and all(roots is tables[0] for roots in shared)
 
 
 def test_scan_deals_its_listing_into_even_disjoint_shares(monkeypatch):
     """At jobs=2 the two tasks take listing[0::2] and listing[1::2]: disjoint, of
     lengths that differ by at most one, together the serial listing."""
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    _inline_pmap(monkeypatch)
     monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 2)
     d_max, q_max, d_min = 10**6 + 5000, 40, 10**6
     serial = scan_self_similar(d_max, q_max, d_min=d_min, jobs=1)
@@ -185,8 +210,7 @@ def test_scan_deals_its_listing_into_even_disjoint_shares(monkeypatch):
 
 def test_interrupt_stops_the_workers():
     """A SIGINT to the calling process alone, not its workers, ends pmap within a
-    second: the worker's running task is stopped.  Waiting for it, as the pool's
-    own exit does, takes 4 s here."""
+    second: the worker's running task is stopped.  Waiting for it would take 4 s."""
     script = ("import os, signal, time\n"
               "from cf2.pool import pmap\n"
               "signal.signal(signal.SIGALRM, lambda *_: os.kill(os.getpid(), signal.SIGINT))\n"
@@ -198,3 +222,58 @@ def test_interrupt_stops_the_workers():
     assert time.perf_counter() - start < 3
     assert done.returncode != 0
     assert done.stderr.rstrip().endswith("KeyboardInterrupt")
+
+
+def _no_children() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _sleep_in_children(task):
+    if task:
+        time.sleep(30)  # killed, or the test takes 30 s
+    raise KeyboardInterrupt
+
+
+def _fail_in_child(task):
+    if task == 2:
+        time.sleep(30)
+    return int(task or "x")
+
+
+def test_a_child_exception_reaches_the_caller():
+    """The child's exception is raised again in the caller, same type and message,
+    and its sibling, still running, is killed and reaped."""
+    assert pmap(int, ["1", "2"]) == [1, 2]
+    assert _no_children()
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        pmap(int, ["1", "x"])
+    assert _no_children()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        pmap(_fail_in_child, [1, 0, 2])
+    assert time.perf_counter() - start < 10
+    assert _no_children()
+
+
+def test_a_child_that_dies_without_a_result_raises():
+    """A child that exits, or is killed, before it sends a result raises an error
+    that names its exit status, and the caller does not wait for more."""
+    with pytest.raises(RuntimeError, match="status 7 and no result"):
+        pmap(lambda task: os._exit(7) if task else 0, [0, 1])
+    with pytest.raises(RuntimeError, match="status -9 and no result"):
+        pmap(lambda task: os.kill(os.getpid(), 9) if task else 0, [0, 1])
+    assert _no_children()
+
+
+def test_an_interrupt_in_the_caller_kills_every_child():
+    """A KeyboardInterrupt in the caller's own task ends pmap at once, with both
+    children, each 30 s from its result, killed and reaped."""
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        pmap(_sleep_in_children, [0, 1, 2])
+    assert time.perf_counter() - start < 10
+    assert _no_children()
