@@ -281,7 +281,9 @@ def _walked_discriminants(ds: range, d_min: int) -> list[tuple[int, int]]:
 
 
 def _scan_range(args) -> list[ScanHit]:
-    """The hits of each listed (d, m) whose nonsquare d passes, from the root table `roots`."""
+    """The hits of each listed (d, m) whose nonsquare d passes, from the root table `roots`.
+
+    `listing` may be an iterator, read one (d, m) at a time."""
     listing, q_max, roots = args
     hits: list[ScanHit] = []
     # each d is reported at D = m*m*d as (m*P, m*Q)
@@ -302,7 +304,10 @@ def _scan_range(args) -> list[ScanHit]:
                 digits = _cycle(P, Q, d, r, states)
                 seen_states.update(states)
                 key = least_rotation(tuple(digits))
-                p, q = min((p, q) for p, q in states if m * q <= q_max)  # first in order of P, then Q
+                # the first state in order of P, then Q, with m*Q in range: any state
+                # when 2*m*r <= q_max, as a reduced state has Q <= r + P <= 2r
+                p, q = (min(states) if 2 * m * r <= q_max
+                        else min((p, q) for p, q in states if m * q <= q_max))
                 hits.append(ScanHit(m * m * d, m * q, m * p, len(key), max(key), key))
     return hits
 
@@ -316,9 +321,10 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     smaller D of the range, and where some member is equivalent to both of
     its halvings, one verdict per class discriminant d (module docstring).
     The caller lists the candidate (d, m) of the window
-    (`_walked_discriminants`) and builds the one root table; worker i of
-    n = `pool.workers(jobs, ...)`, one per core at jobs=None, takes
-    listing[i::n].  Output is sorted by (D, Q, P), for any job count.
+    (`_walked_discriminants`) and builds the one root table; the
+    n = `pool.workers(jobs, ...)` workers, one per core at jobs=None, pull
+    the listing in chunks (`pool.pmap`).  Output is sorted by (D, Q, P), for
+    any job count.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
@@ -326,8 +332,7 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
         raise ValueError("d_max must be >= max(2, d_min)")
     ds = range(max(2, d_min), d_max + 1)
     listing = _walked_discriminants(ds, ds.start)
-    n = workers(jobs, len(listing))
     roots = _root_table(min(q_max, 2 * isqrt(d_max)))
-    tasks = [(listing[i::n], q_max, roots) for i in range(n)]
-    return sorted(itertools.chain.from_iterable(pmap(_scan_range, tasks)),
-                  key=lambda h: (h.D, h.Q, h.P))
+    shares = pmap(lambda share: _scan_range((share, q_max, roots)), listing,
+                  workers(jobs, len(listing)))
+    return sorted(itertools.chain.from_iterable(shares), key=lambda h: (h.D, h.Q, h.P))

@@ -7,12 +7,12 @@ canonical expansions forces digits of 2^k x for every x in the cylinder;
 a forced digit above C excludes the whole prefix.  An empty frontier proves
 that some 2^k x always carries a digit above C.
 
-Each worker walks its share of the depth-2 prefixes depth first (`run`).  A
-child's cylinder lies inside its parent's, so the digits of 2^k x the parent
-found certain are certain for the child too: each child resumes the parent's
-Euclid scan at every k instead of expanding both doubled endpoints from
-digit 0 (Gosper's carried homographic state, HAKMEM item 101), and past the
-parent's last k it resumes at digit 0.  A state is (j, S): the step j where
+Each worker pulls the depth-2 prefixes one at a time and walks each depth
+first (`run`).  A child's cylinder lies inside its parent's, so the digits of
+2^k x the parent found certain are certain for the child too: each child
+resumes the parent's Euclid scan at every k instead of expanding both
+doubled endpoints from digit 0 (Gosper's carried homographic state, HAKMEM
+item 101), and past the parent's last k it resumes at digit 0.  A state is (j, S): the step j where
 the scan stopped and the endpoint pair S there, as `_scan` leaves it.  A
 surviving prefix decides its C children together in one k loop (`_expand`),
 each at the scan that decides it, so pending siblings hold their own states:
@@ -285,27 +285,31 @@ def _expand(node, C: int, tables, memo: dict, shared: dict, level: list, collect
 def _walk(args):
     """Depth-first exclusion below each root of a share, with one memo for the share.
 
-    A root is a node (word, fold, states) as `_expand` returns it, and
-    `memo` and `shared`, which `_expand` fills, serve every root of the
-    share.  Returns (levels, K, cut): levels[n] = [frontier, excluded,
-    witnesses] at depth n + 3, each depth's witnesses sorted by prefix, the
-    largest witness k, and whether max_depth cut off a surviving prefix.
+    A root is a node (word, fold, states) as `_expand` returns it.  `roots`
+    may be an iterator, read one root at a time: each root is walked to the
+    end before the next is taken, so roots pulled from `pool.pmap` go to
+    whichever worker is free.  `memo` and `shared`, which `_expand` fills,
+    serve every root of the share.  Returns (levels, K, cut):
+    levels[n] = [frontier, excluded, witnesses] at depth n + 3, each depth's
+    witnesses sorted by prefix, the largest witness k, and whether
+    max_depth cut off a surviving prefix.
     """
     roots, C, max_depth, collect, tables, memo, shared = args
     levels: list[list] = []
     K, cut = 0, False
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        if max_depth is not None and len(node[0]) >= max_depth:
-            cut = True
-            continue
-        n = len(node[0]) - 2
-        if n == len(levels):
-            levels.append([0, 0, []])
-        k, survivors = _expand(node, C, tables, memo, shared, levels[n], collect)
-        K = max(K, k)
-        stack.extend(survivors)
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if max_depth is not None and len(node[0]) >= max_depth:
+                cut = True
+                continue
+            n = len(node[0]) - 2
+            if n == len(levels):
+                levels.append([0, 0, []])
+            k, survivors = _expand(node, C, tables, memo, shared, levels[n], collect)
+            K = max(K, k)
+            stack.extend(survivors)
     for level in levels:  # in the worker, so `run` only merges sorted runs
         level[2].sort()
     return levels, K, cut
@@ -317,12 +321,13 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
 
     Returns a SearchReport, whose witnesses are listed when requested.  The
     calling process decides the depth-2 row; its surviving prefixes, the
-    roots, are sorted by prefix and dealt as roots[i::n] to the
-    n = `pool.workers(jobs, ...)` workers, one per core at jobs=None, each
-    share walked with one memo (`_walk`).  Counts are summed and the shares'
-    sorted witnesses merged, so the report is that of a breadth-first search
-    in lexicographic order for any worker count.  The k loop ends by
-    itself, so `max_depth` is the one budget.
+    roots, are sorted by prefix, which puts the largest early, and pulled
+    one at a time by the n = `pool.workers(jobs, ...)` workers, one per core
+    at jobs=None, each keeping one memo over the roots it takes (`_walk`).
+    Counts are summed and the shares' sorted witnesses merged, so the report
+    is that of a breadth-first search in lexicographic order for any worker
+    count; a lone share's witnesses are taken as they are.  The k loop ends
+    by itself, so `max_depth` is the one budget.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -338,13 +343,11 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
                                collect_witnesses)
         K = max(K, k)
         roots += survivors
-    # Dealt in the order decided, run(10)'s two shares scanned 506,378 and
-    # 301,438 times; in prefix order, 453,083 and 354,807.
     roots.sort()
-    n = workers(jobs, len(roots))
+    parts = pmap(lambda share: _walk((share, C, max_depth, collect_witnesses, tables, {}, {})),
+                 roots, workers(jobs, len(roots)))
     cut = False
-    for part, k, below in pmap(_walk, [(roots[i::n], C, max_depth, collect_witnesses, tables,
-                                        {}, {}) for i in range(n)]):
+    for part, k, below in parts:
         K, cut = max(K, k), cut or below
         for m, level in enumerate(part, 1):  # counts add, witness lists concatenate
             if m == len(levels):
@@ -353,8 +356,10 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
                 levels[m] = [a + b for a, b in zip(levels[m], level)]
     depths = [DepthStats(m + 2, frontier, excluded)
               for m, (frontier, excluded, _) in enumerate(levels)]
-    return SearchReport(C, not cut, K, depths, time.monotonic() - start,
-                        [wit for _, _, found in levels for wit in sorted(found)])
+    witnesses = sorted(levels[0][2])  # the depth-2 row, in the order decided
+    for _, _, found in levels[1:]:  # one share's are sorted already
+        witnesses += found if len(parts) == 1 else sorted(found)
+    return SearchReport(C, not cut, K, depths, time.monotonic() - start, witnesses)
 
 
 # -- constructive witness ----------------------------------------------------
