@@ -181,10 +181,10 @@ def _b_of(cf: CF) -> int:
     return max(cf.period)
 
 
-def _exit_b_from_311(beta: CF, k_start: int) -> tuple[int, int]:
-    """Double out of the (3,1,1) class; (k, B) at the first non-member."""
-    cur = beta
-    for k in range(k_start, k_start + 64):
+def _exit_b_from_311(y: CF) -> tuple[int, int]:
+    """(k, B) for the first 2^k x outside the (3,1,1) class, doubling from y = 4x: k >= 2."""
+    cur = y
+    for k in range(2, 66):
         if key_of_cf(cur) != KEY_311:
             return k, _b_of(cur)
         cur = double_cf(cur)
@@ -246,7 +246,7 @@ def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2) -> 
                       or _b_of(halve_cf(halve_cf(cf))) > C):
             continue
         if C == 3 and key_of_cf(cf) == KEY_311:
-            k_exit, b_exit = _exit_b_from_311(cf, 2)
+            k_exit, b_exit = _exit_b_from_311(cf)
             whitelisted.append(WhitelistHit(cf, k_exit, b_exit))
         else:
             counterexamples.append(cf)

@@ -59,8 +59,8 @@ discriminant 4D/g**2, so only g = 2m gives d = 1 (mod 8), and then
 D = m*m*d and (P/m, Q/m) is a state of content 2 at d.  So a class of
 discriminant d has the states (m*P, m*Q) at D = m*m*d, one per state (P, Q)
 at d, and the least such D >= d_min holds its least Q: if none is <= q_max
-there, none is at a larger m.  So the scan lists each d = 1 (mod 8), with m
-least for m*m*d >= d_min and m*m*d in the window (_walked_discriminants),
+there, none is at a larger m.  So the scan lists each d = 1 (mod 8) at its
+least m with m*m*d >= d_min, if m*m*d <= d_max (_walked_discriminants),
 and for each passing d walks the states of content 2 at d with
 Q <= q_max // m, and reports each class at m*m*d as its least (m*P, m*Q)
 with m*Q <= q_max.
@@ -266,25 +266,25 @@ def _root_table(q_hi: int) -> dict[int, list[tuple[int, ...]]]:
     return roots
 
 
-def _walked_discriminants(ds: range, d_min: int) -> list[tuple[int, int]]:
-    """(d, m) for each d = 1 (mod 8), d >= 17, with m*m*d in ds and m least with
-    m*m*d >= d_min: per m with 17*m*m <= max(ds), the d in [min(ds), max(ds)] / m**2,
-    for m >= 2 those with (m-1)**2 * d < d_min.  Squares and failing d are left
+def _walked_discriminants(ds: range) -> list[tuple[int, int]]:
+    """(d, m) for each d = 1 (mod 8), d >= 17, with m least for m*m*d >= min(ds), if
+    m*m*d <= max(ds): per m with 17*m*m <= max(ds), the d in [min(ds), max(ds)] / m**2,
+    for m >= 2 those with (m-1)**2 * d < min(ds).  Squares and failing d are left
     in; `_scan_range` drops them."""
     lo, hi = ds.start, ds.stop - 1
     listing: list[tuple[int, int]] = []
     for m in range(1, isqrt(hi // 17) + 1):
         d0 = max(17, -(-lo // (m * m)))
-        d1 = hi // (m * m) if m == 1 else min(hi // (m * m), (d_min - 1) // (m - 1) ** 2)
+        d1 = hi // (m * m) if m == 1 else min(hi // (m * m), (lo - 1) // (m - 1) ** 2)
         listing += ((d, m) for d in range(d0 + (1 - d0) % 8, d1 + 1, 8))
     return listing
 
 
-def _scan_range(args) -> list[ScanHit]:
+def _scan_range(listing, q_max: int, roots: dict) -> list[ScanHit]:
     """The hits of each listed (d, m) whose nonsquare d passes, from the root table `roots`.
 
-    `listing` may be an iterator, read one (d, m) at a time."""
-    listing, q_max, roots = args
+    `listing` may be an iterator, read one (d, m) at a time, as a worker's
+    share from `pool.pmap` is."""
     hits: list[ScanHit] = []
     # each d is reported at D = m*m*d as (m*P, m*Q)
     for d, m in listing:
@@ -320,10 +320,10 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     purely periodic state at D with 1 <= Q <= q_max that were not met at a
     smaller D of the range, and where some member is equivalent to both of
     its halvings, one verdict per class discriminant d (module docstring).
-    The caller lists the candidate (d, m) of the window
-    (`_walked_discriminants`) and builds the one root table; the
-    n = `pool.workers(jobs, ...)` workers, one per core at jobs=None, pull
-    the listing in chunks (`pool.pmap`).  Output is sorted by (D, Q, P), for
+    The caller lists the candidate (d, m) (`_walked_discriminants`) and
+    builds the one root table; the n = `pool.workers(jobs, ...)` workers,
+    one per core at jobs=None, pull the listing in chunks (`pool.pmap`) and
+    scan what they take (`_scan_range`).  Output is sorted by (D, Q, P), for
     any job count.
     """
     if q_max < 1:
@@ -331,8 +331,8 @@ def scan_self_similar(d_max: int, q_max: int, d_min: int = 2,
     if d_max < max(2, d_min):
         raise ValueError("d_max must be >= max(2, d_min)")
     ds = range(max(2, d_min), d_max + 1)
-    listing = _walked_discriminants(ds, ds.start)
+    listing = _walked_discriminants(ds)
     roots = _root_table(min(q_max, 2 * isqrt(d_max)))
-    shares = pmap(lambda share: _scan_range((share, q_max, roots)), listing,
+    shares = pmap(lambda share: _scan_range(share, q_max, roots), listing,
                   workers(jobs, len(listing)))
     return sorted(itertools.chain.from_iterable(shares), key=lambda h: (h.D, h.Q, h.P))

@@ -282,19 +282,18 @@ def _expand(node, C: int, tables, memo: dict, shared: dict, level: list, collect
     return K, survivors
 
 
-def _walk(args):
+def _walk(roots, C: int, max_depth: int | None, collect: bool, tables, memo: dict, shared: dict):
     """Depth-first exclusion below each root of a share, with one memo for the share.
 
     A root is a node (word, fold, states) as `_expand` returns it.  `roots`
     may be an iterator, read one root at a time: each root is walked to the
     end before the next is taken, so roots pulled from `pool.pmap` go to
     whichever worker is free.  `memo` and `shared`, which `_expand` fills,
-    serve every root of the share.  Returns (levels, K, cut):
-    levels[n] = [frontier, excluded, witnesses] at depth n + 3, each depth's
-    witnesses sorted by prefix, the largest witness k, and whether
-    max_depth cut off a surviving prefix.
+    serve every root of the share; `run` passes each worker empty ones.
+    Returns (levels, K, cut): levels[n] = [frontier, excluded, witnesses] at
+    depth n + 3, each depth's witnesses sorted by prefix, the largest witness
+    k, and whether max_depth cut off a surviving prefix.
     """
-    roots, C, max_depth, collect, tables, memo, shared = args
     levels: list[list] = []
     K, cut = 0, False
     for root in roots:
@@ -344,7 +343,7 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
         K = max(K, k)
         roots += survivors
     roots.sort()
-    parts = pmap(lambda share: _walk((share, C, max_depth, collect_witnesses, tables, {}, {})),
+    parts = pmap(lambda share: _walk(share, C, max_depth, collect_witnesses, tables, {}, {}),
                  roots, workers(jobs, len(roots)))
     cut = False
     for part, k, below in parts:

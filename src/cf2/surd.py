@@ -72,7 +72,7 @@ class QuadraticSurd:
         return s if self.Q > 0 else -s
 
     def floor(self) -> int:
-        return _floor_pdq(self.P, self.D, self.Q)
+        return _floor_pdq(self.P, self.Q, isqrt(self.D))
 
     def digits(self) -> Iterator[int]:
         """Yield the continued-fraction digits, a0 first, endlessly."""
@@ -83,10 +83,8 @@ class QuadraticSurd:
         return f"({self.P} + sqrt({self.D}))/{self.Q}"
 
 
-def _floor_pdq(P: int, D: int, Q: int, r: int | None = None) -> int:
-    """floor((P + sqrt(D))/Q); the numerator lies strictly inside (P+r, P+r+1)."""
-    if r is None:
-        r = isqrt(D)
+def _floor_pdq(P: int, Q: int, r: int) -> int:
+    """floor((P + sqrt(D))/Q) for r = isqrt(D); the numerator lies strictly inside (P+r, P+r+1)."""
     if Q > 0:
         return (P + r) // Q
     return -((P + r) // (-Q)) - 1
@@ -137,7 +135,7 @@ def mul_pow2(s: QuadraticSurd, k: int) -> QuadraticSurd:
 def _quotients(P: int, D: int, Q: int, r: int) -> Iterator[tuple[int, int, int]]:
     """Endless (P, Q, a): each complete quotient (P + sqrt(D))/Q and its floor a."""
     while True:
-        a = _floor_pdq(P, D, Q, r)
+        a = _floor_pdq(P, Q, r)
         yield P, Q, a
         P = a * Q - P
         Q = (D - P * P) // Q

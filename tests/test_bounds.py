@@ -163,7 +163,7 @@ def _falsify_reference(C, period_len_max, preperiod_len_max=2):
             if max(halve_cf(h1).period) > C:
                 continue
             if C == 3 and key_of_cf(cf) == bounds.KEY_311:
-                k_exit, b_exit = bounds._exit_b_from_311(cf, 2)
+                k_exit, b_exit = bounds._exit_b_from_311(cf)
                 whitelisted.append(WhitelistHit(cf, k_exit, b_exit))
             else:
                 counterexamples.append(cf)

@@ -793,8 +793,8 @@ def test_scaled_discriminants_list_each_e_at_its_least_m(d_min, windows, count):
     listed = 0
     for lo, hi in windows:
         ds = range(lo, hi + 1)
-        scaled = [(d, m) for d, m in cf2.equiv._walked_discriminants(ds, d_min)
-                  if isqrt(d) ** 2 != d and passes(d)]
+        scaled = [(d, m) for d, m in cf2.equiv._walked_discriminants(range(d_min, hi + 1))
+                  if m * m * d >= lo and isqrt(d) ** 2 != d and passes(d)]
         assert sorted(scaled) == sorted(_scaled_by_division(ds, d_min, passes)), (lo, hi)
         for e in range(17, d_min, 8):
             if isqrt(e) ** 2 == e or not passes(e):
@@ -821,10 +821,10 @@ def test_scan_decides_each_d_once_per_pass(monkeypatch, d_max, q_max, d_min, cou
     scan_self_similar(d_max, q_max, d_min=d_min, jobs=1)  # counted in this process
     assert len(verdicts) == len(set(verdicts)) == count
     verdicts.clear()
-    listing = cf2.equiv._walked_discriminants(range(d_min, d_max + 1), d_min)
+    listing = cf2.equiv._walked_discriminants(range(d_min, d_max + 1))
     roots = cf2.equiv._root_table(min(q_max, 2 * isqrt(d_max)))
     for i in range(2):
-        cf2.equiv._scan_range((listing[i::2], q_max, roots))
+        cf2.equiv._scan_range(listing[i::2], q_max, roots)
     assert len(verdicts) == len(set(verdicts)) == count
 
 

@@ -78,7 +78,7 @@ def test_huge_jobs_is_clamped_to_cores_and_tasks(monkeypatch, cores):
         monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: cores)
     limit = os.cpu_count() or 1
     roots = _roots(3)
-    listed = len(cf2.equiv._walked_discriminants(range(2, 401), 2))
+    listed = len(cf2.equiv._walked_discriminants(range(2, 401)))
     calls.clear()
     assert run(3, jobs=100_000) == run(3, jobs=1)
     assert scan_self_similar(400, 30, jobs=100_000) == scan_self_similar(400, 30, jobs=1)
@@ -100,7 +100,7 @@ def test_results_do_not_depend_on_the_worker_count(C, max_depth, collect, d_min,
         # one share per worker: the search shares out its depth-2 roots, of which
         # C = 1 has one, and the scan the candidate (d, m) its window lists
         roots = _roots(C)
-        listed = len(cf2.equiv._walked_discriminants(range(d_min, d_min + span + 1), d_min))
+        listed = len(cf2.equiv._walked_discriminants(range(d_min, d_min + span + 1)))
         for jobs in (2, 3, 8, None):
             calls.clear()
             assert run(C, max_depth=max_depth, jobs=jobs, collect_witnesses=collect) == searched
@@ -114,7 +114,7 @@ def test_default_jobs_is_one_share_per_core_for_both_walks(monkeypatch):
     whatever C, max_depth or window: no rule of its own decides either count."""
     calls = _inline_pmap(monkeypatch)
     monkeypatch.setattr(cf2.pool.os, "cpu_count", lambda: 3)
-    listing = cf2.equiv._walked_discriminants(range(2, 2001), 2)
+    listing = cf2.equiv._walked_discriminants(range(2, 2001))
     for C, max_depth in ((3, None), (12, 3), (9, 5)):
         roots = _roots(C)
         calls.clear()
@@ -146,10 +146,10 @@ def test_search_keeps_one_memo_per_worker(monkeypatch, tmp_path):
     memos, scans = [], []
     walk, scan = cf2.search._walk, cf2.search._scan
 
-    def counted_walk(args):  # each worker writes its walks' scans to a file named by its pid
-        before = len(scans)
-        memos.append(args[5])
-        out = walk(args)
+    def counted_walk(roots, C, max_depth, collect, tables, memo, shared):
+        before = len(scans)  # each worker writes its walks' scans to a file named by its pid
+        memos.append(memo)
+        out = walk(roots, C, max_depth, collect, tables, memo, shared)
         with open(tmp_path / str(os.getpid()), "a") as log:
             log.write(f"{len(scans) - before}\n")
         return out
@@ -252,7 +252,8 @@ def test_scan_builds_one_root_table_per_call(monkeypatch):
     shared = []
     scan_range = cf2.equiv._scan_range
     monkeypatch.setattr(cf2.equiv, "_scan_range",
-                        lambda args: shared.append(args[2]) or scan_range(args))
+                        lambda listing, q_max, roots:
+                        shared.append(roots) or scan_range(listing, q_max, roots))
     serial = scan_self_similar(3000, 40, d_min=1000, jobs=1)
     for jobs in (2, None):
         tables.clear()
@@ -271,15 +272,15 @@ def test_scan_pulls_its_listing_into_disjoint_shares(monkeypatch, tmp_path):
     serial = scan_self_similar(d_max, q_max, d_min=d_min, jobs=1)
     scan_range = cf2.equiv._scan_range
 
-    def recorded(args):  # each worker writes the (d, m) it took to a file named by its pid
-        taken = []
-        hits = scan_range(((taken.append(item) or item for item in args[0]), *args[1:]))
+    def recorded(listing, q_max, roots):
+        taken = []  # each worker writes the (d, m) it took to a file named by its pid
+        hits = scan_range((taken.append(item) or item for item in listing), q_max, roots)
         (tmp_path / str(os.getpid())).write_text(repr(taken))
         return hits
 
     monkeypatch.setattr(cf2.equiv, "_scan_range", recorded)
     assert scan_self_similar(d_max, q_max, d_min=d_min, jobs=2) == serial
-    listing = cf2.equiv._walked_discriminants(range(d_min, d_max + 1), d_min)
+    listing = cf2.equiv._walked_discriminants(range(d_min, d_max + 1))
     assert len(listing) == 1029
     mine, theirs = (ast.literal_eval(path.read_text()) for path in tmp_path.iterdir())
     assert not set(mine) & set(theirs)

@@ -427,7 +427,8 @@ def test_memo_keys_are_resumed_states_of_small_k():
     roots = [root for d1 in range(1, C + 1) for root in
              _expand(((d1,), fold_word((0, d1)), []), C, tables, {}, {}, [0, 0, []], False)[1]]
     memo, shared = {}, {}
-    levels, K, cut = _walk((roots, C, None, False, tables, memo, shared))
+    levels, K, cut = _walk(roots, C, max_depth=None, collect=False, tables=tables, memo=memo,
+                          shared=shared)
     report = run(C, jobs=1)  # one share of every root is the serial walk below depth 2
     assert [DepthStats(n + 3, f, e) for n, (f, e, _) in enumerate(levels)] == report.depths[1:]
     assert K <= report.K and cut is not report.terminated
