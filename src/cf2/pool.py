@@ -5,8 +5,10 @@ counts the caller as one; each worker reads one record at a time and takes
 its items until the pipe reads empty, so a worker that is free takes the
 next items in listing order (self-scheduling, Polychronopoulos and Kuck,
 IEEE Trans. Comput. 36, 1987).  A child inherits the listing and sends back
-its pickled result or exception through a pipe of its own.  The library
-starts no threads, so forking is safe.
+its pickled result or exception through a pipe of its own, and the caller
+reaps each child once it has read that pipe; only a map that fails kills
+the children it has not read.  The library starts no threads, so forking
+is safe.
 """
 
 from __future__ import annotations
@@ -36,17 +38,17 @@ def pmap(fn, items: list, n: int) -> list:
     listing before it forks and never blocks, and each read of one record,
     from a pipe whose writing is done, returns the whole record.
 
-    A child's exception is raised again here, a child that exits without a
-    result raises RuntimeError, and any exception kills and reaps every child.
-    Children are read as they finish, so one that fails is not left waiting
-    behind a sibling still at work.
+    A child's exception is raised again here, and a child that exits without
+    a result raises RuntimeError.  Children are read as they finish, so one
+    that fails is not left waiting behind a sibling still at work, and each
+    is reaped once read; any exception kills and reaps the children not yet
+    read, and a map that succeeds kills none.
     """
     if n == 1:
         return [fn(iter(items))]
     import pickle  # here, not at the top: only a call that forks reads them
     import select
-    import signal
-    caller, children = os.getpid(), []  # (pid, read end of its result pipe)
+    caller, children = os.getpid(), {}  # read end of each unread child's result pipe: its pid
     listing, w = os.pipe()
     try:
         try:
@@ -72,28 +74,27 @@ def pmap(fn, items: list, n: int) -> list:
                     pipe.write(pickle.dumps(out))
                 os._exit(0)
             os.close(w)
-            children.append((pid, open(r, "rb")))
+            children[open(r, "rb")] = pid
         results = [fn(share())]
-        pending = list(children)
-        while pending:
-            ready = select.select([pipe for _, pipe in pending], [], [])[0]
-            pid, pipe = child = next(child for child in pending if child[1] is ready[0])
-            pending.remove(child)
-            if not (data := pipe.read()):
-                pipe.close()
-                children.remove(child)  # reaped here, not below
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        while children:
+            pipe = select.select(list(children), [], [])[0][0]
+            data = pipe.read()  # to the end, which the child writes as it exits
+            pipe.close()
+            pid = children.pop(pipe)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if not data:
                 raise RuntimeError(f"worker {pid} exited with status {status} and no result")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
             results.append(value)
         return results
-    finally:  # every child is reaped here: a child that has sent its result is exiting
+    finally:
         if os.getpid() != caller:
             os._exit(1)
         os.close(listing)
-        for pid, pipe in children:
+        for pipe, pid in children.items():  # the unread ones: only a map that fails has any
+            import signal  # here, so a map that succeeds does not load it
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -291,8 +291,8 @@ def _walk(roots, C: int, max_depth: int | None, collect: bool, tables, memo: dic
     whichever worker is free.  `memo` and `shared`, which `_expand` fills,
     serve every root of the share; `run` passes each worker empty ones.
     Returns (levels, K, cut): levels[n] = [frontier, excluded, witnesses] at
-    depth n + 3, each depth's witnesses sorted by prefix, the largest witness
-    k, and whether max_depth cut off a surviving prefix.
+    depth n + 3, each depth's witnesses in the order walked, the largest
+    witness k, and whether max_depth cut off a surviving prefix.
     """
     levels: list[list] = []
     K, cut = 0, False
@@ -309,8 +309,6 @@ def _walk(roots, C: int, max_depth: int | None, collect: bool, tables, memo: dic
             k, survivors = _expand(node, C, tables, memo, shared, levels[n], collect)
             K = max(K, k)
             stack.extend(survivors)
-    for level in levels:  # in the worker, so `run` only merges sorted runs
-        level[2].sort()
     return levels, K, cut
 
 
@@ -323,10 +321,10 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
     roots, are sorted by prefix, which puts the largest early, and pulled
     one at a time by the n = `pool.workers(jobs, ...)` workers, one per core
     at jobs=None, each keeping one memo over the roots it takes (`_walk`).
-    Counts are summed and the shares' sorted witnesses merged, so the report
-    is that of a breadth-first search in lexicographic order for any worker
-    count; a lone share's witnesses are taken as they are.  The k loop ends
-    by itself, so `max_depth` is the one budget.
+    Counts are summed and each depth's witnesses, merged from the shares,
+    sorted once by prefix, so the report is that of a breadth-first search
+    in lexicographic order for any worker count.  The k loop ends by itself,
+    so `max_depth` is the one budget.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
@@ -355,9 +353,7 @@ def run(C: int, max_depth: int | None = None, jobs: int | None = None,
                 levels[m] = [a + b for a, b in zip(levels[m], level)]
     depths = [DepthStats(m + 2, frontier, excluded)
               for m, (frontier, excluded, _) in enumerate(levels)]
-    witnesses = sorted(levels[0][2])  # the depth-2 row, in the order decided
-    for _, _, found in levels[1:]:  # one share's are sorted already
-        witnesses += found if len(parts) == 1 else sorted(found)
+    witnesses = [w for _, _, found in levels for w in sorted(found)]  # depth by depth
     return SearchReport(C, not cut, K, depths, time.monotonic() - start, witnesses)
 
 

@@ -1,6 +1,7 @@
 import ast
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -367,3 +368,43 @@ def test_an_interrupt_in_the_caller_kills_every_child():
         pmap(sleep_in_children, [0, 1, 2], 3)
     assert time.perf_counter() - start < 10
     assert _no_children()
+
+
+def test_a_map_kills_only_the_children_it_has_not_read(monkeypatch):
+    """A map that succeeds reaps each child as it reads its result and kills none;
+    one whose caller raises in its own share kills each child, none of them read."""
+    kills = []
+    kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append((pid, sig)) or kill(pid, sig))
+    for n in (2, 3):
+        assert sorted(sum(pmap(_ints, ["1", "2", "3"], n), [])) == [1, 2, 3]
+        assert kills == []
+        assert _no_children()
+    caller = os.getpid()
+
+    def fail_in_caller(share):
+        if os.getpid() != caller:
+            time.sleep(30)  # killed, or the test takes 30 s
+        raise ValueError("the caller's share failed")
+
+    with pytest.raises(ValueError, match="the caller's share failed"):
+        pmap(fail_in_caller, [0, 1, 2], 3)
+    assert len({pid for pid, _ in kills}) == len(kills) == 2
+    assert all(sig == signal.SIGKILL for _, sig in kills)
+    assert _no_children()
+
+
+def test_only_a_map_that_fails_loads_signal():
+    """`import cf2` loads none of pickle, select and signal; the first map that forks
+    loads pickle and select, and signal only where it must kill unread children."""
+    script = ("import sys\n"
+              "import cf2\n"
+              "names = 'pickle', 'select', 'signal'\n"
+              "print(*(name in sys.modules for name in names))\n"
+              "from cf2.pool import pmap\n"
+              "pmap(list, [0, 1], 2)\n"
+              "print(*(name in sys.modules for name in names))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False False False", "True True False"]
