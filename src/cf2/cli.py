@@ -229,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         # Python flushes stdout again at exit; send that flush to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return VERIFY_ERROR
-    except ValueError as exc:  # literal and domain errors, e.g. halving a negative value
+    except ValueError as exc:  # literal and domain errors, e.g. halving a negative periodic value
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except KeyboardInterrupt:

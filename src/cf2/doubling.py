@@ -153,22 +153,23 @@ def double_cf(cf: CF) -> CF:
 
 
 def _halve(cf: CF, plus: int) -> CF:
-    """(x + plus)/2 = 1/(2 * (1/(x + plus))) for x > 0, canonicalizing only the result."""
+    """(x + plus)/2: a finite x of any sign by exact rationals, a periodic x > 0 as
+    1/(2 * (1/(x + plus))), canonicalizing only the result."""
     if cf.is_finite:
         return cf_of_rational((eval_finite(cf) + plus) / 2)
     if cf.a0 < 0:
-        raise ValueError("halving is defined here only for positive values")
+        raise ValueError("halving a periodic value is defined here only for positive values")
     return _canonical_cf(*_reciprocal_digits(*_double_periodic(
         *_reciprocal_digits(cf.a0 + plus, cf.pre, cf.period))))
 
 
 def halve_cf(cf: CF) -> CF:
-    """Exact continued fraction of x/2; requires x > 0."""
+    """Exact continued fraction of x/2; a periodic x must be positive."""
     return _halve(cf, 0)
 
 
 def halve_plus1_cf(cf: CF) -> CF:
-    """Exact continued fraction of (x+1)/2; requires x > 0."""
+    """Exact continued fraction of (x+1)/2; a periodic x must be positive."""
     return _halve(cf, 1)
 
 

@@ -422,8 +422,9 @@ def witness_q(s: QuadraticSurd, threshold: Fraction = Fraction(1, 15),
     reading the body digits of each 2^k s up to the one that closes its cycle
     or up to _WITNESS_DIGIT_CAP of them, then moving on to k + 1;
     with a_n(2^k s) >= 1/threshold the integer q = 2^k q_{n-1} works.  The
-    product is verified by exact surd arithmetic and the returned value is
-    a certified rational upper bound that is itself below the threshold.
+    product u * ||q*s||, u the odd part of q, is one exact map of s read off
+    floor(2*q*s); the returned value is a certified rational upper bound on
+    it that is itself below the threshold.
     """
     if k_cap < 0:
         raise ValueError("k_cap must be >= 0")
@@ -436,13 +437,10 @@ def witness_q(s: QuadraticSurd, threshold: Fraction = Fraction(1, 15),
         if hit is not None:
             n, qm1 = hit
             q = (1 << k) * qm1
-            v = two_adic_valuation(q)
-            t = linear_fractional(s, q, 0, 0, 1)  # q*s
-            m = t.floor()
-            frac = linear_fractional(t, 1, -m, 0, 1)  # in (0, 1)
-            if frac.cmp(Fraction(1, 2)) > 0:
-                frac = linear_fractional(frac, -1, 1, 0, 1)  # 1 - frac
-            product = linear_fractional(frac, q, 0, 0, 1 << v)
+            u = q >> two_adic_valuation(q)  # q * |q|_2, the odd part of q
+            h = linear_fractional(s, 2 * q, 0, 0, 1).floor()  # floor(2*q*s)
+            nearest, sign = (h + 1) // 2, 1 - 2 * (h & 1)  # q*s rounds down (+1) or up (-1)
+            product = linear_fractional(s, sign * u * q, -sign * u * nearest, 0, 1)
             if product.cmp(threshold) >= 0:
                 raise RuntimeError("product is not below the threshold")
             value = _rational_upper_bound(product, threshold)

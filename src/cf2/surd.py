@@ -121,12 +121,8 @@ def halve_plus1_surd(s: QuadraticSurd) -> QuadraticSurd:
 
 
 def mul_pow2(s: QuadraticSurd, k: int) -> QuadraticSurd:
-    """2**k * s (k may be negative for halving)."""
-    for _ in range(k):
-        s = double_surd(s)
-    for _ in range(-k):
-        s = halve_surd(s)
-    return s
+    """2**k * s for k >= 0."""
+    return linear_fractional(s, 1 << k, 0, 0, 1)
 
 
 # -- expansion -------------------------------------------------------------

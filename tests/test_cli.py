@@ -51,6 +51,12 @@ def test_halve_variants(capsys):
     assert out.strip() == "[2; (3, 1, 1)]"
 
 
+def test_halving_a_finite_negative_value(capsys):
+    """Only a periodic input must be positive: a finite one of any sign halves exactly."""
+    assert run_cli(capsys, "halve", "[-1]") == (0, "[-1; 2]\n", "")
+    assert run_cli(capsys, "halve1", "[-3; 2]") == (0, "[-1; 4]\n", "")
+
+
 def test_trio(capsys):
     code, out, _ = run_cli(capsys, "trio", "[(3; 1, 1)]")
     assert code == 0

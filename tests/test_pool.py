@@ -353,6 +353,26 @@ def test_a_child_that_dies_without_a_result_raises():
     assert _no_children()
 
 
+def test_a_child_whose_result_cannot_be_pickled_raises():
+    """A child whose result or exception cannot be pickled leaves through pmap's
+    guard, `os._exit(1)`: the caller raises for status 1 and no result, and
+    reaps it."""
+    caller = os.getpid()
+
+    def unpicklable_result(share):
+        return [lambda: 0] if os.getpid() != caller else []
+
+    def unpicklable_exception(share):
+        if os.getpid() != caller:
+            raise ValueError(lambda: 0)
+        return []
+
+    for fn in (unpicklable_result, unpicklable_exception):
+        with pytest.raises(RuntimeError, match="status 1 and no result"):
+            pmap(fn, [0, 1], 2)
+        assert _no_children()
+
+
 def test_an_interrupt_in_the_caller_kills_every_child():
     """A KeyboardInterrupt in the caller's own share ends pmap at once, with both
     children, each 30 s from its result, killed and reaped."""

@@ -19,7 +19,7 @@ def test_search_digest_does_not_depend_on_the_worker_count():
 
 def test_every_set_has_its_own_name():
     names = [name for name, _, _ in result_digests.result_sets()]
-    assert len(names) == len(set(names)) == 3 * 7 + 3 * 10 + 5 + 1 + 3
+    assert len(names) == len(set(names)) == 3 * 7 + 3 * 10 + 5 + 1 + 3 + 2 + 1 + 1
     assert names[0] == "run(3,None,jobs=1)"
 
 

@@ -147,6 +147,19 @@ def test_period_budget_bounds_a_cycle_with_no_reflection(monkeypatch):
         _cycle(P, Q, D, isqrt(D), [])
 
 
+def test_period_budget_bounds_the_second_reflection(monkeypatch):
+    """(5, 3) is its own mirror image (Q_{-1} = Q_0), so the first reflection is
+    m1 = 0 and the period is read at the second, m2 = 6: past a budget of 5."""
+    P, Q, D = 5, 3, 34
+    digits = _plain_cycle(P, Q, D, isqrt(D))[0]
+    assert digits == [3, 1, 1, 1, 1, 3] and (D - P * P) // Q == Q
+    monkeypatch.setattr(cf2.surd, "_PERIOD_BUDGET", 6)
+    assert _cycle(P, Q, D, isqrt(D)) == digits
+    monkeypatch.setattr(cf2.surd, "_PERIOD_BUDGET", 5)
+    with pytest.raises(ValueError, match="budget of 5 digits"):
+        _cycle(P, Q, D, isqrt(D))
+
+
 def _plain_cycle(P, Q, D, r):
     """Digits and states of the cycle of the reduced state (P, Q), one step per digit."""
     digits, states, start = [], [], (P, Q)

@@ -11,7 +11,12 @@ It prints one `name sha256` line per set, in a fixed order:
 - `str()` of `expand_surd`, `halve_cf` and `halve_plus1_cf` over the oracle
   surds of the benchmark's seeds, drawn by `perfbench/workloads.py`'s
   `random_surd`;
-- `verify_b2_exhaustive(12, 6)` and three `falsify_b_bound` runs.
+- `verify_b2_exhaustive(12, 6)` and three `falsify_b_bound` runs;
+- the answers of `cf2 witness`, `cf2 chain` and `cf2 trio`: `witness_q` over
+  the oracle surds of seed 9011 at two thresholds (q, value, k and n of each
+  witness), `build_chain(family_member(m), 12)` for odd m from 3 to 21 (beta
+  and the class keys), and `trio` at `n_max = 40` on a few literals (the
+  three expansions and the window cases).
 
 cf2 is imported from this checkout's src/.  Run it in two checkouts and
 diff the outputs; a line that differs names a set whose answers moved.
@@ -22,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +35,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import cf2  # noqa: E402
 import workloads  # noqa: E402
+from cf2.doubling import trio  # noqa: E402
+from cf2.equiv import build_chain, family_member  # noqa: E402
+from cf2.surd import surd_of_periodic_cf  # noqa: E402
 
 SEARCHES = ((3, None), (5, 6), (7, None), (9, None), (10, 5), (12, 3), (12, 5))
 SCANS = ((10**4, 200, 2), (20000, 50, 5000), (600, 20, 100), (4000, 40, 1000),
@@ -37,6 +46,9 @@ SCANS = ((10**4, 200, 2), (20000, 50, 5000), (600, 20, 100), (4000, 40, 1000),
 JOBS = (1, 2, None)
 ORACLE_SEEDS = (9011, 1, 2, 3, 4)
 FALSIFIERS = ((2, 8), (3, 8), (4, 8, 1))
+WITNESS_THRESHOLDS = (Fraction(1, 15), Fraction(1, 1000))  # over the surds of ORACLE_SEEDS[0]
+CHAIN_MS = range(3, 22, 2)
+TRIO_CFS = ("[(1)]", "[(2)]", "[0; (1, 2)]", "[(3; 1, 1)]", "[3; 1, (2, 5)]", "[1; 2, (1, 1, 4)]")
 
 
 def search_lines(C: int, max_depth: int | None, jobs: int | None) -> list[str]:
@@ -68,6 +80,33 @@ def falsify_lines(*args: int) -> list[str]:
         json.dumps(hit) for hit in workloads.whitelist_result(result)]
 
 
+def witness_lines(seed: int, threshold: Fraction) -> list[str]:
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(workloads.ORACLE_SURDS):
+        w = cf2.witness_q(workloads.random_surd(rng), threshold)
+        lines.append(f"{w.q} {w.value} {w.k} {w.n}")
+    return lines
+
+
+def chain_lines(K: int) -> list[str]:
+    lines = []
+    for m in CHAIN_MS:
+        result = build_chain(family_member(m), K)
+        lines += [str(result.beta), *map(str, result.checks)]
+    return lines
+
+
+def trio_lines(n_max: int) -> list[str]:
+    lines = []
+    for literal in TRIO_CFS:
+        result = trio(surd_of_periodic_cf(cf2.parse_cf(literal)), n_max)
+        lines += [str(result.double), str(result.half), str(result.half_plus1)]
+        lines += [f"n={n}: " + " ".join(case.name for case in result.cases[n])
+                  for n in sorted(result.cases)]
+    return lines
+
+
 def result_sets():
     """(name, lines, args) for every set in print order; `lines(*args)` lists the set."""
     for C, depth in SEARCHES:
@@ -82,6 +121,11 @@ def result_sets():
     yield "verify_b2_exhaustive(12,6)", verify_b2_lines, ()
     for args in FALSIFIERS:
         yield f"falsify_b_bound({','.join(map(str, args))})", falsify_lines, args
+    for threshold in WITNESS_THRESHOLDS:
+        yield (f"witness_q(seed={ORACLE_SEEDS[0]},threshold={threshold})", witness_lines,
+               (ORACLE_SEEDS[0], threshold))
+    yield f"build_chain(family_member({CHAIN_MS.start}..{CHAIN_MS.stop - 1}),12)", chain_lines, (12,)
+    yield "trio(n_max=40)", trio_lines, (40,)
 
 
 def main() -> int:
