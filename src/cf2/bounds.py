@@ -14,7 +14,13 @@ row (q_n : q_{n-1}) of M mod 2: (0 : 1), (1 : 0) and (1 : 1) in turn.  By
 Serret's theorem 2x therefore has the tail of 2y, y/2 or (y+1)/2 in turn,
 so B(2x) depends only on (necklace, that row).  B(x/2) depends in the
 same way on the row (p_n : p_{n-1}): x/2 has the tail of 2/x = diag(2, 1).M'.y,
-M' the row swap of M.  So one table from (necklace, row) to B serves both.
+M' the row swap of M.  So B of the three images of y serves both.
+
+The checks walk the classes, not the words.  Duval's generator lists the
+necklaces directly, as the Lyndon words N up to the length bound; the
+words of N are its rotations N[i:] + N[:i] and their powers, and the digits
+of a rotation before its rotation start are N[i:], none for i = 0.  So
+each necklace is decided before any of its words is listed.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .cf import CF, Digits, _canonical_cf, fold_word, primitive_word, rotation_start
-from .doubling import _double_periodic, double_cf, halve_cf
+from .cf import CF, Digits, _canonical_cf, fold_word
+from .doubling import _double_periodic, double_cf, halve_cf, halve_plus1_cf
 from .equiv import ClassKey, key_of_cf
 from .surd import QuadraticSurd, expand_surd
 
@@ -89,7 +95,6 @@ def _words(alphabet: Iterable[int], max_len: int) -> Iterator[tuple[int, ...]]:
 
 _Row = tuple[int, int]
 _Mod2 = tuple[_Row, _Row]  # [[p_n, p_{n-1}], [q_n, q_{n-1}]] mod 2, by rows
-_ROWS: tuple[_Row, ...] = ((0, 1), (1, 0), (1, 1))  # the rows of GL2(F2) matrices
 
 
 def _mod2(word: Digits) -> _Mod2:
@@ -104,36 +109,80 @@ def _row_times(row: _Row, m: _Mod2) -> _Row:
     return (u & a) ^ (v & c), (u & b) ^ (v & d)
 
 
-def _necklace(word: Digits) -> tuple[Digits, _Mod2]:
-    """Least rotation of the primitive root of `word`, and the matrix mod 2 of the digits before it."""
-    root = primitive_word(word)
-    start = rotation_start(root)
-    return root[start:] + root[:start], _mod2(root[:start])
+def _lyndon_words(alphabet: Iterable[int], max_len: int) -> Iterator[Digits]:
+    """The Lyndon words of length at most `max_len` over an ascending `alphabet`, in lexicographic order.
+
+    Duval's generator (J. Algorithms 4, 1983): repeat the last word up to
+    `max_len`, drop its trailing largest letters and step the last letter
+    left.  A Lyndon word is the least rotation of a primitive word, so these
+    are the necklaces, each once.
+    """
+    alphabet = tuple(alphabet)
+    last = len(alphabet) - 1
+    w = [-1]
+    while w:
+        w[-1] += 1
+        yield tuple(alphabet[i] for i in w)
+        n = len(w)
+        while len(w) < max_len:
+            w.append(w[-n])
+        while w and w[-1] == last:
+            w.pop()
 
 
-def _flagged_inputs(words: Iterable[Digits], pres: list[Digits],
-                    flagged: Callable[[Digits, Digits, Digits, _Row, _Row], bool]
-                    ) -> Iterator[CF]:
-    """The inputs CF(0, pre, word) whose class `flagged` marks, in enumeration order.
+def _rotations_mod2(necklace: Digits) -> list[_Mod2]:
+    """For each i, the matrix mod 2 of the digits of necklace[i:] + necklace[:i] before its rotation start.
 
-    The preperiods fall into at most 6 buckets, one per matrix mod 2 of
-    (0, *pre); a bucket and a word fix both rows of M mod 2.  So `flagged`
-    is asked once per (word, bucket), with the bucket's first preperiod and
-    the class rows: flagged(word, pre, necklace, (p_n, p_{n-1}), (q_n, q_{n-1})).
+    Those digits are necklace[i:] for i >= 1 and none for i = 0, so one
+    running product from the right gives every rotation's matrix.
+    """
+    mats = [((1, 0), (0, 1))] * len(necklace)
+    a, b, c, d = 1, 0, 0, 1
+    for i in range(len(necklace) - 1, 0, -1):
+        x = necklace[i] & 1
+        a, b, c, d = (x & a) ^ c, (x & b) ^ d, a, b
+        mats[i] = (a, b), (c, d)
+    return mats
+
+
+_Flagged = Callable[[Digits, Digits, _Row, _Row], bool]
+
+
+def _flagged_inputs(necklaces: Iterable[Digits], max_len: int, pres: list[Digits],
+                    classes: Callable[[Digits], _Flagged | None]) -> list[CF]:
+    """The inputs CF(0, pre, word), len(word) <= max_len, whose class is flagged, in enumeration order.
+
+    The words of a necklace are its rotations and their powers.
+    `classes(necklace)` returns None when it flags none of the necklace's
+    classes, and otherwise flagged(pre, word, (p_n, p_{n-1}), (q_n, q_{n-1})),
+    asked with the class rows and one input of the class.  The preperiods
+    fall into at most 6 buckets, one per matrix mod 2 of (0, *pre); a bucket
+    and a rotation fix both rows of M mod 2, so `flagged` is asked once per
+    (rotation, bucket), with the bucket's first preperiod.  The flagged
+    inputs are sorted once by (len(word), word, preperiod index): the order
+    of every word by length, then lexicographically, and under each word
+    every preperiod.
     """
     mats = [_mod2((0, *pre)) for pre in pres]
     first: dict[_Mod2, Digits] = {}
     for m, pre in zip(mats, pres):
         first.setdefault(m, pre)
-    for word in words:
-        necklace, rot = _necklace(word)
-        image = {row: _row_times(row, rot) for row in _ROWS}
-        marked = {m for m, pre in first.items()
-                  if flagged(word, pre, necklace, image[m[0]], image[m[1]])}
-        if marked:
-            for m, pre in zip(mats, pres):
-                if m in marked:
-                    yield _canonical_cf(0, pre, word)
+    keys = []
+    for necklace in necklaces:
+        flagged = classes(necklace)
+        if flagged is None:
+            continue
+        n = len(necklace)
+        for i, rot in enumerate(_rotations_mod2(necklace)):
+            word = necklace[i:] + necklace[:i]
+            marked = {m for m, pre in first.items()
+                      if flagged(pre, word, _row_times(m[0], rot), _row_times(m[1], rot))}
+            if marked:
+                at = [j for j, m in enumerate(mats) if m in marked]
+                for e in range(1, max_len // n + 1):
+                    keys.extend((e * n, word * e, j) for j in at)
+    keys.sort()
+    return [_canonical_cf(0, pres[j], word) for _, word, j in keys]
 
 
 def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[CF]:
@@ -144,24 +193,28 @@ def verify_b2_exhaustive(period_max: int = 12, preperiod_max: int = 6) -> list[C
     sides are constant on a class (necklace, (q_n : q_{n-1}) mod 2): B(2x)
     by the module docstring, and `classify_b2` because it reads that row
     mod 2 at a fixed position of the necklace, the start of its rotation
-    (2) or (2, 1).  So each class is checked once, on its first input, and
-    that verdict is final: every input of a failing class is listed with
-    no second check.  B(x) <= 2 holds by construction.
+    (2) or (2, 1).  So each class is checked once, on one input that the
+    necklace walk meets first, and that verdict is final: every input of a
+    failing class is listed with no second check.  B(x) <= 2 holds by
+    construction.
     """
     if period_max < 1 or preperiod_max < 0:
         raise ValueError("need period_max >= 1 and preperiod_max >= 0")
-    violated: dict[tuple[Digits, _Row], bool] = {}
 
-    def fails(word, pre, necklace, row1, row2) -> bool:
-        key = (necklace, row2)
-        if key not in violated:
-            cf = _canonical_cf(0, pre, word)
-            _, _, period = _double_periodic(cf.a0, cf.pre, cf.period)
-            violated[key] = (max(period) <= 2) != (classify_b2(cf) is not None)
-        return violated[key]
+    def classes(necklace: Digits) -> _Flagged:
+        violated: dict[_Row, bool] = {}  # q-row -> verdict of the necklace's class
+
+        def fails(pre, word, row1, row2) -> bool:
+            if row2 not in violated:
+                cf = _canonical_cf(0, pre, word)
+                _, _, period = _double_periodic(cf.a0, cf.pre, cf.period)
+                violated[row2] = (max(period) <= 2) != (classify_b2(cf) is not None)
+            return violated[row2]
+
+        return fails
 
     pres = [(), *_words((1, 2), preperiod_max)]
-    return list(_flagged_inputs(_words((1, 2), period_max), pres, fails))
+    return _flagged_inputs(_lyndon_words((1, 2), period_max), period_max, pres, classes)
 
 
 @dataclass(frozen=True)
@@ -191,24 +244,26 @@ def _exit_b_from_311(y: CF) -> tuple[int, int]:
     raise RuntimeError("never left the (3,1,1) class")
 
 
-def _survivors(C: int, words: Iterable[Digits], pres: list[Digits]) -> Iterator[CF]:
+def _survivors(C: int, necklaces: Iterable[Digits], max_len: int, pres: list[Digits]) -> list[CF]:
     """The inputs CF(0, pre, word) with B(2x) <= C and B(x/2) <= C, in enumeration order.
 
-    One table (module docstring) holds B of the image of y = [(necklace)]:
-    B(2x) fills it under the row (q_n, q_{n-1}) and B(x/2) under
-    (p_n, p_{n-1}), on the first input whose (necklace, row) misses.
+    B of the three images of y = [(necklace)] (module docstring) decides
+    every class of the necklace before any word is listed: an input survives
+    iff B is <= C under both of its rows.  The two rows of an invertible
+    matrix mod 2 differ, so a necklace with fewer than two rows at B <= C
+    lists nothing, at the cost of its three machine runs.
     """
-    image_b: dict[tuple[Digits, _Row], int] = {}  # (necklace, row) -> B of the image of y
 
-    def survives(word, pre, necklace, row1, row2) -> bool:
-        for image, row in ((double_cf, row2), (halve_cf, row1)):
-            if (necklace, row) not in image_b:
-                image_b[necklace, row] = _b_of(image(_canonical_cf(0, pre, word)))
-            if image_b[necklace, row] > C:
-                return False
-        return True
+    def classes(necklace: Digits) -> _Flagged | None:
+        y = _canonical_cf(necklace[0], (), necklace[1:] + necklace[:1])
+        low = {row for row, image in (((0, 1), double_cf), ((1, 0), halve_cf),
+                                      ((1, 1), halve_plus1_cf))
+               if _b_of(image(y)) <= C}
+        if len(low) < 2:
+            return None
+        return lambda pre, word, row1, row2: row1 in low and row2 in low
 
-    return _flagged_inputs(words, pres, survives)
+    return _flagged_inputs(necklaces, max_len, pres, classes)
 
 
 def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2) -> FalsifyResult:
@@ -224,8 +279,9 @@ def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2) -> 
     C = 2 every distinct input of a class where both are <= 2 is a
     counterexample, and for C = 3 or 4 only B(4y) and B(y/4), which the
     class key does not decide, are tested, each distinct CF once, in
-    enumeration order.  It runs in one process, as workers would redo each
-    other's classes.
+    enumeration order.  The enumeration walks necklaces, not words, so a
+    necklace with fewer than two images at B <= C costs three machine runs
+    and no per-word work.
     """
     if C not in (2, 3, 4):
         raise ValueError("supported bounds are C in {2, 3, 4}")
@@ -233,11 +289,11 @@ def falsify_b_bound(C: int, period_len_max: int, preperiod_len_max: int = 2) -> 
         raise ValueError("need period_len_max >= 1 and preperiod_len_max >= 0")
     alphabet = range(1, (C + 1) + 1) if C == 2 else range(1, C + 1)
     pres = list(itertools.chain([()], _words(alphabet, preperiod_len_max)))
-    words = (w for w in _words(alphabet, period_len_max) if C == 2 or max(w) == C)
+    necklaces = (n for n in _lyndon_words(alphabet, period_len_max) if C == 2 or max(n) == C)
     counterexamples: list[CF] = []
     whitelisted: list[WhitelistHit] = []
     seen: set[CF] = set()
-    for cf in _survivors(C, words, pres):
+    for cf in _survivors(C, necklaces, period_len_max, pres):
         if cf in seen:
             continue
         seen.add(cf)

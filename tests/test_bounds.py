@@ -19,7 +19,7 @@ from cf2.bounds import (
     stats,
     verify_b2_exhaustive,
 )
-from cf2.cf import CF, least_rotation, parse_cf
+from cf2.cf import CF, least_rotation, parse_cf, primitive_word
 from cf2.doubling import double_cf, halve_cf, halve_plus1_cf
 from cf2.equiv import class_key, key_of_cf
 from cf2.surd import QuadraticSurd, double_surd, expand_surd, surd_of_periodic_cf
@@ -171,15 +171,70 @@ def _falsify_reference(C, period_len_max, preperiod_len_max=2):
 
 
 def test_class_memo_keeps_the_inputs_a_per_input_filter_keeps():
-    for C, period_max, preperiod_max in ((3, 5, 2), (4, 4, 1)):
+    for C, period_max, preperiod_max, count in ((3, 5, 2, 26), (4, 4, 1, 75),
+                                                (4, 5, 2, 728), (4, 6, 1, 285)):
         alphabet = range(1, C + 1)
         words = list(bounds._words(alphabet, period_max))
         pres = [(), *bounds._words(alphabet, preperiod_max)]
         inputs = [CF(0, pre, word) for word in words for pre in pres]
         kept = [cf for cf in inputs
                 if max(double_cf(cf).period) <= C and max(halve_cf(cf).period) <= C]
-        assert kept and len(kept) < len(inputs)
-        assert list(bounds._survivors(C, words, pres)) == kept, C
+        assert len(kept) == count, C
+        necklaces = bounds._lyndon_words(alphabet, period_max)
+        assert bounds._survivors(C, necklaces, period_max, pres) == kept, C
+
+
+@pytest.mark.parametrize("size, max_len", [(1, 8), (2, 8), (3, 6), (4, 5)])
+def test_lyndon_words_are_the_least_rotations_of_the_primitive_words(size, max_len):
+    alphabet = range(1, size + 1)
+    brute = sorted({least_rotation(w) for w in bounds._words(alphabet, max_len)
+                    if primitive_word(w) == w})
+    assert list(bounds._lyndon_words(alphabet, max_len)) == brute
+
+
+def _class_of(pre, word):
+    """(necklace, (p_n, p_{n-1}), (q_n, q_{n-1}) mod 2) of CF(0, pre, word), read per word."""
+    root = primitive_word(word)
+    necklace = least_rotation(root)
+    start = next(i for i in range(len(root)) if root[i:] + root[:i] == necklace)
+    p, p1, q, q1 = _matrix((0, *pre, *root[:start]))
+    return necklace, (p % 2, p1 % 2), (q % 2, q1 % 2)
+
+
+def _salted(salt):
+    """A synthetic class predicate: some necklaces flag nothing, the rest some of their classes."""
+    def necklace_flags(necklace):
+        return hash((necklace, salt)) % 4 != 0
+
+    def flagged(necklace, row1, row2):
+        return necklace_flags(necklace) and hash((necklace, row1, row2, salt)) % 5 == 0
+
+    return necklace_flags, flagged
+
+
+@pytest.mark.parametrize("alphabet, max_len", [((1, 2), 7), ((1, 2, 3), 5), ((1, 2, 3, 4), 4)])
+@pytest.mark.parametrize("preperiod_max", [0, 1, 2])
+def test_necklace_walk_flags_the_inputs_a_per_word_walk_flags(alphabet, max_len, preperiod_max):
+    pres = [(), *bounds._words(alphabet, preperiod_max)]
+    for salt in range(3):
+        necklace_flags, flagged = _salted(salt)
+        reference = [CF(0, pre, word) for word in bounds._words(alphabet, max_len) for pre in pres
+                     if flagged(*_class_of(pre, word))]
+
+        def classes(necklace):
+            if not necklace_flags(necklace):
+                return None
+
+            def asked(pre, word, row1, row2):
+                # the input handed over is one of the class asked about
+                assert _class_of(pre, word) == (necklace, row1, row2)
+                return flagged(necklace, row1, row2)
+
+            return asked
+
+        got = bounds._flagged_inputs(bounds._lyndon_words(alphabet, max_len), max_len, pres,
+                                     classes)
+        assert reference and got == reference, salt
 
 
 def test_falsify_matches_per_input_reference():
